@@ -5,7 +5,10 @@ Reduce pipeline for the counting kernel:
 
 1. Exhaustively delete vertices whose degree exceeds the remaining
    budget (each such vertex is in every small cover), decrementing the
-   budget.  If the budget would go negative the count is 0.
+   budget.  If the budget would go negative the count is 0.  A
+   deletion lowers the budget by 1 and other degrees by at most 1, so
+   an eligible vertex stays eligible and the outcome does not depend
+   on the order of deletions (``buss_reduce``).
 2. Drop isolated vertices, remembering how many vertices the rule
    left (``n1``): covers of the stripped core extend to covers of the
    full graph by arbitrary isolated vertices within budget.
@@ -13,6 +16,10 @@ Reduce pipeline for the counting kernel:
    pairwise non-adjacent copies, join copy classes of adjacent
    vertices completely, pad with ``t = d + d*k2 + 2*(d*k2)**2``
    isolated vertices, and scale the budget to ``k3 = d*k2``.
+
+Steps 1 and 2 work on a degree array and flag bytes over the edge
+set, never on ``Graph.adjacency``: O(n + m) per round of the rule,
+and the rule needs at most k + 1 rounds, usually two.
 
 The count of the blown-up instance decomposes as ``sum_i y_i * w_i``
 where ``y_i`` is the number of core covers of size exactly ``i`` and
@@ -25,6 +32,7 @@ reattaches the isolated-vertex choices.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 from . import oracles
@@ -34,13 +42,17 @@ from .framework import (
     CountingInstance,
     IntegrityError,
     LiftContext,
+    ProtocolError,
 )
-from .graphs import Graph, induced_subgraph, ordered
+from .graphs import Graph, ordered
 
 VC_KERNEL = "vertex-cover-kernel"
 MINIMAL_VC_KERNEL = "minimal-vertex-cover-kernel"
 
-_CONTEXT_FIELDS = ("n1", "n2", "k2", "d", "t", "k3")
+_CONTEXT_FIELDS = {
+    VC_KERNEL: ("n1", "n2", "k2", "d", "t", "k3"),
+    MINIMAL_VC_KERNEL: ("n1", "n2", "k2"),
+}
 
 
 def buss_reduce(g: Graph, k: int) -> tuple[Graph, int] | None:
@@ -48,37 +60,65 @@ def buss_reduce(g: Graph, k: int) -> tuple[Graph, int] | None:
 
     While some vertex has degree above the current budget, delete it
     (it belongs to every cover within budget) and decrement the budget.
-    Deleting the lowest-index eligible vertex first keeps the result
-    deterministic.
+    None means a vertex is still above the budget when the budget is 0.
+
+    The order of deletions does not matter.  Deleting a vertex lowers
+    the budget by exactly 1 and any other vertex's degree by at most 1,
+    so a vertex above the budget stays above it until it is deleted.
+    The deleted set, the final budget and the None decision are
+    therefore the same for every order.  So each round deletes every
+    vertex above the budget at once; when there are more of them than
+    the budget, deleting them one by one would reach budget 0 with one
+    still above it, which is None.
+
+    A round counts degrees over the surviving edges into an array and
+    drops the edges of the deleted vertices, O(n + m) with no adjacency
+    built.  The first round takes every vertex of degree above k; a
+    later one deletes anything only when earlier deletions left a
+    vertex above the lowered budget.  Every round but the last deletes
+    at least one vertex, so there are at most k + 1 rounds, and two
+    when the first round's deletions settle the rule.
     """
     if k < 0:
         return None
-    alive = set(range(g.n))
-    adj = [set(nbrs) for nbrs in g.adjacency]
+    alive = bytearray(b"\x01") * g.n
+    edges = g.edges
     budget = k
     while True:
-        victim = next((v for v in sorted(alive) if len(adj[v]) > budget), None)
-        if victim is None:
+        degree = [0] * g.n
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        if max(degree, default=0) <= budget:
             break
-        if budget == 0:
+        victims = [v for v, d in enumerate(degree) if d > budget]
+        if len(victims) > budget:
             return None
-        alive.discard(victim)
-        for w in adj[victim]:
-            adj[w].discard(victim)
-        adj[victim].clear()
-        budget -= 1
-    edges = frozenset(ordered(u, v) for u in alive for v in adj[u] if u < v)
-    kept = sorted(alive)
-    relabel = {v: i for i, v in enumerate(kept)}
-    g1 = Graph(len(kept), frozenset(ordered(relabel[u], relabel[v]) for u, v in edges))
-    return g1, budget
+        budget -= len(victims)
+        for v in victims:
+            alive[v] = 0
+        edges = [e for e in edges if alive[e[0]] and alive[e[1]]]
+    return _compact(alive, edges), budget
 
 
 def strip_isolated(g1: Graph, k1: int) -> tuple[Graph, int, int]:
-    """Drop isolated vertices; returns (core, unchanged budget, n1)."""
-    keep = [v for v in range(g1.n) if g1.degree(v) > 0]
-    g2, _ = induced_subgraph(g1, keep)
-    return g2, k1, g1.n
+    """Drop isolated vertices; returns (core, unchanged budget, n1).
+
+    Flags the endpoints of every edge and renumbers the flagged
+    vertices in order: O(n + m), with no adjacency built.
+    """
+    touched = bytearray(g1.n)
+    for u, v in g1.edges:
+        touched[u] = touched[v] = 1
+    return _compact(touched, g1.edges), k1, g1.n
+
+
+def _compact(keep: bytearray, edges) -> Graph:
+    """The graph on the vertices flagged in ``keep``, renumbered in
+    order; every edge must join two flagged vertices."""
+    rank = list(accumulate(keep))  # flagged vertices up to and including each vertex
+    return Graph(rank[-1] if rank else 0,
+                 frozenset((rank[u] - 1, rank[v] - 1) for u, v in edges))
 
 
 def padded_blowup_graph(core: Graph, copies: int, padding: int) -> Graph:
@@ -182,7 +222,8 @@ def blowup_cover_multiplicity(i: int, copies: int, padding: int,
 # ---------------------------------------------------------------------------
 
 def _zero_result(name: str) -> CompressionResult:
-    payload = {"branch": "zero", **{f: "0" for f in _CONTEXT_FIELDS}}
+    # Both kernels write the counting kernel's fields, a superset of their own.
+    payload = {"branch": "zero", **{f: "0" for f in _CONTEXT_FIELDS[VC_KERNEL]}}
     reduced = CountingInstance(Graph.from_edges(2, [(0, 1)]), None, 0, "solution-size")
     return CompressionResult(reduced, LiftContext(name, payload))
 
@@ -217,27 +258,60 @@ def reduce_vertex_cover(inst: CountingInstance) -> CompressionResult:
     return CompressionResult(reduced, LiftContext(VC_KERNEL, payload))
 
 
+def _decode_context(ctx: LiftContext, name: str) -> dict[str, int] | None:
+    """The payload's fields as integers, or None on the zero branch.
+
+    Both branches carry every field of the owning kernel as a
+    nonnegative decimal string; anything else raises ProtocolError.
+    """
+    payload = ctx.expect(name)
+    if not isinstance(payload, dict):
+        raise ProtocolError(f"{name} context payload is not an object")
+    branch = payload.get("branch")
+    if branch not in ("normal", "zero"):
+        raise ProtocolError(f"{name} context branch {branch!r} is not 'normal' or 'zero'")
+    fields = {}
+    for f in _CONTEXT_FIELDS[name]:
+        if f not in payload:
+            raise ProtocolError(f"{name} context lacks field {f!r}")
+        value = payload[f]
+        if not (isinstance(value, str) and value.isascii() and value.isdigit()):
+            raise ProtocolError(
+                f"{name} context field {f!r} is {value!r}, not a nonnegative decimal string")
+        fields[f] = int(value)
+    return fields if branch == "normal" else None
+
+
 def lift_vertex_cover(ctx: LiftContext, reduced_count: int) -> int:
     """Recover the original cover count from the blowup's count.
 
     Sizes above the core order are skipped: no core cover can use more
-    than n2 vertices, and the multiplicity is undefined there.  A
-    nonzero residue after the extraction loop means the supplied count
-    was not the reduced instance's true count.
+    than n2 vertices, and the multiplicity is undefined there.  Each
+    extracted y_i must be a possible number of size-i core covers: at
+    most C(n2, i), and y_0 = 0 on a non-empty core (it has no isolated
+    vertex, so the empty set covers nothing).  A coefficient outside
+    that range, or a nonzero residue after the extraction loop, means
+    the supplied count was not the reduced instance's true count.
     """
-    payload = ctx.expect(VC_KERNEL)
-    if payload["branch"] == "zero":
+    fields = _decode_context(ctx, VC_KERNEL)
+    if fields is None:
         return 0
-    n1, n2, k2, d, t, k3 = (int(payload[f]) for f in _CONTEXT_FIELDS)
+    n1, n2, k2, d, t, k3 = (fields[f] for f in _CONTEXT_FIELDS[VC_KERNEL])
+    # A normal core has at most k2^2 edges and no isolated vertex.
+    if (d != n2 or k3 != d * k2 or t != d + k3 + 2 * k3 * k3 or n1 < n2
+            or n2 > 2 * k2 * k2):
+        raise ProtocolError(f"inconsistent {VC_KERNEL} context {fields}")
     if reduced_count < 0:
         raise IntegrityError("counts are nonnegative")
     remaining = reduced_count
     total = 0
-    for i in range(k2 + 1):
-        if i > n2:
-            continue
+    for i in range(min(k2, n2) + 1):
         w = blowup_cover_multiplicity(i, d, t, k2, n2)
         y = remaining // w
+        if y > comb(n2, i) or (i == 0 and n2 and y):
+            raise IntegrityError(
+                f"lift extracted {y} core covers of size {i} from a {n2}-vertex core; "
+                "corrupted count")
         remaining -= y * w
         total += y * sum(comb(n1 - n2, j) for j in range(k2 - i + 1))
     if remaining:
@@ -253,11 +327,11 @@ def reference_blowup_count(inst: CountingInstance, result: CompressionResult) ->
     identity itself is brute-force verified at tiny overridden scale by
     the verification suite.
     """
-    payload = result.context.expect(VC_KERNEL)
-    if payload["branch"] == "zero":
+    fields = _decode_context(result.context, VC_KERNEL)
+    if fields is None:
         return 0
     g2, k2, _ = strip_isolated(*buss_reduce(inst.graph, inst.k))
-    d, t, n2 = int(payload["d"]), int(payload["t"]), int(payload["n2"])
+    d, t, n2 = fields["d"], fields["t"], fields["n2"]
     return sum(oracles.count_vertex_covers_of_size(g2, i)
                * blowup_cover_multiplicity(i, d, t, k2, n2)
                for i in range(min(k2, n2) + 1))
@@ -301,8 +375,7 @@ def reduce_minimal_vertex_cover(inst: CountingInstance) -> CompressionResult:
 
 
 def lift_minimal_vertex_cover(ctx: LiftContext, reduced_count: int) -> int:
-    payload = ctx.expect(MINIMAL_VC_KERNEL)
-    if payload["branch"] == "zero":
+    if _decode_context(ctx, MINIMAL_VC_KERNEL) is None:
         return 0
     return reduced_count
 

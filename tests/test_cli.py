@@ -82,6 +82,27 @@ def test_kernel_minvc(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+@pytest.mark.parametrize("which", ["vc", "minvc"])
+@pytest.mark.parametrize("corrupt", [
+    lambda p: {k: v for k, v in p.items() if k != "branch"},
+    lambda p: {k: v for k, v in p.items() if k != "n2"},
+    lambda p: {**p, "branch": "sometimes"},
+    lambda p: {**p, "k2": "-1"},
+    lambda p: {**p, "n1": "x"},
+], ids=["no-branch", "no-n2", "bad-branch", "negative", "not-a-number"])
+def test_kernel_lift_malformed_context_exits_3(tmp_path, capsys, which, corrupt):
+    graph = write(tmp_path, "k3.gr", K3_TEXT)
+    context = tmp_path / "ctx.json"
+    assert main(["kernel", which, "reduce", "--graph", graph, "--k", "2",
+                 "--out", str(tmp_path / "r.gr"), "--context", str(context)]) == 0
+    doc = json.loads(context.read_text())
+    doc["payload"] = corrupt(doc["payload"])
+    context.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["kernel", which, "lift", "--context", str(context), "--count", "3"]) == 3
+    assert "context" in capsys.readouterr().err
+
+
 def test_compose_sum_and_oracle(tmp_path, capsys):
     a = write(tmp_path, "a.gr", PATH_ST_TEXT)
     b = write(tmp_path, "b.gr", PATH_ST_TEXT)

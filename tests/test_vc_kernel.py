@@ -8,7 +8,8 @@ from countkernel.framework import (
     LiftContext,
     ProtocolError,
 )
-from countkernel.graphs import Graph
+from countkernel import vc_kernel
+from countkernel.graphs import Graph, induced_subgraph, ordered, serialize_graph
 from countkernel.oracles import (
     count_minimal_vertex_covers,
     count_vertex_covers,
@@ -26,7 +27,7 @@ from countkernel.vc_kernel import (
     reduce_vertex_cover,
     strip_isolated,
 )
-from countkernel.verification import multiplicity_by_enumeration
+from countkernel.verification import graph_corpus, multiplicity_by_enumeration
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 EDGE = Graph.from_edges(2, [(0, 1)])
@@ -209,3 +210,185 @@ def test_tiny_blowup_decomposition_brute_force():
                        * blowup_cover_multiplicity(i, copies, padding, k2, core.n)
                        for i in range(min(k2, core.n) + 1))
         assert direct == expected
+
+
+def test_lift_rejects_impossible_coefficients():
+    # Two disjoint edges, k = 2: the core is the whole graph (n2 = 4) and
+    # y = (0, 0, 4).  Each corruption below decodes to an impossible y_i.
+    two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
+    result = reduce_vertex_cover(CountingInstance(two_edges, None, 2))
+    payload = result.context.payload
+    d, t, k2, n2 = (int(payload[f]) for f in ("d", "t", "k2", "n2"))
+    w = [blowup_cover_multiplicity(i, d, t, k2, n2) for i in range(k2 + 1)]
+    true_count = sum(count_vertex_covers_of_size(two_edges, i) * w[i] for i in range(k2 + 1))
+    assert lift_vertex_cover(result.context, true_count) == count_vertex_covers(two_edges, 2) == 4
+    for corrupted in (true_count + w[0],       # y_0 = 1 on a non-empty core
+                      true_count + 5 * w[0],   # y_0 = 5 > C(4, 0)
+                      true_count + 5 * w[1],   # y_1 = 5 > C(4, 1)
+                      true_count + 3 * w[2]):  # y_2 = 7 > C(4, 2)
+        with pytest.raises(IntegrityError):
+            lift_vertex_cover(result.context, corrupted)
+
+
+# The CLI tests cover missing keys, a bad branch and non-numeric fields.
+@pytest.mark.parametrize("payload", [
+    {"branch": "zero", "n1": "0", "n2": "0", "k2": "0"},
+    {"branch": "normal", "n1": 3, "n2": "3", "k2": "2", "d": "3", "t": "81", "k3": "6"},
+    {"branch": "normal", "n1": " 3", "n2": "3", "k2": "2", "d": "3", "t": "81", "k3": "6"},
+    # well-formed fields that no reduce run can emit together
+    {"branch": "normal", "n1": "3", "n2": "3", "k2": "2", "d": "0", "t": "81", "k3": "6"},
+    {"branch": "normal", "n1": "2", "n2": "3", "k2": "2", "d": "3", "t": "81", "k3": "6"},
+    {"branch": "normal", "n1": "3", "n2": "3", "k2": "1", "d": "3", "t": "24", "k3": "3"},
+])
+def test_lift_rejects_malformed_contexts(payload):
+    with pytest.raises(ProtocolError):
+        lift_vertex_cover(LiftContext("vertex-cover-kernel", payload), 0)
+
+
+# ---------------------------------------------------------------------------
+# The degree rule and the strip against their first, one-deletion-at-a-time
+# implementation
+# ---------------------------------------------------------------------------
+
+def reference_buss_reduce(g, k):
+    """Lowest-index eligible vertex first, on per-vertex neighbour sets."""
+    if k < 0:
+        return None
+    alive = set(range(g.n))
+    adj = [set(nbrs) for nbrs in g.adjacency]
+    budget = k
+    while True:
+        victim = next((v for v in sorted(alive) if len(adj[v]) > budget), None)
+        if victim is None:
+            break
+        if budget == 0:
+            return None
+        alive.discard(victim)
+        for w in adj[victim]:
+            adj[w].discard(victim)
+        adj[victim].clear()
+        budget -= 1
+    edges = frozenset(ordered(u, v) for u in alive for v in adj[u] if u < v)
+    kept = sorted(alive)
+    relabel = {v: i for i, v in enumerate(kept)}
+    g1 = Graph(len(kept), frozenset(ordered(relabel[u], relabel[v]) for u, v in edges))
+    return g1, budget
+
+
+def reference_strip_isolated(g1, k1):
+    keep = [v for v in range(g1.n) if g1.degree(v) > 0]
+    g2, _ = induced_subgraph(g1, keep)
+    return g2, k1, g1.n
+
+
+def assert_matches_reference(g, k):
+    got, want = buss_reduce(g, k), reference_buss_reduce(g, k)
+    assert got == want, (g, k)
+    if want is not None:
+        assert strip_isolated(*got) == reference_strip_isolated(*want), (g, k)
+
+
+def hub_and_leaf_host(seed, n, hubs, core_edges, core_n):
+    """Hubs first, then the core, then leaves of the hubs round robin and
+    a seeded handful of isolated vertices, under a seeded relabelling."""
+    rng = random.Random(seed)
+    label = list(range(n))
+    rng.shuffle(label)
+    first_leaf = hubs + core_n
+    leaves = n - first_leaf - rng.randint(0, n // 50)
+    pairs = [(hubs + u, hubs + v) for u, v in core_edges]
+    pairs += [(j % hubs, first_leaf + j) for j in range(leaves)]
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in pairs])
+
+
+def stars(leaf_counts):
+    edges, centre = [], 0
+    for leaves in leaf_counts:
+        edges += [(centre, centre + j) for j in range(1, leaves + 1)]
+        centre += leaves + 1
+    return edges, centre
+
+
+def cliques(count, size):
+    edges = [(c * size + a, c * size + b)
+             for c in range(count) for a in range(size) for b in range(a + 1, size)]
+    return edges, count * size
+
+
+def test_buss_and_strip_match_reference_on_corpus():
+    for g in graph_corpus(3000, 6, 0):
+        for k in range(5):
+            assert_matches_reference(g, k)
+
+
+# Ten hubs and residual budget k2 = 4 at k = 14.  The [5, 3] stars put a
+# centre above the lowered budget once the hubs are gone, so the rule
+# needs a second deleting round; two K5 keep 20 > 16 edges of degree 4.
+HUBS, K2 = 10, 4
+CORES = {"stars": stars([3, 3, 2]), "second-round": stars([5, 3]), "dense": cliques(2, 5)}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("core", sorted(CORES))
+def test_buss_and_strip_match_reference_on_hub_and_leaf_hosts(seed, core):
+    g = hub_and_leaf_host(seed, 2000, HUBS, *CORES[core])
+    for k in (HUBS - 1, HUBS, HUBS + K2 - 1, HUBS + K2, HUBS + K2 + 3):
+        assert_matches_reference(g, k)
+    branch = reduce_vertex_cover(CountingInstance(g, None, HUBS + K2)).context.payload["branch"]
+    assert branch == ("zero" if core == "dense" else "normal")
+    assert buss_reduce(g, HUBS - 1) is None
+
+
+@pytest.mark.parametrize("edges, n, k, expected", [
+    # the centre's deletion spends the last unit and leaves no edge
+    ([(0, 1), (0, 2), (0, 3)], 4, 1, (Graph.empty(3), 0)),
+    # ... but one edge remains, eligible at budget 0
+    ([(0, 1), (0, 2), (0, 3), (4, 5)], 6, 1, None),
+    # two centres spend the budget in one round
+    (stars([3, 3])[0], 8, 2, (Graph.empty(6), 0)),
+    # ... and a third centre is one more than the budget
+    (stars([3, 3, 3])[0], 12, 2, None),
+    # a star and a path: the path's middle is eligible only after the
+    # centre's deletion, and its own deletion brings the budget to 0
+    ([(0, 1), (0, 2), (0, 3), (4, 5), (5, 6)], 7, 2, (Graph.empty(5), 0)),
+    # ... with a second path both middles are eligible at budget 1
+    ([(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (7, 8), (8, 9)], 10, 2, None),
+    # ... with a spare edge it is eligible at budget 0
+    ([(0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (7, 8)], 9, 2, None),
+])
+def test_buss_budget_exhaustion_boundaries(edges, n, k, expected):
+    g = Graph.from_edges(n, edges)
+    assert buss_reduce(g, k) == expected
+    assert_matches_reference(g, k)
+
+
+def test_reduced_instance_and_context_are_byte_identical_to_reference(monkeypatch):
+    g = hub_and_leaf_host(11, 20_000, HUBS, *CORES["second-round"])
+
+    def outputs():
+        result = reduce_vertex_cover(CountingInstance(g, None, HUBS + K2))
+        return (serialize_graph(result.reduced.graph, k=result.reduced.k),
+                result.context.to_json())
+
+    fast = outputs()
+    monkeypatch.setattr(vc_kernel, "buss_reduce", reference_buss_reduce)
+    monkeypatch.setattr(vc_kernel, "strip_isolated", reference_strip_isolated)
+    assert outputs() == fast
+    assert '"branch": "normal"' in fast[1]
+
+
+def test_reduce_never_builds_the_adjacency(monkeypatch):
+    g = hub_and_leaf_host(5, 100_000, HUBS, *CORES["stars"])
+    seen = []
+
+    def recording_strip(g1, k1):
+        seen.append(g1)
+        return strip_isolated(g1, k1)
+
+    monkeypatch.setattr(vc_kernel, "strip_isolated", recording_strip)
+    result = reduce_vertex_cover(CountingInstance(g, None, HUBS + K2))
+    assert result.context.payload["branch"] == "normal"
+    (g1,) = seen
+    assert g1.n > 90_000
+    assert "adjacency" not in g.__dict__
+    assert "adjacency" not in g1.__dict__
