@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import comb
 
 from . import oracles
 from .framework import (
@@ -29,6 +30,7 @@ from .framework import (
     IntegrityError,
     LiftContext,
     PreconditionError,
+    ProtocolError,
     Ppt,
 )
 from .graphs import (
@@ -202,6 +204,9 @@ def oct_to_vc_ppt(verify_nice: bool = False) -> Ppt:
 # Exact composition
 # ---------------------------------------------------------------------------
 
+_METADATA_KEYS = ("branch", "ell", "m", "k", "exponents")
+
+
 @dataclass(frozen=True, eq=False)
 class ExactMetadata:
     """Bookkeeping that lets one composed count encode all input counts.
@@ -217,7 +222,6 @@ class ExactMetadata:
     cut_size: int
     exponents: tuple[int, ...]
     recorded_answers: tuple[int, ...] | None = None
-    gadget_edges: tuple[tuple, ...] | None = None
 
     def to_json(self) -> str:
         doc = {
@@ -233,16 +237,49 @@ class ExactMetadata:
 
     @classmethod
     def from_json(cls, text: str) -> "ExactMetadata":
-        doc = json.loads(text)
+        """Decode strictly; every fault raises ProtocolError.
+
+        Every key must be present, the counts nonnegative JSON integers
+        and the branch ``gadget`` or ``trivial``.  The fields must be
+        ones ``exact_compose`` emits: ell >= 1, m even, one exponent
+        m*(i-1) + m*(ell-1) per input, the trivial branch exactly when
+        ell >= 2^(m/2), and there one recorded answer per input as a
+        nonnegative decimal string.
+        """
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise ProtocolError(f"exact metadata is not JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ProtocolError("exact metadata is not an object")
+        for key in _METADATA_KEYS:
+            if key not in doc:
+                raise ProtocolError(f"exact metadata lacks {key!r}")
+        branch, ell, m, k, exponents = (doc[key] for key in _METADATA_KEYS)
+        if branch not in ("gadget", "trivial"):
+            raise ProtocolError(f"exact metadata branch {branch!r} is not 'gadget' or 'trivial'")
+        if not isinstance(exponents, list):
+            raise ProtocolError(f"exact metadata exponents {exponents!r} is not a list")
+        for value in (ell, m, k, *exponents):
+            if type(value) is not int or value < 0:  # bool is a subclass of int
+                raise ProtocolError(f"exact metadata value {value!r} is not a nonnegative integer")
+        if (ell < 1 or m % 2 or len(exponents) != ell
+                or exponents != [m * (i - 1) + m * (ell - 1) for i in range(1, ell + 1)]):
+            raise ProtocolError(
+                f"inconsistent exact metadata (ell={ell}, m={m}, exponents={exponents})")
+        # Trivial exactly when ell >= 2^(m/2), tested without building the power.
+        if (branch == "trivial") != (m // 2 < ell.bit_length()):
+            raise ProtocolError(f"exact metadata branch {branch!r} does not fit ell={ell}, m={m}")
         answers = doc.get("recorded_answers")
-        return cls(
-            branch=doc["branch"],
-            ell=doc["ell"],
-            m=doc["m"],
-            cut_size=doc["k"],
-            exponents=tuple(doc["exponents"]),
-            recorded_answers=tuple(int(a) for a in answers) if answers is not None else None,
-        )
+        if branch == "trivial":
+            if not (isinstance(answers, list) and len(answers) == ell and all(
+                    isinstance(a, str) and a.isascii() and a.isdigit() for a in answers)):
+                raise ProtocolError(
+                    f"trivial exact metadata needs {ell} recorded answers as decimal strings")
+            answers = tuple(int(a) for a in answers)
+        elif answers is not None:
+            raise ProtocolError("gadget exact metadata carries recorded answers")
+        return cls(branch, ell, m, k, tuple(exponents), answers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,14 +341,12 @@ def exact_compose(instances: list[CutInstance],
     chain, terminals, maps = chain_identify(instances)
     edges = set(chain.edges)
     next_vertex = chain.n
-    gadget_edges: list[tuple] = []
     long_paths: list[list[tuple[int, int, int]]] = []
     short_paths: list[list[int]] = []
     for i in range(1, ell + 1):
         g_i, st_i = instances[i - 1]
         s_i = maps[i - 1][st_i.s]
         t_i = maps[i - 1][st_i.t]
-        mine: list = []
         longs: list[tuple[int, int, int]] = []
         shorts: list[int] = []
         for _ in range(m * (i - 1)):
@@ -319,22 +354,18 @@ def exact_compose(instances: list[CutInstance],
             next_vertex += 3
             path = [ordered(s_i, x), ordered(x, y), ordered(y, z), ordered(z, t_i)]
             longs.append((x, y, z))
-            mine.extend(path)
             edges.update(path)
         for _ in range(m * (ell - 1) - m * (i - 1)):
             x = next_vertex
             next_vertex += 1
             path = [ordered(s_i, x), ordered(x, t_i)]
             shorts.append(x)
-            mine.extend(path)
             edges.update(path)
-        gadget_edges.append(tuple(mine))
         long_paths.append(longs)
         short_paths.append(shorts)
 
     graph = Graph(next_vertex, frozenset(edges))
-    meta = ExactMetadata("gadget", ell, m, k, exponents,
-                         gadget_edges=tuple(gadget_edges))
+    meta = ExactMetadata("gadget", ell, m, k, exponents)
     witness = _witness_decomposition(instances, input_tds, maps, long_paths, short_paths)
 
     check = validate_tree_decomposition(graph, witness)
@@ -396,21 +427,42 @@ def _witness_decomposition(instances, input_tds, maps, long_paths, short_paths,
 def extract_counts(meta: ExactMetadata, composed_count: int) -> list[int]:
     """Recover all input counts from the composed count.
 
-    Walks the exponents from the largest down, taking floor quotients;
-    a nonzero final residue means the supplied count was wrong.  In the
-    trivial branch the recorded answers are returned and the count is
-    ignored.
+    Walks the exponents from the largest down, taking floor quotients.
+    Each input has at most m/2 edges and cut size k, so its count is at
+    most C(m/2, k); a larger quotient, a negative count or a nonzero
+    final residue means the supplied count was wrong.  In the trivial
+    branch the recorded answers are returned and the count is ignored.
     """
     if meta.branch == "trivial":
         if meta.recorded_answers is None:
             raise IntegrityError("trivial-branch metadata without recorded answers")
         return list(meta.recorded_answers)
+    if composed_count < 0:
+        raise IntegrityError("counts are nonnegative")
     remaining = composed_count
     out = [0] * meta.ell
     for i in range(meta.ell, 0, -1):
-        coefficient = 1 << meta.exponents[i - 1]
-        out[i - 1] = remaining // coefficient
-        remaining -= out[i - 1] * coefficient
+        out[i - 1] = remaining >> meta.exponents[i - 1]
+        remaining -= out[i - 1] << meta.exponents[i - 1]
     if remaining:
         raise IntegrityError(f"extraction left a residue of {remaining}")
+    worst = max(out)
+    if _exceeds_binomial(worst, meta.m // 2, meta.cut_size):
+        raise IntegrityError(
+            f"extracted input count {worst} exceeds C({meta.m // 2}, {meta.cut_size}); "
+            "corrupted count")
     return out
+
+
+def _exceeds_binomial(q: int, n: int, k: int) -> bool:
+    """q > C(n, k), building C(n, k) only when q >= 2^min(k, n-k).
+
+    For j = min(k, n-k) >= 0, C(n, k) = prod_{i<j} (n-i)/(j-i) and each
+    factor is at least n/j >= 2, so a smaller q is below it; otherwise j
+    is below the bit length of q and the binomial is cheap.  Crafted
+    metadata with a huge m and k thus costs no more than the count.
+    """
+    j = min(k, n - k)
+    if j < 0:
+        return q > 0
+    return q.bit_length() > j and q > comb(n, j)

@@ -39,7 +39,8 @@ PROBLEMS = (
 
 
 class ProtocolError(Exception):
-    """A lift context was fed to the wrong compression or is corrupted."""
+    """A lift context or composition metadata was fed to the wrong
+    owner or is corrupted."""
 
 
 class CompositionError(Exception):

@@ -27,11 +27,22 @@ where ``y_i`` is the number of core covers of size exactly ``i`` and
 to each of them.  The padding makes every ``w_i`` dominate all later
 terms, so the lift recovers each ``y_i`` by floor division and then
 reattaches the isolated-vertex choices.
+
+An extension takes at most spend = d*(k2 - i) vertices from the
+l = n2 - i uncovered copy classes and the padding, but never a whole
+class (that would cover a core vertex outside the cover).  Dropping
+the whole-class limit leaves the r-subsets, r <= spend, of d*l + t
+vertices; inclusion-exclusion over the j classes taken whole gives
+
+    w_i = sum_{j >= 0, d*j <= spend} (-1)^j C(l, j)
+          * sum_{r <= spend - d*j} C(d*(l - j) + t, r),
+
+with each inner partial sum built term by term: O(k2 * d * k2^2)
+big-int steps for all the w_i of one lift.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
@@ -154,54 +165,28 @@ def build_padded_blowup(g2: Graph, k2: int) -> tuple[Graph, int, int, int]:
 # Extension multiplicities
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _class_pick_table(copies: int, rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
-    """table[l][p]: weighted ways to take p copy-vertices from l classes.
-
-    Each class holds ``copies`` vertices of which at most copies-1 may
-    be taken (taking a whole class is invalid); a class contributing s
-    vertices can do so in C(copies, s) ways.  Row l is the convolution
-    of row l-1 with the per-class choices.
-    """
-    limit = copies - 1
-    weights = [comb(copies, s) for s in range(max(limit, 0) + 1)]
-    row = [0] * (cols + 1)
-    row[0] = 1
-    table = [tuple(row)]
-    for _ in range(rows):
-        prev = table[-1]
-        row = [0] * (cols + 1)
-        for p in range(cols + 1):
-            hi = min(p, limit)
-            total = 0
-            for s in range(hi + 1):
-                total += weights[s] * prev[p - s]
-            row[p] = total
-        table.append(tuple(row))
-    return tuple(table)
-
-
-@lru_cache(maxsize=8)
-def _padding_prefix(padding: int, cols: int) -> tuple[int, ...]:
-    """prefix[r] = number of ways to take at most r padding vertices."""
-    prefix = []
-    binom = 1
-    total = 0
-    for r in range(cols + 1):
-        if r <= padding:
-            total += binom
-            binom = binom * (padding - r) // (r + 1)
-        prefix.append(total)
-    return tuple(prefix)
-
-
 def blowup_cover_multiplicity(i: int, copies: int, padding: int,
                               budget: int, core_size: int) -> int:
     """Extensions per core cover of size exactly i in the padded blowup.
 
-    Counts the vectors (a*, a_1..a_{core_size-i}) with
-    a* + sum a_j <= copies*(budget - i), a* <= padding and each
-    a_j <= copies-1, weighted by C(padding, a*) * prod C(copies, a_j).
+    Counts the vectors (a*, a_1..a_l), l = core_size - i, with
+    a* + sum a_j <= spend = copies*(budget - i), a* <= padding and each
+    a_j <= copies-1, weighted by C(padding, a*) * prod C(copies, a_j):
+    the ways to take at most ``spend`` vertices from the l uncovered
+    copy classes and the padding, never a whole class.
+
+    Without the whole-class limit the weighted count is the number of
+    r-subsets, r <= spend, of copies*l + padding vertices.  By
+    inclusion-exclusion over the set of classes taken whole, j fixed
+    whole classes leave sum_{r <= spend - copies*j} C(copies*(l-j) +
+    padding, r) choices, so
+
+        w_i = sum_{j >= 0, copies*j <= spend} (-1)^j C(l, j)
+              * sum_{r <= spend - copies*j} C(copies*(l-j) + padding, r).
+
+    Each inner partial sum is built term by term, so with copies >= 1
+    one w_i costs O(budget * spend) big-int steps and a lift
+    O(k2 * copies * k2^2).
     Accepts arbitrary parameters, not only reduce-produced ones, so the
     identity is testable at brute-forceable scale.
     """
@@ -209,12 +194,21 @@ def blowup_cover_multiplicity(i: int, copies: int, padding: int,
         raise ValueError(f"size {i} outside 0..min(budget={budget}, core={core_size})")
     if copies < 0 or padding < 0:
         raise ValueError("copies and padding must be nonnegative")
-    table = _class_pick_table(copies, core_size, copies * budget)
-    prefix = _padding_prefix(padding, copies * budget)
     classes = core_size - i
     spend = copies * (budget - i)
-    row = table[classes]
-    return sum(row[p] * prefix[spend - p] for p in range(spend + 1))
+    total = 0
+    for j in range(classes + 1):
+        left = spend - copies * j
+        if left < 0:
+            break
+        pool = copies * (classes - j) + padding
+        choices = 0
+        term = 1  # C(pool, r)
+        for r in range(min(left, pool) + 1):
+            choices += term
+            term = term * (pool - r) // (r + 1)
+        total += (-1) ** j * comb(classes, j) * choices
+    return total
 
 
 # ---------------------------------------------------------------------------

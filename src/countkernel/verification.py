@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 from . import oracles
@@ -248,20 +248,43 @@ def multiplicity_by_enumeration(i: int, copies: int, padding: int,
     return total
 
 
+def multiplicity_by_dp(i: int, copies: int, padding: int,
+                       budget: int, core_size: int) -> int:
+    """Convolution over the copy classes, a second reference for the
+    closed form in ``blowup_cover_multiplicity``.
+
+    ways[p] is the weighted number of ways to take p vertices from the
+    classes seen so far, each class giving s <= copies-1 of its vertices
+    in C(copies, s) ways; the padding then closes each p with at most
+    spend - p of its vertices.  No caching, no shortcuts.
+    """
+    spend = copies * (budget - i)
+    class_weights = [comb(copies, s) for s in range(copies)]
+    ways = [1] + [0] * spend
+    for _ in range(core_size - i):
+        ways = [sum(class_weights[s] * ways[p - s] for s in range(min(p, copies - 1) + 1))
+                for p in range(spend + 1)]
+    at_most = list(accumulate(comb(padding, r) for r in range(spend + 1)))
+    return sum(ways[p] * at_most[spend - p] for p in range(spend + 1))
+
+
 def sweep_multiplicity_dp(limit: int = 6) -> SweepReport:
-    """Dynamic program equals direct enumeration on all small parameters."""
+    """Closed form, convolution DP and direct enumeration agree on all
+    small parameters."""
     start = time.monotonic()
-    report = SweepReport("multiplicity DP vs enumeration")
+    report = SweepReport("multiplicity closed form vs DP vs enumeration")
     for copies in range(limit + 1):
         for padding in range(limit + 1):
             for budget in range(limit + 1):
                 for core in range(limit + 1):
                     for i in range(min(budget, core) + 1):
-                        dp = blowup_cover_multiplicity(i, copies, padding, budget, core)
+                        closed = blowup_cover_multiplicity(i, copies, padding, budget, core)
+                        dp = multiplicity_by_dp(i, copies, padding, budget, core)
                         direct = multiplicity_by_enumeration(i, copies, padding, budget, core)
-                        report.check(dp == direct,
-                                     f"dp={dp} enum={direct} at (i={i}, copies={copies}, "
-                                     f"padding={padding}, budget={budget}, core={core})")
+                        report.check(closed == dp == direct,
+                                     f"closed={closed} dp={dp} enum={direct} at (i={i}, "
+                                     f"copies={copies}, padding={padding}, budget={budget}, "
+                                     f"core={core})")
     return _timed(report, start)
 
 

@@ -138,6 +138,23 @@ def test_compose_exact_extract_pipeline(tmp_path, capsys):
     assert witness["bags"]
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda d: {k: v for k, v in d.items() if k != "ell"},
+    lambda d: {**d, "exponents": d["exponents"][:1]},
+    lambda d: {**d, "ell": str(d["ell"])},
+    lambda d: {**d, "exponents": [-e for e in d["exponents"]]},
+], ids=["no-ell", "short-exponents", "ell-string", "negative-exponent"])
+def test_extract_malformed_metadata_exits_3(tmp_path, capsys, corrupt):
+    a = write(tmp_path, "a.gr", PATH_ST_TEXT)
+    meta = tmp_path / "meta.json"
+    assert main(["compose", "exact", "--inputs", f"{a},{a}", "--out",
+                 str(tmp_path / "exact.gr"), "--meta", str(meta)]) == 0
+    meta.write_text(json.dumps(corrupt(json.loads(meta.read_text()))))
+    capsys.readouterr()
+    assert main(["extract", "--meta", str(meta), "--count", "544"]) == 3
+    assert "exact metadata" in capsys.readouterr().err
+
+
 def test_ppt_subcommands(tmp_path, capsys):
     src = write(tmp_path, "p.gr", PATH_ST_TEXT)
     out = str(tmp_path / "oct.gr")

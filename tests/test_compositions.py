@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -19,6 +21,7 @@ from countkernel.framework import (
     CountingInstance,
     IntegrityError,
     PreconditionError,
+    ProtocolError,
 )
 from countkernel.graphs import Graph, TerminalPair, validate_tree_decomposition
 from countkernel.oracles import (
@@ -295,3 +298,79 @@ def test_exact_metadata_json_round_trip():
     again = ExactMetadata.from_json(trivial.to_json())
     assert again.recorded_answers == (1, 1)
     assert extract_counts(again, 0) == [1, 1]
+
+
+def test_extract_refuses_counts_above_the_binomial_cap():
+    # Two inputs of cut size 2 with at most 4 edges each (m = 8): two
+    # parallel 2-paths (4 min cuts) and a 2-path beside the edge s-t (2).
+    parallel = (Graph.from_edges(4, [(0, 1), (1, 3), (0, 2), (2, 3)]), TerminalPair(0, 3))
+    shortcut = (Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), TerminalPair(0, 2))
+    assert [count_min_st_cuts(g, st) for g, st in (parallel, shortcut)] == [(4, 2), (2, 2)]
+    meta = exact_compose([parallel, shortcut]).metadata
+    assert (meta.branch, meta.m, meta.cut_size, meta.exponents) == ("gadget", 8, 2, (8, 16))
+    true_count = 4 * 2 ** 8 + 2 * 2 ** 16
+    assert extract_counts(meta, true_count) == [4, 2]
+    # Both would decode without a residue, to [4, 42] and [13, 2]; C(4, 2) = 6.
+    for corrupted in (true_count + 40 * 2 ** 16, true_count + 9 * 2 ** 8):
+        with pytest.raises(IntegrityError):
+            extract_counts(meta, corrupted)
+    with pytest.raises(IntegrityError):  # would decode to [0, -1]
+        extract_counts(meta, -2 ** 16)
+
+
+def _single_input_metadata(m, k):
+    doc = {"branch": "gadget", "ell": 1, "m": m, "k": k, "exponents": [0]}
+    return ExactMetadata.from_json(json.dumps(doc))
+
+
+def test_extract_cap_is_the_binomial_exactly():
+    for half in range(1, 9):  # ell = 1 < 2^half keeps the gadget branch
+        for k in range(half + 2):
+            cap = comb(half, k)
+            meta = _single_input_metadata(2 * half, k)
+            assert extract_counts(meta, cap) == [cap]
+            with pytest.raises(IntegrityError):
+                extract_counts(meta, cap + 1)
+
+
+def test_extract_cap_stays_cheap_on_huge_metadata():
+    # C(10^7, 5*10^6) has about 10^7 bits; a small count never builds it.
+    meta = _single_input_metadata(2 * 10 ** 7, 5 * 10 ** 6)
+    assert extract_counts(meta, 12345) == [12345]
+
+
+def _metadata_doc():
+    return {"branch": "gadget", "ell": 2, "m": 4, "k": 1, "exponents": [4, 8]}
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda d: {k: v for k, v in d.items() if k != "ell"},
+    lambda d: {k: v for k, v in d.items() if k != "k"},
+    lambda d: {**d, "exponents": [4]},
+    lambda d: {**d, "exponents": [8, 4]},
+    lambda d: {**d, "exponents": [-4, 8]},
+    lambda d: {**d, "exponents": "4 8"},
+    lambda d: {**d, "ell": "2"},
+    lambda d: {**d, "k": True},
+    lambda d: {**d, "ell": 2.0},
+    lambda d: {**d, "ell": 0, "exponents": []},
+    lambda d: {**d, "ell": 10 ** 12},
+    lambda d: {**d, "m": 5, "exponents": [5, 10]},
+    lambda d: {**d, "k": -1},
+    lambda d: {**d, "branch": "other"},
+    lambda d: {**d, "branch": "trivial", "recorded_answers": ["2", "2"]},
+    lambda d: {**d, "recorded_answers": ["2", "2"]},
+    lambda d: {**d, "ell": 1, "m": 0, "exponents": [0], "branch": "trivial"},
+    lambda d: {**d, "ell": 1, "m": 0, "exponents": [0], "branch": "trivial",
+               "recorded_answers": ["-1"]},
+    lambda d: [d],
+], ids=["no-ell", "no-k", "short-exponents", "wrong-exponents", "negative-exponent",
+        "exponents-not-list", "ell-string", "k-bool", "ell-float", "ell-zero", "ell-huge",
+        "odd-m", "negative-k", "bad-branch", "trivial-branch-too-small",
+        "gadget-with-answers", "trivial-without-answers", "negative-answer", "not-an-object"])
+def test_exact_metadata_decoder_refuses_malformed_documents(corrupt):
+    assert ExactMetadata.from_json(json.dumps(_metadata_doc())).exponents == (4, 8)
+    with pytest.raises(ProtocolError):
+        ExactMetadata.from_json(json.dumps(corrupt(_metadata_doc())))
+    with pytest.raises(ProtocolError):
+        ExactMetadata.from_json("{not json")

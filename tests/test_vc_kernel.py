@@ -27,7 +27,13 @@ from countkernel.vc_kernel import (
     reduce_vertex_cover,
     strip_isolated,
 )
-from countkernel.verification import graph_corpus, multiplicity_by_enumeration
+from countkernel.verification import (
+    graph_corpus,
+    multiplicity_by_dp,
+    multiplicity_by_enumeration,
+    reduce_produced_parameters,
+    sweep_dominance,
+)
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 EDGE = Graph.from_edges(2, [(0, 1)])
@@ -86,6 +92,26 @@ def test_multiplicity_frozen_values():
     assert blowup_cover_multiplicity(0, 2, 3, 1, 2) == 27
     assert multiplicity_by_enumeration(0, 2, 12, 1, 2) == 135
     assert multiplicity_by_enumeration(0, 2, 3, 1, 2) == 27
+
+
+def test_closed_form_matches_dp_on_reduce_produced_parameters():
+    checked = 0
+    for n2, k2 in reduce_produced_parameters(5):
+        d = n2
+        t = d + d * k2 + 2 * (d * k2) ** 2
+        for i in range(min(k2, n2) + 1):
+            assert blowup_cover_multiplicity(i, d, t, k2, n2) \
+                == multiplicity_by_dp(i, d, t, k2, n2), (i, n2, k2)
+            checked += 1
+    assert checked == 536
+
+
+def test_dominance_at_the_papers_scale():
+    # The floor-division lift is exact only if every w_i dominates the
+    # tail; k2 = 7 and 8 were out of reach of the convolution DP.
+    report = sweep_dominance(kmax=8)
+    assert report.passed, report.failures[:3]
+    assert report.checked == 2909
 
 
 def test_multiplicity_domain_errors():
