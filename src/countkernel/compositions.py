@@ -74,7 +74,6 @@ class SumComposition:
     graph: Graph
     terminals: TerminalPair
     cut_size: int
-    vertex_maps: tuple[dict[int, int], ...]
 
 
 def sum_compose(instances: list[CutInstance]) -> SumComposition:
@@ -87,8 +86,8 @@ def sum_compose(instances: list[CutInstance]) -> SumComposition:
     k = _common_cut_size(instances)
     if k == 0 and len(instances) > 1:
         raise CompositionError("cut size 0 is not summable across copies")
-    graph, terminals, maps = chain_identify(instances)
-    return SumComposition(graph, terminals, k, tuple(maps))
+    graph, terminals, _ = chain_identify(instances)
+    return SumComposition(graph, terminals, k)
 
 
 # ---------------------------------------------------------------------------

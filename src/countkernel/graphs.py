@@ -9,6 +9,7 @@ maps, so callers never rely on index arithmetic.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -232,11 +233,28 @@ def parse_graph(text: str | bytes) -> ParsedGraph:
 
 def serialize_graph(g: Graph, terminals: TerminalPair | None = None,
                     k: int | None = None, comment: str | None = None) -> str:
+    """Write the file format read by ``parse_graph``, one record a line.
+
+    The bytes are fixed by the arguments: a ``c <line>`` record for
+    each line of ``comment``, then ``p <n> <m>``, then one
+    ``e <u> <v>`` per edge with 1-based endpoints u < v, in increasing
+    (u, v) order, then ``t <s> <t>`` if ``terminals`` is given and
+    ``k <value>`` if ``k`` is, each line ending in a newline.
+
+    The edges are grouped into rows by their lower endpoint and each
+    row is sorted on its own; rows in increasing u give the order of
+    ``sorted(g.edges)`` without comparing tuples.
+    """
     lines = []
     if comment:
         lines.extend(f"c {part}" for part in comment.splitlines())
     lines.append(f"p {g.n} {g.m}")
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.sorted_edges())
+    rows: defaultdict[int, list[int]] = defaultdict(list)
+    for u, v in g.edges:
+        rows[u].append(v)
+    for u in sorted(rows):
+        pre = f"e {u + 1} "
+        lines.append(pre + ("\n" + pre).join([str(v + 1) for v in sorted(rows[u])]))
     if terminals is not None:
         lines.append(f"t {terminals.s + 1} {terminals.t + 1}")
     if k is not None:

@@ -43,7 +43,7 @@ big-int steps for all the w_i of one lift.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain, product
 from math import comb
 
 from . import oracles
@@ -55,7 +55,7 @@ from .framework import (
     LiftContext,
     ProtocolError,
 )
-from .graphs import Graph, ordered
+from .graphs import Graph
 
 VC_KERNEL = "vertex-cover-kernel"
 MINIMAL_VC_KERNEL = "minimal-vertex-cover-kernel"
@@ -137,22 +137,28 @@ def padded_blowup_graph(core: Graph, copies: int, padding: int) -> Graph:
     along core edges, followed by ``padding`` isolated vertices.
 
     Vertex v of the core becomes copies v*copies .. (v+1)*copies - 1.
+    Each core edge (u, v) contributes the product of the two copy
+    ranges; u < v puts every copy of u below every copy of v, so the
+    pairs come out ordered and distinct edges give disjoint products.
     Parameters are free here so the decomposition identity can be
     brute-force checked at tiny scale; the kernel itself fixes them via
     ``build_padded_blowup``.
     """
     if copies < 0 or padding < 0:
         raise ValueError("copies and padding must be nonnegative")
-    edges = set()
-    for u, v in core.edges:
-        for i in range(copies):
-            for j in range(copies):
-                edges.add(ordered(u * copies + i, v * copies + j))
-    return Graph(core.n * copies + padding, frozenset(edges))
+    edges = frozenset(chain.from_iterable(
+        product(range(u * copies, u * copies + copies), range(v * copies, v * copies + copies))
+        for u, v in core.edges))
+    return Graph(core.n * copies + padding, edges)
 
 
 def build_padded_blowup(g2: Graph, k2: int) -> tuple[Graph, int, int, int]:
-    """Blow up the core with its kernel parameters; returns (graph, k3, d, t)."""
+    """Blow up the core with its kernel parameters; returns (graph, k3, d, t).
+
+    d = n2 copies per core vertex and t = d + d*k2 + 2*(d*k2)**2
+    padding vertices; the edges are built by ``padded_blowup_graph``,
+    d*d per core edge.
+    """
     if g2.isolated_vertices():
         raise ValueError("core graph must have no isolated vertices")
     d = g2.n

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from countkernel.graphs import (
     ParsedGraph,
@@ -20,6 +21,7 @@ from countkernel.graphs import (
     validate_tree_decomposition,
 )
 from countkernel.oracles import random_graph
+from countkernel.verification import graph_corpus
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -84,6 +86,70 @@ def test_serialize_round_trip():
     assert parsed.graph == PATH3
     assert parsed.terminals == TerminalPair(0, 2)
     assert parsed.k == 1
+
+
+def reference_serialize_graph(g, terminals=None, k=None, comment=None):
+    """The first serializer: every edge formatted, in ``sorted`` order."""
+    lines = []
+    if comment:
+        lines.extend(f"c {part}" for part in comment.splitlines())
+    lines.append(f"p {g.n} {g.m}")
+    lines.extend(f"e {u + 1} {v + 1}" for u, v in sorted(g.edges))
+    if terminals is not None:
+        lines.append(f"t {terminals.s + 1} {terminals.t + 1}")
+    if k is not None:
+        lines.append(f"k {k}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("g, terminals, k, comment", [
+    (Graph.empty(0), None, None, None),
+    (Graph.empty(0), None, 0, ""),
+    (Graph.empty(1), None, None, "one vertex"),
+    (Graph.empty(7), TerminalPair(6, 0), 3, None),
+    (PATH3, TerminalPair(0, 2), 1, "demo"),
+    (K3, None, 0, "first\nsecond\r\nthird\n"),
+    (K3, TerminalPair(2, 1), None, "\n\nafter blank lines"),
+    # rows of several lengths, lower endpoints out of insertion order
+    (Graph.from_edges(12, [(11, 0), (3, 9), (3, 4), (10, 3), (0, 1), (9, 11)]),
+     TerminalPair(0, 11), 2, "c"),
+])
+def test_serialize_matches_reference_on_fixed_cases(g, terminals, k, comment):
+    text = serialize_graph(g, terminals, k, comment)
+    assert text == reference_serialize_graph(g, terminals, k, comment)
+
+
+def test_serialize_matches_reference_on_random_corpus():
+    rng = random.Random(23)
+    corpus = graph_corpus(400, 9, 23)
+    corpus += [random_graph(rng.randint(10, 300), rng.choice((0.01, 0.1, 0.5)),
+                            rng.randrange(10**6)) for _ in range(30)]
+    for g in corpus:
+        terminals = TerminalPair(*rng.sample(range(g.n), 2)) if g.n >= 2 else None
+        k = rng.choice((None, 0, rng.randrange(10**6)))
+        assert serialize_graph(g) == reference_serialize_graph(g)
+        assert serialize_graph(g, terminals, k, "corpus") \
+            == reference_serialize_graph(g, terminals, k, "corpus")
+
+
+@st.composite
+def parsed_graphs(draw):
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    terminals = None
+    if n >= 2 and draw(st.booleans()):
+        s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        terminals = TerminalPair(s, t)
+    k = draw(st.none() | st.integers(0, 10**30))
+    return ParsedGraph(Graph(n, frozenset(edges)), terminals, k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(parsed_graphs(), st.none() | st.text())
+def test_serialize_parse_round_trip_property(parsed, comment):
+    text = serialize_graph(parsed.graph, parsed.terminals, parsed.k, comment)
+    assert parse_graph(text) == parsed
 
 
 def test_subdivide_triangle_gives_six_cycle():

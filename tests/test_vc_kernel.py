@@ -34,6 +34,7 @@ from countkernel.verification import (
     reduce_produced_parameters,
     sweep_dominance,
 )
+from test_graphs import reference_serialize_graph
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 EDGE = Graph.from_edges(2, [(0, 1)])
@@ -83,6 +84,46 @@ def test_build_blowup_degenerate_and_path():
 def test_build_blowup_rejects_isolated_core():
     with pytest.raises(ValueError):
         build_padded_blowup(Graph.empty(2), 1)
+
+
+def reference_padded_blowup_graph(core, copies, padding):
+    """The first blowup: one ``ordered`` pair per copy pair, into a set."""
+    if copies < 0 or padding < 0:
+        raise ValueError("copies and padding must be nonnegative")
+    edges = set()
+    for u, v in core.edges:
+        for i in range(copies):
+            for j in range(copies):
+                edges.add(ordered(u * copies + i, v * copies + j))
+    return Graph(core.n * copies + padding, frozenset(edges))
+
+
+def test_blowup_matches_reference_on_random_cores():
+    rng = random.Random(29)
+    cores = graph_corpus(80, 7, 29) + [random_graph(rng.randint(5, 12), rng.random(),
+                                                    rng.randrange(10**6)) for _ in range(20)]
+    for core in cores:
+        for copies in range(4):
+            for padding in range(4):
+                assert padded_blowup_graph(core, copies, padding) \
+                    == reference_padded_blowup_graph(core, copies, padding), (core, copies, padding)
+    with pytest.raises(ValueError):
+        padded_blowup_graph(K3, -1, 0)
+    with pytest.raises(ValueError):
+        padded_blowup_graph(K3, 1, -1)
+
+
+@pytest.mark.parametrize("k2", [3, 4, 5])
+def test_worst_case_reduce_output_matches_reference(k2):
+    # a k2^2-edge matching: n2 = 2*k2^2, the largest core reduce keeps
+    matching = Graph.from_edges(2 * k2 * k2, [(2 * j, 2 * j + 1) for j in range(k2 * k2)])
+    result = reduce_vertex_cover(CountingInstance(matching, None, k2))
+    payload = result.context.payload
+    assert payload["branch"] == "normal" and payload["n2"] == str(matching.n)
+    d, t, k3 = (int(payload[f]) for f in ("d", "t", "k3"))
+    reference = reference_padded_blowup_graph(matching, d, t)
+    assert result.reduced.graph == reference and result.reduced.k == k3
+    assert serialize_graph(result.reduced.graph, k=k3) == reference_serialize_graph(reference, k=k3)
 
 
 def test_multiplicity_frozen_values():
