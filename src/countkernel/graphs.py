@@ -125,7 +125,8 @@ class TreeDecomposition:
     """Tree of bags over the vertices of a decomposed graph.
 
     ``links`` are unordered pairs of node ids; ``bags`` maps every node
-    id to a vertex subset.  Validity is checked by
+    id to a vertex subset, given as a collection of hashable members in
+    which a repeat counts once.  Validity is checked by
     ``validate_tree_decomposition``, never assumed.
     """
 
@@ -135,7 +136,7 @@ class TreeDecomposition:
 
     @property
     def width(self) -> int:
-        return max((len(b) for b in self.bags.values()), default=0) - 1
+        return max((len(frozenset(b)) for b in self.bags.values()), default=0) - 1
 
     def to_jsonable(self) -> dict:
         node_ix = {node: i for i, node in enumerate(self.nodes)}
@@ -432,22 +433,40 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> TdCheck:
     """Check both decomposition conditions and that the tree is a tree.
 
     Violations are reported as return values (first one found), not
-    raised.
+    raised, in this order: node ids, links, the tree's connectivity,
+    bag members, edges of ``g`` in sorted order, then each vertex in
+    order (in some bag, and its bags connected).  A bag member is a
+    vertex only if it is an ``int`` in ``range(g.n)``: ``True``, ``1.0``
+    and ``"1"`` are violations, not vertex 1.  A bag may be any
+    collection of hashable members, and a repeat counts once.
+
+    One pass over the bags lists each vertex's holders, the nodes whose
+    bag holds it.  An edge is looked up in the bags of the holders of
+    whichever endpoint has fewer.  By then the tree is known to be a
+    tree, so the holders of v induce a forest in it, and a forest is
+    connected iff it has one link fewer than it has nodes.  One pass
+    over the links, counting for each v the links whose two bags both
+    hold it, therefore settles every vertex without a search.
+
+    Cost: O(n + sum |bag|) for the bags, links and vertices (a link
+    costs the size of its smaller bag; charged to its child bag in the
+    rooted tree, that sums to at most sum |bag|), plus, per edge, the
+    holder count of its rarer endpoint, plus ``Graph.sorted_edges``.
     """
     width = td.width
     nodes = list(td.nodes)
     if not nodes:
         return TdCheck(False, "decomposition has no nodes", width)
-    node_set = set(nodes)
-    if len(node_set) != len(nodes):
+    index = {node: i for i, node in enumerate(nodes)}
+    if len(index) != len(nodes):
         return TdCheck(False, "duplicate node ids", width)
-    if set(td.bags) != node_set:
+    if set(td.bags) != index.keys():
         return TdCheck(False, "bags do not match the node set", width)
 
     adj: dict = {node: [] for node in nodes}
     for link in td.links:
         pair = list(link)
-        if len(pair) != 2 or any(x not in node_set for x in pair):
+        if len(pair) != 2 or any(x not in index for x in pair):
             return TdCheck(False, f"bad tree edge {pair}", width)
         a, b = pair
         adj[a].append(b)
@@ -464,25 +483,31 @@ def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> TdCheck:
     if len(seen) != len(nodes):
         return TdCheck(False, "tree is not connected", width)
 
-    for node in nodes:
+    bags: list[frozenset] = []
+    holders: list[list[int]] = [[] for _ in range(g.n)]
+    for i, node in enumerate(nodes):
         for v in td.bags[node]:
-            if not 0 <= v < g.n:
+            if type(v) is not int or not 0 <= v < g.n:  # bool is a subclass of int
                 return TdCheck(False, f"bag of {node!r} references vertex {v}", width)
+        bag = frozenset(td.bags[node])
+        bags.append(bag)
+        for v in bag:
+            holders[v].append(i)
     for u, v in g.sorted_edges():
-        if not any(u in td.bags[node] and v in td.bags[node] for node in nodes):
+        rare, other = (u, v) if len(holders[u]) <= len(holders[v]) else (v, u)
+        if not any(other in bags[i] for i in holders[rare]):
             return TdCheck(False, f"edge ({u},{v}) is in no bag", width)
+    shared = [0] * g.n
+    for link in td.links:
+        a, b = (bags[index[x]] for x in link)
+        if len(b) < len(a):
+            a, b = b, a
+        for v in a:
+            if v in b:
+                shared[v] += 1
     for v in range(g.n):
-        trace = [node for node in nodes if v in td.bags[node]]
-        if not trace:
+        if not holders[v]:
             return TdCheck(False, f"vertex {v} is in no bag", width)
-        trace_set = set(trace)
-        reached = {trace[0]}
-        stack = [trace[0]]
-        while stack:
-            for b in adj[stack.pop()]:
-                if b in trace_set and b not in reached:
-                    reached.add(b)
-                    stack.append(b)
-        if len(reached) != len(trace):
+        if shared[v] != len(holders[v]) - 1:
             return TdCheck(False, f"bags containing vertex {v} are disconnected", width)
     return TdCheck(True, None, width)

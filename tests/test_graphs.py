@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from countkernel.graphs import (
     BlowupError,
     Graph,
     ParseError,
+    TdCheck,
     TerminalPair,
     TreeDecomposition,
     add_isolated,
@@ -20,8 +22,9 @@ from countkernel.graphs import (
     subdivide_all_edges,
     validate_tree_decomposition,
 )
+from countkernel.compositions import exact_compose, group_by_min_cut
 from countkernel.oracles import random_graph
-from countkernel.verification import graph_corpus
+from countkernel.verification import cut_instance_pool, graph_corpus
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -323,3 +326,233 @@ def test_validate_td_rejects_cycle_and_forest():
     td2 = _td("abc", [("a", "b"), ("b", "c"), ("a", "c")],
               {"a": {0, 1}, "b": {1, 2}, "c": {1}})
     assert not validate_tree_decomposition(PATH3, td2).ok
+
+
+def reference_validate_tree_decomposition(g, td):
+    """The first validator: each edge and each vertex scans every bag."""
+    width = td.width
+    nodes = list(td.nodes)
+    if not nodes:
+        return TdCheck(False, "decomposition has no nodes", width)
+    node_set = set(nodes)
+    if len(node_set) != len(nodes):
+        return TdCheck(False, "duplicate node ids", width)
+    if set(td.bags) != node_set:
+        return TdCheck(False, "bags do not match the node set", width)
+
+    adj = {node: [] for node in nodes}
+    for link in td.links:
+        pair = list(link)
+        if len(pair) != 2 or any(x not in node_set for x in pair):
+            return TdCheck(False, f"bad tree edge {pair}", width)
+        a, b = pair
+        adj[a].append(b)
+        adj[b].append(a)
+    if len(td.links) != len(nodes) - 1:
+        return TdCheck(False, "tree edge count is not node count minus one", width)
+    seen = {nodes[0]}
+    stack = [nodes[0]]
+    while stack:
+        for b in adj[stack.pop()]:
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+    if len(seen) != len(nodes):
+        return TdCheck(False, "tree is not connected", width)
+
+    for node in nodes:
+        for v in td.bags[node]:
+            if not 0 <= v < g.n:
+                return TdCheck(False, f"bag of {node!r} references vertex {v}", width)
+    for u, v in g.sorted_edges():
+        if not any(u in td.bags[node] and v in td.bags[node] for node in nodes):
+            return TdCheck(False, f"edge ({u},{v}) is in no bag", width)
+    for v in range(g.n):
+        trace = [node for node in nodes if v in td.bags[node]]
+        if not trace:
+            return TdCheck(False, f"vertex {v} is in no bag", width)
+        trace_set = set(trace)
+        reached = {trace[0]}
+        stack = [trace[0]]
+        while stack:
+            for b in adj[stack.pop()]:
+                if b in trace_set and b not in reached:
+                    reached.add(b)
+                    stack.append(b)
+        if len(reached) != len(trace):
+            return TdCheck(False, f"bags containing vertex {v} are disconnected", width)
+    return TdCheck(True, None, width)
+
+
+TD_KINDS = ("valid", "missing edge", "no bag", "disconnected", "cycle", "forest",
+            "swap", "bad link", "out of range", "duplicate node", "bag mismatch")
+
+
+def _td_case(pick, kind):
+    """A graph (n <= 8) and a decomposition over a random tree, of one of ``TD_KINDS``.
+
+    ``pick(lo, hi)`` draws an int in [lo, hi].  Each vertex's bags form
+    a connected subtree and every edge shares a bag, so "valid" is a
+    decomposition; every other kind corrupts one part of it.
+    """
+    n, size = pick(0, 8), pick(1, 6)
+    parent = [None] + [pick(0, i - 1) for i in range(1, size)]
+    links = {frozenset({i, parent[i]}) for i in range(1, size)}
+    bags = [set() for _ in range(size)]
+    traces = []
+    for v in range(n):
+        trace = {pick(0, size - 1)}
+        for _ in range(pick(0, 3)):
+            x, path = pick(0, size - 1), []
+            while x is not None and x not in trace:
+                path.append(x)
+                x = parent[x]
+            if x is not None:
+                trace.update(path)
+        traces.append(trace)
+        for node in trace:
+            bags[node].add(v)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = {(u, v) for u, v in pairs if traces[u] & traces[v] and pick(0, 1)}
+    nodes = list(range(size))
+    if kind == "missing edge":
+        apart = [(u, v) for u, v in pairs if not traces[u] & traces[v]]
+        if apart:
+            edges.add(apart[pick(0, len(apart) - 1)])
+    elif kind == "no bag" and n:
+        v = pick(0, n - 1)
+        for bag in bags:
+            bag.discard(v)
+    elif kind == "disconnected" and n:
+        wide = [v for v in range(n) if len(traces[v]) >= 3] or range(n)
+        v = wide[pick(0, len(wide) - 1)]
+        held = sorted(traces[v])
+        inner = [x for x in held if sum(parent[y] == x or parent[x] == y for y in held) >= 2]
+        held = inner or held
+        bags[held[pick(0, len(held) - 1)]].discard(v)
+    elif kind in ("forest", "swap") and links:
+        links.discard(sorted(links, key=sorted)[pick(0, len(links) - 1)])
+    if kind in ("cycle", "swap"):
+        links.add(frozenset({pick(0, size - 1), pick(0, size - 1)}))
+    elif kind == "bad link":
+        links.add(frozenset({pick(0, size - 1), size}))
+    elif kind == "out of range":
+        bags[pick(0, size - 1)].add((-1, n, n + 5)[pick(0, 2)])
+    elif kind == "duplicate node":
+        nodes.append(pick(0, size - 1))
+    bag_map = {node: frozenset(bags[node]) for node in range(size)}
+    if kind == "bag mismatch":
+        if pick(0, 1):
+            bag_map[size] = frozenset()
+        else:
+            del bag_map[pick(0, size - 1)]
+    return Graph(n, frozenset(edges)), TreeDecomposition(tuple(nodes), frozenset(links), bag_map)
+
+
+def _check_against_reference(g, td):
+    new = validate_tree_decomposition(g, td)
+    assert new == reference_validate_tree_decomposition(g, td)
+    return new
+
+
+def test_validate_td_matches_reference_on_seeded_corpus():
+    rng = random.Random(31)
+    seen = set()
+    for i in range(4400):
+        kind = TD_KINDS[i % len(TD_KINDS)]
+        g, td = _td_case(rng.randint, kind)
+        check = _check_against_reference(g, td)
+        assert check.ok or kind != "valid"
+        seen.add(re.sub(r"\[.*\]|-?\d+", "#", check.violation or "ok"))
+        # Lists and tuples with every member twice give the frozensets' result.
+        for form in (lambda bag: sorted(bag) * 2, lambda bag: tuple(bag) + tuple(bag)):
+            again = TreeDecomposition(td.nodes, td.links,
+                                      {node: form(bag) for node, bag in td.bags.items()})
+            assert validate_tree_decomposition(g, again) == check
+    assert seen == {
+        "ok", "duplicate node ids", "bags do not match the node set", "bad tree edge #",
+        "tree edge count is not node count minus one", "tree is not connected",
+        "bag of # references vertex #", "edge (#,#) is in no bag", "vertex # is in no bag",
+        "bags containing vertex # are disconnected",
+    }
+    assert not _check_against_reference(PATH3, TreeDecomposition((), frozenset(), {})).ok
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.data(), st.sampled_from(TD_KINDS))
+def test_validate_td_matches_reference_property(data, kind):
+    g, td = _td_case(lambda lo, hi: data.draw(st.integers(lo, hi)), kind)
+    _check_against_reference(g, td)
+
+
+def test_validate_td_matches_reference_on_exact_witnesses():
+    pool = cut_instance_pool(36, 9, 5)
+    rng = random.Random(5)
+    gadgets = 0
+    for members in group_by_min_cut(pool).values():
+        for ell in (1, 2, 3, 4, 2, 3):
+            composition = exact_compose([pool[rng.choice(members)] for _ in range(ell)])
+            g, td = composition.graph, composition.witness
+            assert _check_against_reference(g, td).ok
+            gadgets += composition.metadata.branch == "gadget"
+            # The witness with one member less in one bag, and with one link less.
+            node = rng.choice(td.nodes)
+            bags = {**td.bags, node: frozenset(sorted(td.bags[node])[1:])}
+            _check_against_reference(g, TreeDecomposition(td.nodes, td.links, bags))
+            if td.links:
+                link = rng.choice(sorted(td.links, key=lambda pair: sorted(map(repr, pair))))
+                _check_against_reference(g, TreeDecomposition(td.nodes, td.links - {link}, td.bags))
+    assert gadgets >= 20
+
+
+def _hub_path_td(length, drop_hub_at=None, split_at=None):
+    """Path 1..length with hub 0 adjacent to all, bags {0, i, i+1} in a path.
+
+    The hub sits in every bag, as the chained t_i does in the exact
+    composition's witness.  ``drop_hub_at`` removes it from bag i;
+    ``split_at`` removes i+1 from bag i, leaving edge (i, i+1) in no bag.
+    """
+    g = Graph(length + 1, frozenset([(i, i + 1) for i in range(1, length)]
+                                    + [(0, i) for i in range(1, length + 1)]))
+    bags = {i: {0, i, i + 1} for i in range(1, length)}
+    if drop_hub_at is not None:
+        bags[drop_hub_at].discard(0)
+    if split_at is not None:
+        bags[split_at].discard(split_at + 1)
+    return g, _td(range(1, length), [(i, i + 1) for i in range(1, length - 1)], bags)
+
+
+@pytest.mark.parametrize("corruption, violation", [
+    ({}, None),
+    ({"drop_hub_at": "middle"}, "bags containing vertex 0 are disconnected"),
+    ({"split_at": 5}, "edge (5,6) is in no bag"),
+])
+def test_validate_td_scale_guard_hub_in_every_bag(corruption, violation):
+    # 20,000 bags: the scan of every bag per edge and per vertex would take
+    # about 4*10^8 steps here, so a return to it shows as a stalled suite.
+    for length, middle in ((12, 6), (20_001, 10_000)):
+        kwargs = {key: middle if at == "middle" else at for key, at in corruption.items()}
+        g, td = _hub_path_td(length, **kwargs)
+        check = validate_tree_decomposition(g, td)
+        assert (check.ok, check.violation, check.width) == (violation is None, violation, 2)
+        if length == 12:
+            assert check == reference_validate_tree_decomposition(g, td)
+
+
+@pytest.mark.parametrize("member", ["1", None, 1.5, 1.0, True, (1,), -1, 3])
+def test_validate_td_reports_non_vertex_members(member):
+    # True is no vertex: bool is an int subclass, but no bag member is taken
+    # as a vertex unless its type is int.
+    td = TreeDecomposition(("a", "b"), frozenset({frozenset({"a", "b"})}),
+                           {"a": frozenset({0, 1}), "b": frozenset({member, 2})})
+    check = validate_tree_decomposition(PATH3, td)
+    assert (check.ok, check.violation) == (False, f"bag of 'b' references vertex {member}")
+
+
+def test_validate_td_list_bags_with_repeats_match_frozensets():
+    nodes, links = ("a", "b"), frozenset({frozenset({"a", "b"})})
+    for bags in ({"a": [0, 1, 1, 0], "b": (2, 1, 2)}, {"a": [0, 0], "b": [1, 2, 2]}):
+        as_sets = TreeDecomposition(nodes, links, {k: frozenset(v) for k, v in bags.items()})
+        check = validate_tree_decomposition(PATH3, TreeDecomposition(nodes, links, bags))
+        assert check == validate_tree_decomposition(PATH3, as_sets)
+        assert check.width == 1
