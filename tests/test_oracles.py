@@ -208,3 +208,70 @@ def test_oracle_size_guards():
         count_min_st_cuts(dense, TerminalPair(0, 11))
     with pytest.raises(OracleSizeError):
         max_matching_size(Graph.empty(27))
+
+
+# Set-based definitions, independent of the oracles' bit masks.
+
+def _covers(g, chosen):
+    return all(u in chosen or v in chosen for u, v in g.edges)
+
+
+def _components(g, alive):
+    """Vertex sets of the connected components of g minus its deleted vertices."""
+    left, comps = set(alive), []
+    while left:
+        comp, frontier = set(), [left.pop()]
+        while frontier:
+            u = frontier.pop()
+            comp.add(u)
+            for a, b in g.edges:
+                for x, y in ((a, b), (b, a)):
+                    if x == u and y in left:
+                        left.discard(y)
+                        frontier.append(y)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def _two_colorable(g, alive):
+    color = {}
+    for comp in _components(g, alive):
+        root = min(comp)
+        color[root] = 0
+        frontier = [root]
+        while frontier:
+            u = frontier.pop()
+            for a, b in g.edges:
+                for x, y in ((a, b), (b, a)):
+                    if x == u and y in alive:
+                        if y not in color:
+                            color[y] = 1 - color[u]
+                            frontier.append(y)
+                        elif color[y] == color[u]:
+                            return False
+    return True
+
+
+def test_enumerating_oracles_match_set_definitions_on_all_small_graphs():
+    from countkernel.verification import all_graphs
+
+    for n in range(6):
+        everything = frozenset(range(n))
+        subsets = [frozenset(c) for size in range(n + 1)
+                   for c in combinations(range(n), size)]
+        for g in all_graphs(n):
+            cover = {s for s in subsets if _covers(g, s)}
+            minimal = {s for s in cover if not any(s - {v} in cover for v in s)}
+            transversal = {s for s in subsets if _two_colorable(g, everything - s)}
+            leaves_connected = {s: len(s) < n and len(_components(g, everything - s)) == 1
+                                for s in transversal}
+            for k in range(n + 1):
+                within = [s for s in subsets if len(s) <= k]
+                assert count_vertex_covers(g, k) == sum(s in cover for s in within)
+                assert count_vertex_covers_of_size(g, k) == sum(
+                    s in cover for s in subsets if len(s) == k)
+                assert count_minimal_vertex_covers(g, k) == sum(s in minimal for s in within)
+                assert count_odd_cycle_transversals(g, k) == sum(
+                    s in transversal for s in within)
+                assert is_nice_oct_instance(g, k) == all(
+                    leaves_connected[s] for s in within if s in transversal)
