@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Counts cross this boundary as decimal strings only; graphs as the
-``p/e/t/k`` text format; lift contexts and composition metadata as the
-owning modules' JSON documents.  Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 input or parse error, 4 oracle size guard.
+Counts cross this boundary as nonnegative ASCII decimal strings only;
+graphs as the ``p/e/t/k`` text format; lift contexts and composition
+metadata as the owning modules' JSON documents.  Exit codes: 0 success,
+1 verification failure, 2 usage error, 3 input or parse error, 4 oracle
+size guard.
 """
 
 from __future__ import annotations
@@ -80,6 +81,13 @@ def _budget(args, parsed: ParsedGraph, required: bool = True) -> int | None:
     return k
 
 
+def _count(text: str) -> int:
+    """A count given on the command line: a nonnegative ASCII decimal."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"count {text!r} is not a nonnegative decimal integer")
+    return int(text)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -117,9 +125,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    registry = default_registry()
-    name = VC_KERNEL if args.which == "vc" else MINIMAL_VC_KERNEL
-    compression = registry.compression(name)
+    compression = default_registry()[VC_KERNEL if args.which == "vc" else MINIMAL_VC_KERNEL]
     report = RunReport(f"kernel {args.which} {args.action}")
     if args.action == "reduce":
         parsed = _load(args.graph)
@@ -138,7 +144,7 @@ def cmd_kernel(args) -> int:
                               primary=[summary])
     else:
         ctx = LiftContext.from_json(Path(args.context).read_text(encoding="utf-8"))
-        value = str(compression.lift(ctx, int(args.count)))
+        value = str(compression.lift(ctx, _count(args.count)))
         report.inputs.update(context=args.context, count=args.count)
         report.outputs.update(value=value, primary=[value])
     _emit(args, report)
@@ -187,7 +193,7 @@ def cmd_compose(args) -> int:
 
 def cmd_extract(args) -> int:
     meta = compositions.ExactMetadata.from_json(Path(args.meta).read_text(encoding="utf-8"))
-    counts = compositions.extract_counts(meta, int(args.count))
+    counts = compositions.extract_counts(meta, _count(args.count))
     report = RunReport("extract", inputs={"meta": args.meta, "count": args.count})
     report.outputs.update(values=[str(c) for c in counts],
                           primary=[str(c) for c in counts])

@@ -25,13 +25,13 @@ from math import comb
 from . import oracles
 from .framework import (
     CompositionError,
+    Compression,
     CompressionResult,
     CountingInstance,
     IntegrityError,
     LiftContext,
     PreconditionError,
     ProtocolError,
-    Ppt,
 )
 from .graphs import (
     Graph,
@@ -144,9 +144,9 @@ def mincut_to_oct_lift(ctx: LiftContext, count: int) -> int:
     return count
 
 
-def mincut_to_oct_ppt() -> Ppt:
-    return Ppt(MINCUT_TO_OCT, "min-st-cut", "odd-cycle-transversal",
-               mincut_to_oct_reduce, mincut_to_oct_lift)
+def mincut_to_oct_ppt() -> Compression:
+    return Compression(MINCUT_TO_OCT, "min-st-cut", "odd-cycle-transversal",
+                       mincut_to_oct_reduce, mincut_to_oct_lift)
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +191,9 @@ def oct_to_vc_lift(ctx: LiftContext, count: int) -> int:
     return count // 2
 
 
-def oct_to_vc_ppt(verify_nice: bool = False) -> Ppt:
-    def reduce(inst: CountingInstance) -> CompressionResult:
-        return oct_to_vc_reduce(inst, verify_nice=verify_nice)
-
-    return Ppt(OCT_TO_VC, "odd-cycle-transversal", "vertex-cover",
-               reduce, oct_to_vc_lift)
+def oct_to_vc_ppt() -> Compression:
+    return Compression(OCT_TO_VC, "odd-cycle-transversal", "vertex-cover",
+                       oct_to_vc_reduce, oct_to_vc_lift)
 
 
 # ---------------------------------------------------------------------------

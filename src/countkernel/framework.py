@@ -3,20 +3,21 @@
 A compression is a pair of polynomial-time procedures: ``reduce`` maps
 an instance to a parameter-bounded instance plus a serializable
 ``LiftContext``, and ``lift`` maps the reduced instance's exact count
-back to the original count.  A parameter transformation (PPT) has the
-same shape but only bounds the output parameter, not the output size.
-Composing a PPT with a compression yields a compression again, with
+back to the original count.  A parameter transformation has the same
+shape but only bounds the output parameter, not the output size, so it
+is a ``Compression`` without a ``size_bound``.  Composing a
+transformation with a compression yields a compression again, with
 both contexts nested.
 
-Compressions and PPTs are first-class values addressed by name through
-a registry, so the CLI can pipeline them across processes; contexts
+``default_registry`` names the shipped kernels and identity
+compressions, so the CLI can pipeline them across processes; contexts
 round-trip through JSON with counts as decimal strings.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import oracles
@@ -133,26 +134,33 @@ class LiftContext:
     payload: dict
     version: int = CONTEXT_VERSION
 
+    def to_doc(self) -> dict:
+        return {"compression": self.compression, "version": self.version,
+                "payload": self.payload}
+
     def to_json(self) -> str:
-        doc = {"compression": self.compression, "version": self.version,
-               "payload": self.payload}
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps(self.to_doc(), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "LiftContext":
-        doc = json.loads(text)
+    def from_doc(cls, doc) -> "LiftContext":
         try:
             return cls(doc["compression"], doc["payload"], doc["version"])
         except (KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed lift context: {exc}") from None
 
+    @classmethod
+    def from_json(cls, text: str) -> "LiftContext":
+        return cls.from_doc(json.loads(text))
+
     def expect(self, compression: str) -> dict:
-        """Return the payload after checking ownership and version."""
+        """Return the payload after checking ownership, version and type."""
         if self.compression != compression:
             raise ProtocolError(
                 f"context belongs to {self.compression!r}, not {compression!r}")
         if self.version != CONTEXT_VERSION:
             raise ProtocolError(f"unsupported context version {self.version}")
+        if not isinstance(self.payload, dict):
+            raise ProtocolError(f"{compression} context payload is not an object")
         return self.payload
 
 
@@ -166,6 +174,7 @@ class CompressionResult:
 class Compression:
     """A named (reduce, lift) pair between two counting problems.
 
+    Parameter transformations are compressions without a size bound.
     ``reference_reduced_count`` supplies the reduced instance's true
     count when plain enumeration is infeasible (its padding may be
     huge); implementations must rest on an identity that is itself
@@ -182,17 +191,6 @@ class Compression:
     reference_reduced_count: Callable[[CountingInstance, CompressionResult], int] | None = None
 
 
-@dataclass(frozen=True)
-class Ppt:
-    """A polynomial parameter transformation in reduce/lift form."""
-
-    name: str
-    source_problem: str
-    target_problem: str
-    reduce: Callable[[CountingInstance], CompressionResult]
-    lift: Callable[[LiftContext, int], int]
-
-
 def identity_compression(problem: str) -> Compression:
     name = f"identity-{problem}"
 
@@ -204,11 +202,6 @@ def identity_compression(problem: str) -> Compression:
         return count
 
     return Compression(name, problem, problem, reduce, lift)
-
-
-def identity_ppt(problem: str) -> Ppt:
-    c = identity_compression(problem)
-    return Ppt(f"identity-ppt-{problem}", problem, problem, c.reduce, c.lift)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +221,9 @@ def run_compression(c: Compression, inst: CountingInstance, reduced_count: int) 
     return c.lift(result.context, reduced_count)
 
 
-def compose_ppt_compression(ppt: Ppt, c: Compression) -> Compression:
-    """Compression for the PPT's source problem: reduce chains forward,
-    lift chains backward, with both contexts nested."""
+def compose_ppt_compression(ppt: Compression, c: Compression) -> Compression:
+    """Compression for the transformation's source problem: reduce
+    chains forward, lift chains backward, with both contexts nested."""
     if ppt.target_problem != c.source_problem:
         raise CompositionError(
             f"PPT targets {ppt.target_problem!r} but compression reads {c.source_problem!r}")
@@ -239,16 +232,13 @@ def compose_ppt_compression(ppt: Ppt, c: Compression) -> Compression:
     def reduce(inst: CountingInstance) -> CompressionResult:
         first = ppt.reduce(inst)
         second = c.reduce(first.reduced)
-        payload = {
-            "outer": json.loads(first.context.to_json()),
-            "inner": json.loads(second.context.to_json()),
-        }
+        payload = {"outer": first.context.to_doc(), "inner": second.context.to_doc()}
         return CompressionResult(second.reduced, LiftContext(name, payload))
 
     def lift(ctx: LiftContext, count: int) -> int:
         payload = ctx.expect(name)
-        inner = LiftContext.from_json(json.dumps(payload["inner"]))
-        outer = LiftContext.from_json(json.dumps(payload["outer"]))
+        outer = LiftContext.from_doc(payload.get("outer"))
+        inner = LiftContext.from_doc(payload.get("inner"))
         return ppt.lift(outer, c.lift(inner, count))
 
     reference = None
@@ -266,27 +256,10 @@ def compose_ppt_compression(ppt: Ppt, c: Compression) -> Compression:
 @dataclass(frozen=True)
 class VerificationReport:
     compression: str
-    instance_size: tuple[int, int]
-    reduced_size: tuple[int, int]
-    reduced_k: int | None
     direct_count: int
-    reduced_count: int
     lifted_count: int
     size_bound_ok: bool | None
     passed: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "compression": self.compression,
-            "instance": {"n": self.instance_size[0], "m": self.instance_size[1]},
-            "reduced": {"n": self.reduced_size[0], "m": self.reduced_size[1],
-                        "k": self.reduced_k},
-            "direct_count": str(self.direct_count),
-            "reduced_count": str(self.reduced_count),
-            "lifted_count": str(self.lifted_count),
-            "size_bound_ok": self.size_bound_ok,
-            "passed": self.passed,
-        }
 
 
 def verify_compression(c: Compression, inst: CountingInstance) -> VerificationReport:
@@ -309,11 +282,7 @@ def verify_compression(c: Compression, inst: CountingInstance) -> VerificationRe
         bound_ok = result.reduced.graph.n <= c.size_bound(inst.k)
     return VerificationReport(
         compression=c.name,
-        instance_size=(inst.graph.n, inst.graph.m),
-        reduced_size=(result.reduced.graph.n, result.reduced.graph.m),
-        reduced_k=result.reduced.k,
         direct_count=direct,
-        reduced_count=reduced_count,
         lifted_count=lifted,
         size_bound_ok=bound_ok,
         passed=lifted == direct and bound_ok is not False,
@@ -324,43 +293,10 @@ def verify_compression(c: Compression, inst: CountingInstance) -> VerificationRe
 # Registry
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Registry:
-    compressions: dict[str, Compression] = field(default_factory=dict)
-    ppts: dict[str, Ppt] = field(default_factory=dict)
+def default_registry() -> dict[str, Compression]:
+    """The shipped kernels and identity compressions, by name."""
+    from . import vc_kernel
 
-    def add_compression(self, c: Compression) -> None:
-        if c.name in self.compressions:
-            raise ValueError(f"duplicate compression {c.name!r}")
-        self.compressions[c.name] = c
-
-    def add_ppt(self, p: Ppt) -> None:
-        if p.name in self.ppts:
-            raise ValueError(f"duplicate PPT {p.name!r}")
-        self.ppts[p.name] = p
-
-    def compression(self, name: str) -> Compression:
-        try:
-            return self.compressions[name]
-        except KeyError:
-            raise KeyError(f"no compression named {name!r}") from None
-
-    def ppt(self, name: str) -> Ppt:
-        try:
-            return self.ppts[name]
-        except KeyError:
-            raise KeyError(f"no PPT named {name!r}") from None
-
-
-def default_registry() -> Registry:
-    """Registry with the shipped kernels and transformations."""
-    from . import compositions, vc_kernel
-
-    reg = Registry()
-    reg.add_compression(vc_kernel.vertex_cover_kernel())
-    reg.add_compression(vc_kernel.minimal_vertex_cover_kernel())
-    for problem in PROBLEMS:
-        reg.add_compression(identity_compression(problem))
-    reg.add_ppt(compositions.mincut_to_oct_ppt())
-    reg.add_ppt(compositions.oct_to_vc_ppt())
-    return reg
+    shipped = [vc_kernel.vertex_cover_kernel(), vc_kernel.minimal_vertex_cover_kernel(),
+               *(identity_compression(problem) for problem in PROBLEMS)]
+    return {c.name: c for c in shipped}

@@ -45,7 +45,6 @@ class Graph:
 
     n: int
     edges: frozenset[Edge]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.n < 0:
@@ -55,14 +54,10 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("label tuple must have one entry per vertex")
 
     @classmethod
-    def from_edges(cls, n: int, pairs: Iterable[Sequence[int]],
-                   labels: Sequence[str] | None = None) -> "Graph":
-        edges = frozenset(ordered(u, v) for u, v in pairs)
-        return cls(n, edges, tuple(labels) if labels is not None else None)
+    def from_edges(cls, n: int, pairs: Iterable[Sequence[int]]) -> "Graph":
+        return cls(n, frozenset(ordered(u, v) for u, v in pairs))
 
     @classmethod
     def empty(cls, n: int) -> "Graph":
@@ -316,12 +311,6 @@ def false_twin_blowup(g: Graph, targets: Iterable[int],
             for cv in copy_of[v]:
                 new_edges.add(ordered(cu, cv))
     return Graph(next_index, frozenset(new_edges)), copy_of
-
-
-def add_isolated(g: Graph, t: int) -> Graph:
-    if t < 0:
-        raise ValueError("number of new vertices must be nonnegative")
-    return Graph(g.n + t, g.edges, None)
 
 
 def chain_identify(instances: Sequence[tuple[Graph, TerminalPair]],

@@ -45,6 +45,14 @@ def _guard(candidates: int, what: str) -> None:
         raise OracleSizeError(f"{what}: {candidates} candidates exceed limit {SUBSET_LIMIT}")
 
 
+def _subset_masks(n: int, sizes: range):
+    """Bit mask of every subset of range(n) whose size lies in ``sizes``."""
+    bits = [1 << v for v in range(n)]
+    for size in sizes:
+        for subset in combinations(bits, size):
+            yield sum(subset)
+
+
 def _is_bipartite_masked(adj: list[int], n: int, removed: int) -> bool:
     color = [-1] * n
     for root in range(n):
@@ -95,15 +103,8 @@ def count_vertex_covers(g: Graph, k: int) -> int:
         return 0
     _guard(_subset_budget(g.n, k), "count_vertex_covers")
     edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
-    total = 0
-    for size in range(min(k, g.n) + 1):
-        for subset in combinations(range(g.n), size):
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            if all(mask & em for em in edge_masks):
-                total += 1
-    return total
+    return sum(1 for mask in _subset_masks(g.n, range(min(k, g.n) + 1))
+               if all(mask & em for em in edge_masks))
 
 
 def count_vertex_covers_of_size(g: Graph, size: int) -> int:
@@ -112,14 +113,8 @@ def count_vertex_covers_of_size(g: Graph, size: int) -> int:
         return 0
     _guard(comb(g.n, size), "count_vertex_covers_of_size")
     edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
-    total = 0
-    for subset in combinations(range(g.n), size):
-        mask = 0
-        for v in subset:
-            mask |= 1 << v
-        if all(mask & em for em in edge_masks):
-            total += 1
-    return total
+    return sum(1 for mask in _subset_masks(g.n, range(size, size + 1))
+               if all(mask & em for em in edge_masks))
 
 
 def count_minimal_vertex_covers(g: Graph, k: int) -> int:
@@ -133,17 +128,9 @@ def count_minimal_vertex_covers(g: Graph, k: int) -> int:
     _guard(_subset_budget(g.n, k), "count_minimal_vertex_covers")
     edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
     adj = _adjacency_masks(g)
-    total = 0
-    for size in range(min(k, g.n) + 1):
-        for subset in combinations(range(g.n), size):
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            if not all(mask & em for em in edge_masks):
-                continue
-            if all(adj[v] & ~mask for v in subset):
-                total += 1
-    return total
+    return sum(1 for mask in _subset_masks(g.n, range(min(k, g.n) + 1))
+               if all(mask & em for em in edge_masks)
+               and all(adj[v] & ~mask for v in range(g.n) if mask >> v & 1))
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +143,8 @@ def count_odd_cycle_transversals(g: Graph, k: int) -> int:
         return 0
     _guard(_subset_budget(g.n, k), "count_odd_cycle_transversals")
     adj = _adjacency_masks(g)
-    total = 0
-    for size in range(min(k, g.n) + 1):
-        for subset in combinations(range(g.n), size):
-            removed = 0
-            for v in subset:
-                removed |= 1 << v
-            if _is_bipartite_masked(adj, g.n, removed):
-                total += 1
-    return total
+    return sum(1 for removed in _subset_masks(g.n, range(min(k, g.n) + 1))
+               if _is_bipartite_masked(adj, g.n, removed))
 
 
 def is_nice_oct_instance(g: Graph, k: int) -> bool:
@@ -179,14 +159,11 @@ def is_nice_oct_instance(g: Graph, k: int) -> bool:
         return True
     _guard(_subset_budget(g.n, k), "is_nice_oct_instance")
     adj = _adjacency_masks(g)
-    for size in range(min(k, g.n) + 1):
-        for subset in combinations(range(g.n), size):
-            removed = 0
-            for v in subset:
-                removed |= 1 << v
-            if _is_bipartite_masked(adj, g.n, removed):
-                if size == g.n or not _is_connected_masked(adj, g.n, removed):
-                    return False
+    everything = (1 << g.n) - 1
+    for removed in _subset_masks(g.n, range(min(k, g.n) + 1)):
+        if _is_bipartite_masked(adj, g.n, removed):
+            if removed == everything or not _is_connected_masked(adj, g.n, removed):
+                return False
     return True
 
 

@@ -265,8 +265,6 @@ def _decode_context(ctx: LiftContext, name: str) -> dict[str, int] | None:
     nonnegative decimal string; anything else raises ProtocolError.
     """
     payload = ctx.expect(name)
-    if not isinstance(payload, dict):
-        raise ProtocolError(f"{name} context payload is not an object")
     branch = payload.get("branch")
     if branch not in ("normal", "zero"):
         raise ProtocolError(f"{name} context branch {branch!r} is not 'normal' or 'zero'")
@@ -319,6 +317,14 @@ def lift_vertex_cover(ctx: LiftContext, reduced_count: int) -> int:
     return total
 
 
+def decomposed_blowup_count(core: Graph, copies: int, padding: int, budget: int) -> int:
+    """Covers of size at most copies*budget of the padded blowup of
+    ``core``, assembled as sum_i y_i * w_i with oracle y_i."""
+    return sum(oracles.count_vertex_covers_of_size(core, i)
+               * blowup_cover_multiplicity(i, copies, padding, budget, core.n)
+               for i in range(min(budget, core.n) + 1))
+
+
 def reference_blowup_count(inst: CountingInstance, result: CompressionResult) -> int:
     """True count of the reduced blowup via the decomposition identity.
 
@@ -331,10 +337,7 @@ def reference_blowup_count(inst: CountingInstance, result: CompressionResult) ->
     if fields is None:
         return 0
     g2, k2, _ = strip_isolated(*buss_reduce(inst.graph, inst.k))
-    d, t, n2 = fields["d"], fields["t"], fields["n2"]
-    return sum(oracles.count_vertex_covers_of_size(g2, i)
-               * blowup_cover_multiplicity(i, d, t, k2, n2)
-               for i in range(min(k2, n2) + 1))
+    return decomposed_blowup_count(g2, fields["d"], fields["t"], k2)
 
 
 def vertex_cover_kernel() -> Compression:
@@ -375,8 +378,28 @@ def reduce_minimal_vertex_cover(inst: CountingInstance) -> CompressionResult:
 
 
 def lift_minimal_vertex_cover(ctx: LiftContext, reduced_count: int) -> int:
-    if _decode_context(ctx, MINIMAL_VC_KERNEL) is None:
+    """The core's count is the original count, at most sum_{i<=k2} C(n2, i).
+
+    The bound is summed only until it reaches the count; its first n2/3
+    terms at least double, so a huge context costs about three times
+    the count's bit length.
+    """
+    fields = _decode_context(ctx, MINIMAL_VC_KERNEL)
+    if fields is None:
         return 0
+    if reduced_count < 0:
+        raise IntegrityError("counts are nonnegative")
+    n2, k2 = fields["n2"], fields["k2"]
+    term = cap = 1
+    for i in range(min(k2, n2)):
+        if cap >= reduced_count:
+            break
+        term = term * (n2 - i) // (i + 1)
+        cap += term
+    if reduced_count > cap:
+        raise IntegrityError(
+            f"{reduced_count} minimal covers of size at most {k2} in a {n2}-vertex core; "
+            "corrupted count")
     return reduced_count
 
 

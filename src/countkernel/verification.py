@@ -35,13 +35,13 @@ from .graphs import (
 )
 from .vc_kernel import (
     blowup_cover_multiplicity,
-    buss_reduce,
+    decomposed_blowup_count,
     lift_minimal_vertex_cover,
     lift_vertex_cover,
     padded_blowup_graph,
     reduce_minimal_vertex_cover,
     reduce_vertex_cover,
-    strip_isolated,
+    reference_blowup_count,
 )
 
 ENUMERATION_BUDGET = 1 << 20
@@ -64,13 +64,6 @@ class SweepReport:
         self.checked += 1
         if not ok and len(self.failures) < self.MAX_FAILURES:
             self.failures.append(message)
-
-    def line(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        detail = f"{self.checked} checks in {self.seconds:.1f}s"
-        if self.failures:
-            detail += f"; first failure: {self.failures[0]}"
-        return f"{verdict} {self.name}: {detail}"
 
 
 def _timed(report: SweepReport, start: float) -> SweepReport:
@@ -127,9 +120,9 @@ def sweep_vc_kernel(graphs: int = 2000, nmax: int = 6, kmax: int = 4,
                     seed: int = 0) -> SweepReport:
     """Lifted count equals the direct count for every corpus instance.
 
-    The reduced instance's count is obtained from the proven
-    decomposition sum_i y_i * w_i with oracle y_i (brute force on the
-    blowup itself is infeasible because the padding is large); that
+    The reduced instance's count is ``reference_blowup_count``: the
+    proven decomposition sum_i y_i * w_i with oracle y_i (brute force on
+    the blowup itself is infeasible because the padding is large); that
     identity is itself verified independently by ``sweep_map_size``.
     """
     start = time.monotonic()
@@ -137,20 +130,13 @@ def sweep_vc_kernel(graphs: int = 2000, nmax: int = 6, kmax: int = 4,
     for g in graph_corpus(graphs, nmax, seed):
         for k in range(kmax + 1):
             direct = oracles.count_vertex_covers(g, k)
-            result = reduce_vertex_cover(CountingInstance(g, None, k))
-            payload = result.context.payload
-            if payload["branch"] == "zero":
+            inst = CountingInstance(g, None, k)
+            result = reduce_vertex_cover(inst)
+            if result.context.payload["branch"] == "zero":
                 report.check(direct == 0,
                              f"zero branch but direct={direct} (n={g.n}, m={g.m}, k={k})")
                 continue
-            step = buss_reduce(g, k)
-            core, k2, _ = strip_isolated(*step)
-            d, t, n2 = int(payload["d"]), int(payload["t"]), int(payload["n2"])
-            reduced_count = sum(
-                oracles.count_vertex_covers_of_size(core, i)
-                * blowup_cover_multiplicity(i, d, t, k2, n2)
-                for i in range(min(k2, n2) + 1))
-            lifted = lift_vertex_cover(result.context, reduced_count)
+            lifted = lift_vertex_cover(result.context, reference_blowup_count(inst, result))
             report.check(lifted == direct,
                          f"lift={lifted} direct={direct} (n={g.n}, m={g.m}, k={k})")
     return _timed(report, start)
@@ -178,10 +164,7 @@ def sweep_map_size(seed: int = 0, cases: int = 120) -> SweepReport:
         produced += 1
         blown = padded_blowup_graph(g2, copies, padding)
         direct = oracles.count_vertex_covers(blown, copies * k2)
-        expected = sum(
-            oracles.count_vertex_covers_of_size(g2, i)
-            * blowup_cover_multiplicity(i, copies, padding, k2, n2)
-            for i in range(min(k2, n2) + 1))
+        expected = decomposed_blowup_count(g2, copies, padding, k2)
         report.check(direct == expected,
                      f"blowup count {direct} != decomposition {expected} "
                      f"(n2={n2}, m={g2.m}, k2={k2}, copies={copies}, padding={padding})")
@@ -421,7 +404,7 @@ def sweep_ppt_vc(corpus_size: int = 200, nmax: int = 6, kmax: int = 3,
     report = SweepReport("oct-to-vc transformation")
     for g, k in nice_oct_corpus(corpus_size, nmax, kmax, seed):
         direct = oracles.count_odd_cycle_transversals(g, k)
-        result = oct_to_vc_reduce(CountingInstance(g, None, k), verify_nice=False)
+        result = oct_to_vc_reduce(CountingInstance(g, None, k))
         reduced = result.reduced
         covers = oracles.count_vertex_covers(reduced.graph, reduced.k)
         report.check(covers == 2 * direct,

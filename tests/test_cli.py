@@ -10,6 +10,13 @@ from countkernel.vc_kernel import lift_vertex_cover, reduce_vertex_cover
 K3_TEXT = "p 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 PATH_ST_TEXT = "p 3 2\ne 1 2\ne 2 3\nt 1 3\n"
 C5_TEXT = "p 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n"
+STAR_TEXT = "p 4 3\ne 1 2\ne 1 3\ne 1 4\nk 3\n"
+
+# Counts that int() accepts but that are not nonnegative ASCII decimals.
+NONCANONICAL_COUNTS = pytest.mark.parametrize(
+    "count", ["-3", "\u0663", "1_0", " 7", "7\n", "+7", ""],
+    ids=["negative", "arabic-indic-digit", "underscore", "leading-space", "trailing-newline",
+         "plus-sign", "empty"])
 
 
 def write(tmp_path, name, text):
@@ -72,7 +79,7 @@ def test_kernel_reduce_lift_round_trip_matches_in_process(tmp_path, capsys):
 
 
 def test_kernel_minvc(tmp_path, capsys):
-    graph = write(tmp_path, "star.gr", "p 4 3\ne 1 2\ne 1 3\ne 1 4\nk 3\n")
+    graph = write(tmp_path, "star.gr", STAR_TEXT)
     out = str(tmp_path / "core.gr")
     context = str(tmp_path / "ctx.json")
     assert main(["kernel", "minvc", "reduce", "--graph", graph,
@@ -80,6 +87,32 @@ def test_kernel_minvc(tmp_path, capsys):
     capsys.readouterr()
     assert main(["kernel", "minvc", "lift", "--context", context, "--count", "2"]) == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+def test_kernel_minvc_lift_refuses_counts_above_the_subset_bound(tmp_path, capsys):
+    # C4 at budget 3 is its own core: n2 = 4, k2 = 3, so at most
+    # 1 + 4 + 6 + 4 = 15 subsets can be counted.
+    graph = write(tmp_path, "c4.gr", "p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\nk 3\n")
+    context = str(tmp_path / "ctx.json")
+    assert main(["kernel", "minvc", "reduce", "--graph", graph,
+                 "--out", str(tmp_path / "core.gr"), "--context", context]) == 0
+    capsys.readouterr()
+    assert main(["kernel", "minvc", "lift", "--context", context, "--count", "15"]) == 0
+    assert capsys.readouterr().out.strip() == "15"
+    assert main(["kernel", "minvc", "lift", "--context", context, "--count", "999999"]) == 3
+    assert "corrupted count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["vc", "minvc"])
+@NONCANONICAL_COUNTS
+def test_kernel_lift_refuses_noncanonical_counts(tmp_path, capsys, which, count):
+    graph = write(tmp_path, "star.gr", STAR_TEXT)
+    context = str(tmp_path / "ctx.json")
+    assert main(["kernel", which, "reduce", "--graph", graph,
+                 "--out", str(tmp_path / "r.gr"), "--context", context]) == 0
+    capsys.readouterr()
+    assert main(["kernel", which, "lift", "--context", context, "--count", count]) == 3
+    assert "not a nonnegative decimal" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("which", ["vc", "minvc"])
@@ -153,6 +186,17 @@ def test_extract_malformed_metadata_exits_3(tmp_path, capsys, corrupt):
     capsys.readouterr()
     assert main(["extract", "--meta", str(meta), "--count", "544"]) == 3
     assert "exact metadata" in capsys.readouterr().err
+
+
+@NONCANONICAL_COUNTS
+def test_extract_refuses_noncanonical_counts(tmp_path, capsys, count):
+    a = write(tmp_path, "a.gr", PATH_ST_TEXT)
+    meta = str(tmp_path / "meta.json")
+    assert main(["compose", "exact", "--inputs", f"{a},{a}", "--out",
+                 str(tmp_path / "exact.gr"), "--meta", meta]) == 0
+    capsys.readouterr()
+    assert main(["extract", "--meta", meta, "--count", count]) == 3
+    assert "not a nonnegative decimal" in capsys.readouterr().err
 
 
 def test_ppt_subcommands(tmp_path, capsys):

@@ -11,7 +11,6 @@ from countkernel.framework import (
     compose_ppt_compression,
     default_registry,
     identity_compression,
-    identity_ppt,
     oracle_count,
     parameter_value,
     run_compression,
@@ -32,8 +31,7 @@ def test_identity_compression_round_trips():
 
 
 def test_run_compression_vc_kernel_on_k3():
-    registry = default_registry()
-    kernel = registry.compression("vertex-cover-kernel")
+    kernel = default_registry()["vertex-cover-kernel"]
     report = verify_compression(kernel, CountingInstance(K3, None, 2))
     assert report.passed
     assert report.direct_count == report.lifted_count == 3
@@ -44,16 +42,15 @@ def test_run_compression_vc_kernel_on_k3():
 
 
 def test_run_compression_minimal_kernel_on_star():
-    registry = default_registry()
-    kernel = registry.compression("minimal-vertex-cover-kernel")
+    kernel = default_registry()["minimal-vertex-cover-kernel"]
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     report = verify_compression(kernel, CountingInstance(star, None, 3))
     assert report.passed and report.lifted_count == 2
 
 
 def test_compose_identity_ppt_keeps_behavior():
-    kernel = default_registry().compression("vertex-cover-kernel")
-    composite = compose_ppt_compression(identity_ppt("vertex-cover"), kernel)
+    kernel = default_registry()["vertex-cover-kernel"]
+    composite = compose_ppt_compression(identity_compression("vertex-cover"), kernel)
     rng = random.Random(2)
     for _ in range(20):
         g = random_graph(rng.randint(1, 5), 0.5, rng.randrange(10**6))
@@ -65,7 +62,7 @@ def test_compose_identity_ppt_keeps_behavior():
 
 def test_compose_mismatched_handles_rejected():
     with pytest.raises(CompositionError):
-        compose_ppt_compression(identity_ppt("min-st-cut"),
+        compose_ppt_compression(identity_compression("min-st-cut"),
                                 identity_compression("vertex-cover"))
 
 
@@ -86,15 +83,59 @@ def test_mincut_ppt_composed_with_identity_oct_compression():
         checked += 1
 
 
-def test_full_pipeline_mincut_to_vc_via_both_ppts():
+def _mincut_to_vc_pipeline():
     # chain both transformations in front of the identity compression
     inner = compose_ppt_compression(oct_to_vc_ppt(),
                                     identity_compression("vertex-cover"))
-    pipeline = compose_ppt_compression(mincut_to_oct_ppt(), inner)
-    path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    inst = CountingInstance(path, TerminalPair(0, 2), None, "min-cut-size")
-    report = verify_compression(pipeline, inst)
+    return compose_ppt_compression(mincut_to_oct_ppt(), inner)
+
+
+PATH_CUT = CountingInstance(Graph.from_edges(3, [(0, 1), (1, 2)]), TerminalPair(0, 2),
+                            None, "min-cut-size")
+
+
+def test_full_pipeline_mincut_to_vc_via_both_ppts():
+    report = verify_compression(_mincut_to_vc_pipeline(), PATH_CUT)
     assert report.passed and report.lifted_count == 2
+
+
+# The pipeline context of PATH_CUT, byte for byte as contexts were written
+# when nested contexts still round-tripped through JSON text.
+PIPELINE_CONTEXT_JSON = (
+    '{"compression": "mincut-to-oct+oct-to-vc+identity-vertex-cover", "payload": '
+    '{"inner": {"compression": "oct-to-vc+identity-vertex-cover", "payload": '
+    '{"inner": {"compression": "identity-vertex-cover", "payload": {}, "version": 1}, '
+    '"outer": {"compression": "oct-to-vc", "payload": {"k": "1", "n": "12"}, '
+    '"version": 1}}, "version": 1}, "outer": {"compression": "mincut-to-oct", '
+    '"payload": {"branch": "normal", "k": "1"}, "version": 1}}, "version": 1}')
+
+
+def test_pipeline_context_survives_json_round_trip():
+    pipeline = _mincut_to_vc_pipeline()
+    context = pipeline.reduce(PATH_CUT).context
+    assert context.to_json() == PIPELINE_CONTEXT_JSON
+    again = LiftContext.from_json(PIPELINE_CONTEXT_JSON)
+    assert again == context
+    # The path has 2 minimum cuts, the doubled graph twice as many covers.
+    assert pipeline.lift(again, 4) == pipeline.lift(context, 4) == 2
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda p: {"outer": p["outer"]},
+    lambda p: {"inner": p["inner"]},
+    lambda p: {**p, "outer": "mincut-to-oct"},
+    lambda p: {**p, "outer": [p["outer"]]},
+    lambda p: {**p, "inner": {"payload": {}, "version": 1}},
+    lambda p: [p["outer"], p["inner"]],
+    lambda p: "outer",
+], ids=["no-inner", "no-outer", "outer-string", "outer-list", "inner-nameless",
+        "payload-list", "payload-string"])
+def test_composed_lift_refuses_malformed_nested_contexts(corrupt):
+    composite = compose_ppt_compression(mincut_to_oct_ppt(),
+                                        identity_compression("odd-cycle-transversal"))
+    context = composite.reduce(PATH_CUT).context
+    with pytest.raises(ProtocolError):
+        composite.lift(LiftContext(context.compression, corrupt(context.payload)), 2)
 
 
 def test_oracle_count_dispatch_and_errors():
@@ -142,8 +183,7 @@ def test_context_ownership_checks():
 def test_every_registered_compression_round_trips_small_corpus():
     from countkernel.verification import all_graphs
 
-    registry = default_registry()
-    for compression in registry.compressions.values():
+    for compression in default_registry().values():
         for g in all_graphs(3):
             for k in range(3):
                 if compression.source_problem == "min-st-cut":
@@ -167,9 +207,8 @@ def test_verify_compression_propagates_size_guard():
 
 def test_registry_contents():
     registry = default_registry()
-    assert "vertex-cover-kernel" in registry.compressions
-    assert "minimal-vertex-cover-kernel" in registry.compressions
-    assert "mincut-to-oct" in registry.ppts
-    assert "oct-to-vc" in registry.ppts
-    with pytest.raises(KeyError):
-        registry.compression("missing")
+    assert set(registry) == {
+        "vertex-cover-kernel", "minimal-vertex-cover-kernel", "identity-vertex-cover",
+        "identity-minimal-vertex-cover", "identity-odd-cycle-transversal",
+        "identity-min-st-cut"}
+    assert all(name == c.name for name, c in registry.items())

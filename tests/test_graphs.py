@@ -12,7 +12,6 @@ from countkernel.graphs import (
     TdCheck,
     TerminalPair,
     TreeDecomposition,
-    add_isolated,
     chain_identify,
     false_twin_blowup,
     is_bipartite,
@@ -216,13 +215,6 @@ def test_blowup_single_copy_is_identity_up_to_relabeling():
         relabel = {v: copies[v][0] for v in range(g.n)}
         assert out.n == g.n
         assert out.edges == frozenset(ordered(relabel[u], relabel[v]) for u, v in g.edges)
-
-
-def test_add_isolated():
-    assert add_isolated(K3, 0) == K3
-    grown = add_isolated(K3, 2)
-    assert grown.n == 5 and grown.edges == K3.edges
-    assert add_isolated(Graph.empty(0), 4) == Graph.empty(4)
 
 
 def test_chain_single_instance_is_isomorphic_copy():

@@ -248,6 +248,22 @@ def test_minimal_kernel_examples():
     assert lift_minimal_vertex_cover(identity.context, 2) == 2
 
 
+def test_minimal_lift_refuses_counts_above_the_subset_bound():
+    c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    ctx = reduce_minimal_vertex_cover(CountingInstance(c4, None, 3)).context
+    assert (ctx.payload["n2"], ctx.payload["k2"]) == ("4", "3")
+    # at most 1 + 4 + 6 + 4 subsets of size <= 3
+    assert lift_minimal_vertex_cover(ctx, 15) == 15
+    for bad in (16, 999999, -1):
+        with pytest.raises(IntegrityError):
+            lift_minimal_vertex_cover(ctx, bad)
+    with pytest.raises(IntegrityError):
+        lift_minimal_vertex_cover(LiftContext(ctx.compression, {**ctx.payload, "k2": "0"}), 2)
+    # a huge context stays cheap: the bound stops growing once it passes the count
+    huge = {**ctx.payload, "n1": str(10**40), "n2": str(10**40), "k2": str(10**20)}
+    assert lift_minimal_vertex_cover(LiftContext(ctx.compression, huge), 10**30) == 10**30
+
+
 def test_minimal_kernel_random_round_trip():
     rng = random.Random(77)
     for _ in range(60):
