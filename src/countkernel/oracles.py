@@ -121,16 +121,17 @@ def count_minimal_vertex_covers(g: Graph, k: int) -> int:
     """Number of minimal vertex covers of size at most k.
 
     A cover is minimal when no proper subset covers; equivalently every
-    chosen vertex keeps a neighbor outside the cover.
+    chosen vertex keeps a neighbor outside the cover, that is, every
+    vertex's closed neighborhood leaves the cover.
     """
     if k < 0:
         return 0
     _guard(_subset_budget(g.n, k), "count_minimal_vertex_covers")
     edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
-    adj = _adjacency_masks(g)
+    closed = [(1 << v) | nbrs for v, nbrs in enumerate(_adjacency_masks(g))]
     return sum(1 for mask in _subset_masks(g.n, range(min(k, g.n) + 1))
                if all(mask & em for em in edge_masks)
-               and all(adj[v] & ~mask for v in range(g.n) if mask >> v & 1))
+               and all(c & ~mask for c in closed))
 
 
 # ---------------------------------------------------------------------------
