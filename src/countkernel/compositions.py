@@ -32,6 +32,8 @@ from .framework import (
     LiftContext,
     PreconditionError,
     ProtocolError,
+    decimal_fields,
+    exceeds_subset_count,
 )
 from .graphs import (
     Graph,
@@ -185,9 +187,21 @@ def oct_to_vc_reduce(inst: CountingInstance, verify_nice: bool = False) -> Compr
 
 
 def oct_to_vc_lift(ctx: LiftContext, count: int) -> int:
-    ctx.expect(OCT_TO_VC)
-    if count % 2:
-        raise IntegrityError("cover count of a doubled graph must be even")
+    """Half the cover count: the transversal count of the n-vertex input.
+
+    That count is at most sum_{i<=k} C(n, i), the subsets within
+    budget; an odd, negative or larger count means the supplied count
+    was not the doubled graph's true count.
+    """
+    fields = decimal_fields(ctx.expect(OCT_TO_VC), OCT_TO_VC, ("n", "k"))
+    if count < 0 or count % 2:
+        raise IntegrityError(
+            f"cover count {count} of a doubled graph must be even and nonnegative")
+    n, k = fields["n"], fields["k"]
+    if exceeds_subset_count(count // 2, n, k):
+        raise IntegrityError(
+            f"{count // 2} transversals of size at most {k} in a {n}-vertex graph; "
+            "corrupted count")
     return count // 2
 
 

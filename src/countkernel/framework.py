@@ -18,10 +18,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from . import oracles
 from .graphs import Graph, TerminalPair
+
+if TYPE_CHECKING:
+    from .vc_kernel import PaddedBlowup
 
 PARAM_KINDS = (
     "solution-size",
@@ -62,10 +65,12 @@ class CountingInstance:
 
     ``k`` is the solution-size budget where the problem has one;
     derived parameters (minimum cut size, treewidth, k minus matching)
-    are recomputed from the instance via ``parameter_value``.
+    are recomputed from the instance via ``parameter_value``.  The
+    graph is a ``Graph``, or the #VC kernel's ``PaddedBlowup``, which
+    builds its edges only when an oracle asks for them.
     """
 
-    graph: Graph
+    graph: Graph | PaddedBlowup
     terminals: TerminalPair | None = None
     k: int | None = None
     param_kind: str = "solution-size"
@@ -100,17 +105,22 @@ def parameter_value(inst: CountingInstance):
 
 
 def oracle_count(problem: str, inst: CountingInstance) -> int:
-    """Solve an instance exactly by the matching brute-force oracle."""
+    """Solve an instance exactly by the matching brute-force oracle.
+
+    An implicit graph is materialized first, so a tiny blowup is
+    enumerated like any other graph.
+    """
+    g = inst.graph if isinstance(inst.graph, Graph) else inst.graph.materialize()
     if problem == "vertex-cover":
-        return oracles.count_vertex_covers(inst.graph, inst.k)
+        return oracles.count_vertex_covers(g, inst.k)
     if problem == "minimal-vertex-cover":
-        return oracles.count_minimal_vertex_covers(inst.graph, inst.k)
+        return oracles.count_minimal_vertex_covers(g, inst.k)
     if problem == "odd-cycle-transversal":
-        return oracles.count_odd_cycle_transversals(inst.graph, inst.k)
+        return oracles.count_odd_cycle_transversals(g, inst.k)
     if problem == "min-st-cut":
         if inst.terminals is None:
             raise ProtocolError("min-st-cut instance without terminals")
-        return oracles.count_min_st_cuts(inst.graph, inst.terminals)[0]
+        return oracles.count_min_st_cuts(g, inst.terminals)[0]
     raise ValueError(f"unknown problem {problem!r}")
 
 
@@ -162,6 +172,41 @@ class LiftContext:
         if not isinstance(self.payload, dict):
             raise ProtocolError(f"{compression} context payload is not an object")
         return self.payload
+
+
+def decimal_fields(payload: dict, owner: str, names) -> dict[str, int]:
+    """The named payload fields as integers.
+
+    Each must be present and a nonnegative ASCII decimal string;
+    anything else raises ProtocolError.
+    """
+    fields = {}
+    for f in names:
+        if f not in payload:
+            raise ProtocolError(f"{owner} context lacks field {f!r}")
+        value = payload[f]
+        if not (isinstance(value, str) and value.isascii() and value.isdigit()):
+            raise ProtocolError(
+                f"{owner} context field {f!r} is {value!r}, not a nonnegative decimal string")
+        fields[f] = int(value)
+    return fields
+
+
+def exceeds_subset_count(count: int, n: int, k: int) -> bool:
+    """Whether count > sum_{i<=k} C(n, i), the number of subsets of at
+    most k of n elements.
+
+    The sum is built term by term and stops once it reaches the count;
+    its first n/3 terms at least double, so a huge n or k costs about
+    three times the count's bit length.
+    """
+    term = total = 1
+    for i in range(min(k, n)):
+        if total >= count:
+            return False
+        term = term * (n - i) // (i + 1)
+        total += term
+    return count > total
 
 
 @dataclass(frozen=True)

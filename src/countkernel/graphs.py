@@ -84,6 +84,20 @@ class Graph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
+    def rows(self):
+        """Each vertex u with a higher neighbour, in increasing u, with
+        the 1-based decimal labels of those neighbours in increasing
+        order: the ``e`` records of ``serialize_graph`` by lower endpoint.
+
+        Each row is sorted on its own, so rows in increasing u give the
+        order of ``sorted(self.edges)`` without comparing tuples.
+        """
+        grouped: defaultdict[int, list[int]] = defaultdict(list)
+        for u, v in self.edges:
+            grouped[u].append(v)
+        for u in sorted(grouped):
+            yield u, [str(v + 1) for v in sorted(grouped[u])]
+
     def isolated_vertices(self) -> list[int]:
         return [v for v in range(self.n) if not self.adjacency[v]]
 
@@ -237,20 +251,18 @@ def serialize_graph(g: Graph, terminals: TerminalPair | None = None,
     (u, v) order, then ``t <s> <t>`` if ``terminals`` is given and
     ``k <value>`` if ``k`` is, each line ending in a newline.
 
-    The edges are grouped into rows by their lower endpoint and each
-    row is sorted on its own; rows in increasing u give the order of
-    ``sorted(g.edges)`` without comparing tuples.
+    The edges come from ``g.rows()``.  ``g`` is a ``Graph``, or any
+    value with ``n``, ``m`` and rows like ``Graph.rows``, such as the
+    #VC kernel's ``PaddedBlowup``, which writes its rows from its core
+    and never builds its edge set.
     """
     lines = []
     if comment:
         lines.extend(f"c {part}" for part in comment.splitlines())
     lines.append(f"p {g.n} {g.m}")
-    rows: defaultdict[int, list[int]] = defaultdict(list)
-    for u, v in g.edges:
-        rows[u].append(v)
-    for u in sorted(rows):
+    for u, labels in g.rows():
         pre = f"e {u + 1} "
-        lines.append(pre + ("\n" + pre).join([str(v + 1) for v in sorted(rows[u])]))
+        lines.append(pre + ("\n" + pre).join(labels))
     if terminals is not None:
         lines.append(f"t {terminals.s + 1} {terminals.t + 1}")
     if k is not None:

@@ -15,7 +15,10 @@ Reduce pipeline for the counting kernel:
 3. Blow the core up: replace each of its ``n2`` vertices by ``d = n2``
    pairwise non-adjacent copies, join copy classes of adjacent
    vertices completely, pad with ``t = d + d*k2 + 2*(d*k2)**2``
-   isolated vertices, and scale the budget to ``k3 = d*k2``.
+   isolated vertices, and scale the budget to ``k3 = d*k2``.  The
+   reduced instance holds this blowup as the core plus d and t
+   (``PaddedBlowup``): its file is written row by row from the core,
+   and its d^2*m2 edges are built only for a caller that asks for them.
 
 Steps 1 and 2 work on a degree array and flag bytes over the edge
 set, never on ``Graph.adjacency``: O(n + m) per round of the rule,
@@ -43,6 +46,7 @@ big-int steps for all the w_i of one lift.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import accumulate, chain, product
 from math import comb
 
@@ -54,6 +58,8 @@ from .framework import (
     IntegrityError,
     LiftContext,
     ProtocolError,
+    decimal_fields,
+    exceeds_subset_count,
 )
 from .graphs import Graph
 
@@ -133,16 +139,18 @@ def _compact(keep: bytearray, edges) -> Graph:
 
 
 def padded_blowup_graph(core: Graph, copies: int, padding: int) -> Graph:
-    """Copy classes of size ``copies`` per core vertex, completely joined
-    along core edges, followed by ``padding`` isolated vertices.
+    """The edge ``Graph`` of a padded blowup: copy classes of size
+    ``copies`` per core vertex, completely joined along core edges,
+    followed by ``padding`` isolated vertices.
 
     Vertex v of the core becomes copies v*copies .. (v+1)*copies - 1.
     Each core edge (u, v) contributes the product of the two copy
     ranges; u < v puts every copy of u below every copy of v, so the
     pairs come out ordered and distinct edges give disjoint products.
     Parameters are free here so the decomposition identity can be
-    brute-force checked at tiny scale; the kernel itself fixes them via
-    ``build_padded_blowup``.
+    brute-force checked at tiny scale.  The kernel never calls this on
+    its own path: it keeps the blowup implicit (``PaddedBlowup``), and
+    only ``PaddedBlowup.materialize`` builds these edges.
     """
     if copies < 0 or padding < 0:
         raise ValueError("copies and padding must be nonnegative")
@@ -152,19 +160,71 @@ def padded_blowup_graph(core: Graph, copies: int, padding: int) -> Graph:
     return Graph(core.n * copies + padding, edges)
 
 
-def build_padded_blowup(g2: Graph, k2: int) -> tuple[Graph, int, int, int]:
-    """Blow up the core with its kernel parameters; returns (graph, k3, d, t).
+@dataclass(frozen=True)
+class PaddedBlowup:
+    """The padded blowup of a core, held as the core, ``copies`` and
+    ``padding`` instead of its copies*copies*core.m edges.
+
+    It stands for ``padded_blowup_graph(core, copies, padding)``.  It
+    gives n and m in O(1) and ``serialize_graph`` its rows straight
+    from the core; ``materialize`` builds the edge ``Graph``.  The core
+    must be a ``Graph`` with no isolated vertex and both counts
+    nonnegative.  The core's own checks then put every edge the rows
+    describe in range and in order, so nothing is checked per edge.
+    """
+
+    core: Graph
+    copies: int
+    padding: int
+
+    def __post_init__(self):
+        if not isinstance(self.core, Graph):
+            raise TypeError("the core of a padded blowup must be a Graph")
+        if self.copies < 0 or self.padding < 0:
+            raise ValueError("copies and padding must be nonnegative")
+        if self.core.isolated_vertices():
+            raise ValueError("core graph must have no isolated vertices")
+
+    @property
+    def n(self) -> int:
+        return self.core.n * self.copies + self.padding
+
+    @property
+    def m(self) -> int:
+        return self.core.m * self.copies * self.copies
+
+    def rows(self):
+        """The rows of ``Graph.rows``, in increasing u.
+
+        Every copy of core vertex u has the same row: the copy ranges of
+        u's higher core neighbours.  So each core vertex's labels are
+        formatted once and the one list is yielded for all its copies.
+        """
+        d = self.copies
+        higher: list[list[int]] = [[] for _ in range(self.core.n)]
+        for u, v in self.core.edges:
+            higher[u].append(v)
+        for u, vs in enumerate(higher):
+            if vs:
+                labels = [str(c) for v in sorted(vs) for c in range(v * d + 1, v * d + d + 1)]
+                for a in range(u * d, u * d + d):
+                    yield a, labels
+
+    def materialize(self) -> Graph:
+        return padded_blowup_graph(self.core, self.copies, self.padding)
+
+
+def build_padded_blowup(g2: Graph, k2: int) -> tuple[PaddedBlowup, int, int, int]:
+    """Blow up the core with its kernel parameters; returns (blowup, k3, d, t).
 
     d = n2 copies per core vertex and t = d + d*k2 + 2*(d*k2)**2
-    padding vertices; the edges are built by ``padded_blowup_graph``,
-    d*d per core edge.
+    padding vertices.  The blowup is the implicit ``PaddedBlowup``: the
+    core plus d and t, with d*d*m2 edges that are not built here.
     """
-    if g2.isolated_vertices():
-        raise ValueError("core graph must have no isolated vertices")
     d = g2.n
     t = d + d * k2 + 2 * (d * k2) ** 2
     k3 = d * k2
-    return padded_blowup_graph(g2, d, t), k3, d, t
+    return PaddedBlowup(g2, d, t), k3, d, t
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +328,7 @@ def _decode_context(ctx: LiftContext, name: str) -> dict[str, int] | None:
     branch = payload.get("branch")
     if branch not in ("normal", "zero"):
         raise ProtocolError(f"{name} context branch {branch!r} is not 'normal' or 'zero'")
-    fields = {}
-    for f in _CONTEXT_FIELDS[name]:
-        if f not in payload:
-            raise ProtocolError(f"{name} context lacks field {f!r}")
-        value = payload[f]
-        if not (isinstance(value, str) and value.isascii() and value.isdigit()):
-            raise ProtocolError(
-                f"{name} context field {f!r} is {value!r}, not a nonnegative decimal string")
-        fields[f] = int(value)
+    fields = decimal_fields(payload, name, _CONTEXT_FIELDS[name])
     return fields if branch == "normal" else None
 
 
@@ -380,9 +432,8 @@ def reduce_minimal_vertex_cover(inst: CountingInstance) -> CompressionResult:
 def lift_minimal_vertex_cover(ctx: LiftContext, reduced_count: int) -> int:
     """The core's count is the original count, at most sum_{i<=k2} C(n2, i).
 
-    The bound is summed only until it reaches the count; its first n2/3
-    terms at least double, so a huge context costs about three times
-    the count's bit length.
+    ``exceeds_subset_count`` sums the bound only until it reaches the
+    count, so a huge context stays cheap.
     """
     fields = _decode_context(ctx, MINIMAL_VC_KERNEL)
     if fields is None:
@@ -390,13 +441,7 @@ def lift_minimal_vertex_cover(ctx: LiftContext, reduced_count: int) -> int:
     if reduced_count < 0:
         raise IntegrityError("counts are nonnegative")
     n2, k2 = fields["n2"], fields["k2"]
-    term = cap = 1
-    for i in range(min(k2, n2)):
-        if cap >= reduced_count:
-            break
-        term = term * (n2 - i) // (i + 1)
-        cap += term
-    if reduced_count > cap:
+    if exceeds_subset_count(reduced_count, n2, k2):
         raise IntegrityError(
             f"{reduced_count} minimal covers of size at most {k2} in a {n2}-vertex core; "
             "corrupted count")

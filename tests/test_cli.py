@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from countkernel import vc_kernel
 from countkernel.cli import main
 from countkernel.framework import CountingInstance
 from countkernel.graphs import Graph, TerminalPair, parse_graph, serialize_graph
@@ -74,7 +75,7 @@ def test_kernel_reduce_lift_round_trip_matches_in_process(tmp_path, capsys):
     in_process = reduce_vertex_cover(inst)
     assert lift_vertex_cover(in_process.context, 2) == 2
     written = parse_graph((tmp_path / "reduced.gr").read_text())
-    assert written.graph == in_process.reduced.graph
+    assert written.graph == in_process.reduced.graph.materialize()
     assert written.k == in_process.reduced.k
 
 
@@ -255,6 +256,33 @@ def test_verify_deterministic_given_seed(capsys):
         runs.append([(c["name"], c["passed"], c["detail"].split(" checks")[0])
                      for c in report["checks"]])
     assert runs[0] == runs[1]
+
+
+def test_kernel_reduce_at_k2_10_writes_the_blowup_without_its_edge_set(
+        tmp_path, monkeypatch, capsys):
+    # the worst-case core at k2 = 10: a 100-edge matching, 4*10^6 blowup edges
+    k2 = 10
+    n2 = 2 * k2 * k2
+    core = Graph.from_edges(n2, [(2 * j, 2 * j + 1) for j in range(k2 * k2)])
+    graph = write(tmp_path, "matching.gr", serialize_graph(core, k=k2))
+
+    def refuse(*args):
+        raise AssertionError("kernel vc reduce built the blowup's edge set")
+
+    monkeypatch.setattr(vc_kernel, "padded_blowup_graph", refuse)
+    out = tmp_path / "reduced.gr"
+    assert main(["kernel", "vc", "reduce", "--graph", graph, "--out", str(out),
+                 "--context", str(tmp_path / "ctx.json"), "--json"]) == 0
+    d = n2
+    t = d + d * k2 + 2 * (d * k2) ** 2
+    n3, m3, k3 = n2 * d + t, d * d * core.m, d * k2
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    assert (outputs["reduced_n"], outputs["reduced_m"], outputs["reduced_k"]) == (n3, m3, k3)
+    with out.open("rb") as fh:
+        assert fh.readline() == f"p {n3} {m3}\n".encode()
+        fh.seek(-64, 2)
+        assert fh.read().splitlines()[-1] == f"k {k3}".encode()
+    out.unlink()
 
 
 def test_usage_error_exits_2():

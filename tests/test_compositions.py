@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from countkernel.compositions import (
+    OCT_TO_VC,
     ExactMetadata,
     exact_compose,
     extract_counts,
@@ -20,6 +21,7 @@ from countkernel.framework import (
     CompositionError,
     CountingInstance,
     IntegrityError,
+    LiftContext,
     PreconditionError,
     ProtocolError,
 )
@@ -171,6 +173,33 @@ def test_oct_vc_halving_lift():
     assert oct_to_vc_lift(ctx, 6) == 3
     with pytest.raises(IntegrityError):
         oct_to_vc_lift(ctx, 7)
+
+
+def test_oct_vc_lift_refuses_counts_above_the_subset_bound():
+    edge = Graph.from_edges(2, [(0, 1)])
+    ctx = oct_to_vc_reduce(CountingInstance(edge, None, 0)).context
+    # a single edge has one transversal of size 0: the empty set
+    assert oct_to_vc_lift(ctx, 2) == count_odd_cycle_transversals(edge, 0) == 1
+    for bad in (4, 10**12, -2):
+        with pytest.raises(IntegrityError):
+            oct_to_vc_lift(ctx, bad)
+    # at most C(3, 0) + C(3, 1) = 4 transversals of size <= 1 in K3
+    ctx = oct_to_vc_reduce(CountingInstance(K3, None, 1)).context
+    assert oct_to_vc_lift(ctx, 8) == 4
+    with pytest.raises(IntegrityError):
+        oct_to_vc_lift(ctx, 10)
+    # a huge context stays cheap: the bound stops growing once it passes the count
+    huge = LiftContext(OCT_TO_VC, {"n": str(10**40), "k": str(10**20)})
+    assert oct_to_vc_lift(huge, 2 * 10**30) == 10**30
+
+
+@pytest.mark.parametrize("payload", [
+    {"k": "0"}, {"n": "2"}, {"n": 2, "k": "0"}, {"n": "2", "k": "-1"},
+    {"n": "2", "k": "1.0"}, {"n": "\u0662", "k": "0"}, {"n": "2", "k": None},
+], ids=["no-n", "no-k", "int-n", "negative-k", "fractional-k", "arabic-indic-n", "null-k"])
+def test_oct_vc_lift_refuses_malformed_contexts(payload):
+    with pytest.raises(ProtocolError):
+        oct_to_vc_lift(LiftContext(OCT_TO_VC, payload), 2)
 
 
 def test_oct_vc_niceness_precondition():

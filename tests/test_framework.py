@@ -6,6 +6,7 @@ from countkernel.compositions import mincut_to_oct_ppt, oct_to_vc_ppt
 from countkernel.framework import (
     CompositionError,
     CountingInstance,
+    IntegrityError,
     LiftContext,
     ProtocolError,
     compose_ppt_compression,
@@ -118,6 +119,10 @@ def test_pipeline_context_survives_json_round_trip():
     assert again == context
     # The path has 2 minimum cuts, the doubled graph twice as many covers.
     assert pipeline.lift(again, 4) == pipeline.lift(context, 4) == 2
+    # The 12-vertex transversal instance at k = 1 has at most 13 transversals.
+    assert pipeline.lift(again, 26) == 13
+    with pytest.raises(IntegrityError):
+        pipeline.lift(again, 28)
 
 
 @pytest.mark.parametrize("corrupt", [

@@ -113,17 +113,46 @@ def test_blowup_matches_reference_on_random_cores():
         padded_blowup_graph(K3, 1, -1)
 
 
-@pytest.mark.parametrize("k2", [3, 4, 5])
-def test_worst_case_reduce_output_matches_reference(k2):
+def matching(k2):
     # a k2^2-edge matching: n2 = 2*k2^2, the largest core reduce keeps
-    matching = Graph.from_edges(2 * k2 * k2, [(2 * j, 2 * j + 1) for j in range(k2 * k2)])
-    result = reduce_vertex_cover(CountingInstance(matching, None, k2))
-    payload = result.context.payload
-    assert payload["branch"] == "normal" and payload["n2"] == str(matching.n)
-    d, t, k3 = (int(payload[f]) for f in ("d", "t", "k3"))
-    reference = reference_padded_blowup_graph(matching, d, t)
-    assert result.reduced.graph == reference and result.reduced.k == k3
-    assert serialize_graph(result.reduced.graph, k=k3) == reference_serialize_graph(reference, k=k3)
+    return Graph.from_edges(2 * k2 * k2, [(2 * j, 2 * j + 1) for j in range(k2 * k2)])
+
+
+def star_forest(leaf_counts):
+    edges, n = stars(leaf_counts)
+    return Graph.from_edges(n, edges)
+
+
+# The star cores of the benchmark's kernel-dense slots, each its own
+# host at budget k2: no centre is above the budget, so the core is the
+# whole forest.
+DENSE_STAR_CORES = [(5, [5] * 5), (5, [1] * 25), (6, [6] * 5), (6, [1] * 36),
+                    (7, [7] * 7), (7, [1] * 49), (8, [8] * 7)]
+
+
+@pytest.mark.parametrize("instances", [
+    *(pytest.param(lambda k2=k2: [(matching(k2), k2)], id=str(k2)) for k2 in range(3, 9)),
+    *(pytest.param(lambda k2=k2, leaves=leaves: [(star_forest(leaves), k2)],
+                   id=f"stars-{len(leaves)}x{leaves[0]}") for k2, leaves in DENSE_STAR_CORES),
+    pytest.param(lambda: [(g, k) for g in graph_corpus(300, 7, 31) for k in range(6)],
+                 id="corpus"),
+])
+def test_worst_case_reduce_output_matches_reference(instances):
+    normal = 0
+    for host, k in instances():
+        result = reduce_vertex_cover(CountingInstance(host, None, k))
+        payload = result.context.payload
+        if payload["branch"] != "normal":
+            continue
+        normal += 1
+        core, _, _ = reference_strip_isolated(*reference_buss_reduce(host, k))
+        d, t, k3 = (int(payload[f]) for f in ("d", "t", "k3"))
+        reference = reference_padded_blowup_graph(core, d, t)
+        blowup = result.reduced.graph
+        assert (blowup.n, blowup.m) == (reference.n, reference.m), (host, k)
+        assert blowup.materialize() == reference and result.reduced.k == k3, (host, k)
+        assert serialize_graph(blowup, k=k3) == reference_serialize_graph(reference, k=k3)
+    assert normal
 
 
 def test_multiplicity_frozen_values():
