@@ -96,7 +96,9 @@ class Graph:
         for u, v in self.edges:
             grouped[u].append(v)
         for u in sorted(grouped):
-            yield u, [str(v + 1) for v in sorted(grouped[u])]
+            row = grouped[u]
+            row.sort()
+            yield u, [str(v + 1) for v in row]
 
     def isolated_vertices(self) -> list[int]:
         return [v for v in range(self.n) if not self.adjacency[v]]
