@@ -17,6 +17,7 @@ from countkernel.oracles import (
     random_graph,
 )
 from countkernel.vc_kernel import (
+    PaddedBlowup,
     blowup_cover_multiplicity,
     build_padded_blowup,
     buss_reduce,
@@ -84,6 +85,15 @@ def test_build_blowup_degenerate_and_path():
 def test_build_blowup_rejects_isolated_core():
     with pytest.raises(ValueError):
         build_padded_blowup(Graph.empty(2), 1)
+
+
+def test_padded_blowup_checks_its_parameters():
+    assert (PaddedBlowup(EDGE, 0, 0).n, PaddedBlowup(EDGE, 0, 0).m) == (0, 0)
+    for copies, padding in ((-1, 0), (1, -1)):
+        with pytest.raises(ValueError):
+            PaddedBlowup(EDGE, copies, padding)
+    with pytest.raises(TypeError):
+        PaddedBlowup(frozenset({(0, 1)}), 2, 0)
 
 
 def reference_padded_blowup_graph(core, copies, padding):
