@@ -41,6 +41,9 @@ PROBLEMS = (
     "min-st-cut",
 )
 
+# The problems whose oracles enumerate the subsets of at most k vertices.
+SUBSET_PROBLEMS = ("vertex-cover", "minimal-vertex-cover", "odd-cycle-transversal")
+
 
 class ProtocolError(Exception):
     """A lift context or composition metadata was fed to the wrong
@@ -108,9 +111,19 @@ def oracle_count(problem: str, inst: CountingInstance) -> int:
     """Solve an instance exactly by the matching brute-force oracle.
 
     An implicit graph is materialized first, so a tiny blowup is
-    enumerated like any other graph.
+    enumerated like any other graph.  For the oracles that enumerate
+    the subsets of at most k vertices, the size guard runs on n and k
+    before that, so a large blowup is refused without building its
+    edges.
     """
-    g = inst.graph if isinstance(inst.graph, Graph) else inst.graph.materialize()
+    g = inst.graph
+    if not isinstance(g, Graph):
+        if problem in SUBSET_PROBLEMS and not exceeds_subset_count(
+                oracles.SUBSET_LIMIT + 1, g.n, inst.k):
+            raise oracles.OracleSizeError(
+                f"{problem}: more than {oracles.SUBSET_LIMIT} candidate subsets "
+                f"of at most {inst.k} of {g.n} vertices")
+        g = g.materialize()
     if problem == "vertex-cover":
         return oracles.count_vertex_covers(g, inst.k)
     if problem == "minimal-vertex-cover":

@@ -2,9 +2,12 @@
 transformations shared by the kernels and the cut compositions.
 
 Vertices are dense 0-based indices.  The text file format is 1-based
-(see ``parse_graph``).  All types are immutable values; every
-transformation returns a new graph together with explicit provenance
-maps, so callers never rely on index arithmetic.
+(see ``parse_graph``).  ``parse_graph`` reads a file laid out the way
+``serialize_graph`` writes it in bulk, and any other file line by line;
+the two paths agree on every text, and each checks every edge once.
+All types are immutable values; every transformation returns a new
+graph together with explicit provenance maps, so callers never rely on
+index arithmetic.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from operator import eq
 from typing import Iterable, Mapping, Sequence
 
 Edge = tuple[int, int]
@@ -54,6 +58,17 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+
+    @classmethod
+    def _checked(cls, n: int, edges: frozenset[Edge]) -> "Graph":
+        """A graph whose edges the caller has already checked: distinct
+        pairs u < v below a nonnegative n.  Only the two paths of
+        ``parse_graph`` call it, so a file's edges are checked once, as
+        they are read."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[Sequence[int]]) -> "Graph":
@@ -171,15 +186,143 @@ class TdCheck:
 # File format
 # ---------------------------------------------------------------------------
 
+# The bulk path reads the ``e`` block a chunk at a time, each chunk cut
+# at the first line break after this many characters (about 80,000
+# lines): one ``split()`` of a whole 10^6-edge file costs more memory
+# than the edge set it yields.
+_BULK_CHUNK = 1 << 20
+# The line breaks ``str.splitlines`` honours besides "\n".  Any of them
+# sends a file to the line loop, which counts lines by them.
+_OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def parse_graph(text: str | bytes) -> ParsedGraph:
     """Parse the graph file format.
 
     One record per line: ``c <comment>``; ``p <n> <m>`` exactly once and
     first; ``e <u> <v>`` with 1-based endpoints, m times; optional
     ``t <s> <t>``; optional ``k <value>``.  Blank lines are ignored.
+
+    Two paths read the same format and agree: equal results, and the
+    same ``ParseError`` for every fault.  A file laid out the way
+    ``serialize_graph`` writes it is read in bulk, a chunk of ``e``
+    lines at a time (``_parse_bulk``).  Any other text, and any file
+    the bulk path finds a fault in, is read by the line loop
+    (``_parse_lines``), which raises ``ParseError`` with the offending
+    line.  Both paths check each edge once, as they read it, and build
+    the ``Graph`` without checking its edges again.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    parsed = _parse_bulk(text)
+    return parsed if parsed is not None else _parse_lines(text)
+
+
+def _parse_bulk(text: str) -> ParsedGraph | None:
+    """The file read in bulk, or None when the bulk path cannot vouch
+    for it.
+
+    It reads text laid out as ``serialize_graph`` writes it: ``c``
+    lines, ``p n m``, the ``e`` block, then at most one ``t`` and one
+    ``k`` line, each line ending in a newline except perhaps the last.
+    Each chunk of the ``e`` block is ``split()`` once.  Every line of
+    it starts with ``e`` and a space, and the chunk holds three tokens
+    a line; the second and third columns are converted with ``int``,
+    which refuses ``e``, so the lines start exactly at every third
+    token and each is ``e <u> <v>``, split as the line loop splits it.
+    Range and self-loops are checked on the columns, duplicates and the
+    count by the size of the edge set.  Anything else returns None, so
+    the line loop reparses the file and reports the fault with its
+    line number.
+    """
+    if any(c in text for c in _OTHER_BREAKS):
+        return None
+    start = 0
+    while text.startswith("c", start):
+        start = text.find("\n", start) + 1
+        if not start:
+            return None
+    p_end = text.find("\n", start)
+    if p_end < 0:
+        p_end = len(text)
+    head = text[start:p_end].split()
+    if len(head) != 3 or head[0] != "p":
+        return None
+    try:
+        n, m = int(head[1]), int(head[2])
+    except ValueError:
+        return None
+    if n < 0 or m < 0:
+        return None
+
+    # The t and k lines, read from the end back to the e block.
+    tail: dict[str, list[str]] = {}
+    end = len(text) - text.endswith("\n")
+    while end > p_end:
+        cut = text.rfind("\n", p_end, end)
+        line = text[cut + 1:end]
+        if line[:2] not in ("t ", "k ") or line[0] in tail:
+            break
+        tail[line[0]] = line.split()
+        end = cut
+    terminals = k = None
+    try:
+        if "t" in tail:
+            _, s, t = tail["t"]
+            s, t = int(s), int(t)
+            if not (1 <= s <= n and 1 <= t <= n) or s == t:
+                return None
+            terminals = TerminalPair(s - 1, t - 1)
+        if "k" in tail:
+            _, k = tail["k"]
+            k = int(k)
+            if k < 0:
+                return None
+    except ValueError:  # a wrong field count or a field that is not an integer
+        return None
+
+    pairs: list[Edge] = []
+    pos = p_end + 1
+    while pos < end:
+        cut = text.find("\n", pos + _BULK_CHUNK, end)
+        if cut < 0:
+            cut = end
+        chunk = _edge_chunk(text[pos:cut], n)
+        if chunk is None:
+            return None
+        pairs += chunk
+        pos = cut + 1
+    if len(pairs) != m:
+        return None
+    edges = frozenset(pairs)
+    if len(edges) != m:  # a duplicate edge
+        return None
+    return ParsedGraph(Graph._checked(n, edges), terminals, k)
+
+
+def _edge_chunk(chunk: str, n: int) -> list[Edge] | None:
+    """The edges of a chunk of ``e`` lines as ordered 0-based pairs, or
+    None if a line is not ``e <u> <v>``, an endpoint is not an integer
+    in 1..n or an edge is a self-loop."""
+    lines = chunk.count("\n") + 1
+    if not chunk.startswith("e ") or chunk.count("\ne ") != lines - 1:
+        return None
+    tokens = chunk.split()
+    if len(tokens) != 3 * lines:
+        return None
+    try:
+        us = list(map(int, tokens[1::3]))
+        vs = list(map(int, tokens[2::3]))
+    except ValueError:
+        return None
+    if min(us) < 1 or min(vs) < 1 or max(us) > n or max(vs) > n or any(map(eq, us, vs)):
+        return None
+    return [(u - 1, v - 1) if u < v else (v - 1, u - 1) for u, v in zip(us, vs)]
+
+
+def _parse_lines(text: str) -> ParsedGraph:
+    """The line loop: every record checked as it is read, and the first
+    fault raised as a ``ParseError`` with its 1-based line number."""
     n = None
     declared_m = 0
     edges: set[Edge] = set()
@@ -240,7 +383,7 @@ def parse_graph(text: str | bytes) -> ParsedGraph:
     if len(edges) != declared_m:
         raise ParseError(max(last_line, 1),
                          f"p record declares {declared_m} edges, found {len(edges)}")
-    return ParsedGraph(Graph(n, frozenset(edges)), terminals, k)
+    return ParsedGraph(Graph._checked(n, frozenset(edges)), terminals, k)
 
 
 def serialize_graph(g: Graph, terminals: TerminalPair | None = None,

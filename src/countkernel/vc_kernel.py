@@ -20,9 +20,13 @@ Reduce pipeline for the counting kernel:
    (``PaddedBlowup``): its file is written row by row from the core,
    and its d^2*m2 edges are built only for a caller that asks for them.
 
-Steps 1 and 2 work on a degree array and flag bytes over the edge
-set, never on ``Graph.adjacency``: O(n + m) per round of the rule,
-and the rule needs at most k + 1 rounds, usually two.
+Steps 1 and 2 work on the edge set alone, never on ``Graph.adjacency``
+or on anything sized by the declared n: O(m) per round of the rule
+(degrees in a ``Counter``, the deleted vertices in a set), and the rule
+needs at most k + 1 rounds, usually two; the strip ranks the endpoints
+of the surviving edges, O(m log m).  Their time and memory do not
+depend on n, so a file that declares n = 10^12 costs what its edges
+cost, and n1 is carried as a number.
 
 The count of the blown-up instance decomposes as ``sum_i y_i * w_i``
 where ``y_i`` is the number of core covers of size exactly ``i`` and
@@ -46,8 +50,10 @@ big-int steps for all the w_i of one lift.
 
 from __future__ import annotations
 
+from bisect import bisect
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, product
+from itertools import chain, product
 from math import comb
 
 from . import oracles
@@ -88,54 +94,45 @@ def buss_reduce(g: Graph, k: int) -> tuple[Graph, int] | None:
     the budget, deleting them one by one would reach budget 0 with one
     still above it, which is None.
 
-    A round counts degrees over the surviving edges into an array and
-    drops the edges of the deleted vertices, O(n + m) with no adjacency
-    built.  The first round takes every vertex of degree above k; a
-    later one deletes anything only when earlier deletions left a
-    vertex above the lowered budget.  Every round but the last deletes
-    at least one vertex, so there are at most k + 1 rounds, and two
-    when the first round's deletions settle the rule.
+    A round counts degrees over the surviving edges in a ``Counter``
+    and drops the edges of the deleted vertices, O(m) with no adjacency
+    built and nothing sized by ``g.n``.  The first round takes every
+    vertex of degree above k; a later one deletes anything only when
+    earlier deletions left a vertex above the lowered budget.  Every
+    round but the last deletes at least one vertex, so there are at
+    most k + 1 rounds, and two when the first round's deletions settle
+    the rule.  A surviving vertex v is renumbered v - (deleted vertices
+    below v), found by bisection in the sorted deleted list.
     """
     if k < 0:
         return None
-    alive = bytearray(b"\x01") * g.n
     edges = g.edges
     budget = k
+    deleted: list[int] = []
     while True:
-        degree = [0] * g.n
-        for u, v in edges:
-            degree[u] += 1
-            degree[v] += 1
-        if max(degree, default=0) <= budget:
+        degree = Counter(chain.from_iterable(edges))
+        victims = {v for v, d in degree.items() if d > budget}
+        if not victims:
             break
-        victims = [v for v, d in enumerate(degree) if d > budget]
         if len(victims) > budget:
             return None
         budget -= len(victims)
-        for v in victims:
-            alive[v] = 0
-        edges = [e for e in edges if alive[e[0]] and alive[e[1]]]
-    return _compact(alive, edges), budget
+        deleted += victims
+        edges = [e for e in edges if e[0] not in victims and e[1] not in victims]
+    deleted.sort()
+    kept = frozenset((u - bisect(deleted, u), v - bisect(deleted, v)) for u, v in edges)
+    return Graph(g.n - len(deleted), kept), budget
 
 
 def strip_isolated(g1: Graph, k1: int) -> tuple[Graph, int, int]:
     """Drop isolated vertices; returns (core, unchanged budget, n1).
 
-    Flags the endpoints of every edge and renumbers the flagged
-    vertices in order: O(n + m), with no adjacency built.
+    Ranks the endpoints of the edges in increasing order and renumbers
+    each edge by the ranks: O(m log m), with no adjacency built and
+    nothing sized by ``g1.n``.
     """
-    touched = bytearray(g1.n)
-    for u, v in g1.edges:
-        touched[u] = touched[v] = 1
-    return _compact(touched, g1.edges), k1, g1.n
-
-
-def _compact(keep: bytearray, edges) -> Graph:
-    """The graph on the vertices flagged in ``keep``, renumbered in
-    order; every edge must join two flagged vertices."""
-    rank = list(accumulate(keep))  # flagged vertices up to and including each vertex
-    return Graph(rank[-1] if rank else 0,
-                 frozenset((rank[u] - 1, rank[v] - 1) for u, v in edges))
+    rank = {v: i for i, v in enumerate(sorted(set(chain.from_iterable(g1.edges))))}
+    return Graph(len(rank), frozenset((rank[u], rank[v]) for u, v in g1.edges)), k1, g1.n
 
 
 def padded_blowup_graph(core: Graph, copies: int, padding: int) -> Graph:

@@ -1,11 +1,13 @@
 import json
+import tracemalloc
+from math import comb
 
 import pytest
 
-from countkernel import vc_kernel
+from countkernel import oracles, vc_kernel
 from countkernel.cli import main
 from countkernel.framework import CountingInstance
-from countkernel.graphs import Graph, TerminalPair, parse_graph, serialize_graph
+from countkernel.graphs import Graph, ParsedGraph, TerminalPair, parse_graph, serialize_graph
 from countkernel.vc_kernel import lift_vertex_cover, reduce_vertex_cover
 
 K3_TEXT = "p 3 3\ne 1 2\ne 2 3\ne 1 3\n"
@@ -283,6 +285,50 @@ def test_kernel_reduce_at_k2_10_writes_the_blowup_without_its_edge_set(
         fh.seek(-64, 2)
         assert fh.read().splitlines()[-1] == f"k {k3}".encode()
     out.unlink()
+
+
+# A star whose hub the degree rule deletes, and a path on three vertices
+# that survives it as the core, in a host that declares 10^12 vertices.
+HUGE_N = 10**12
+HUGE_HOST_TEXT = f"p {HUGE_N} 6\ne 1 2\ne 1 3\ne 1 4\ne 1 5\ne 6 7\ne 7 8\nk 3\n"
+
+
+@pytest.mark.parametrize("which", ["vc", "minvc"])
+def test_kernel_reduce_runs_in_the_edges_whatever_n_declares(tmp_path, capsys, which):
+    graph = write(tmp_path, "huge.gr", HUGE_HOST_TEXT)
+    out, ctx = tmp_path / "reduced.gr", tmp_path / "ctx.json"
+    tracemalloc.start()
+    try:
+        code = main(["kernel", which, "reduce", "--graph", graph, "--out", str(out),
+                     "--context", str(ctx)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 50 * 2**20
+    payload = json.loads(ctx.read_text())["payload"]
+    assert (payload["branch"], payload["n1"], payload["n2"], payload["k2"]) == (
+        "normal", str(HUGE_N - 1), "3", "2")
+    capsys.readouterr()
+
+    # The hub is in every cover of size at most 3.  Covers of the path
+    # of size i (y_1 = 1, y_2 = 3) extend by at most 2 - i of the other
+    # N - 4 vertices, which are isolated once the hub is gone.
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    if which == "vc":
+        y = [oracles.count_vertex_covers_of_size(path, i) for i in range(3)]
+        expected = sum(y[i] * sum(comb(HUGE_N - 4, j) for j in range(3 - i)) for i in range(3))
+        core = parse_graph(out.read_text())
+        reduced_count = vc_kernel.decomposed_blowup_count(
+            path, int(payload["d"]), int(payload["t"]), 2)
+        assert core.graph.n == 3 * 3 + int(payload["t"]) and core.k == 6
+    else:
+        expected = oracles.count_minimal_vertex_covers(path, 2)
+        reduced_count = expected
+        assert parse_graph(out.read_text()) == ParsedGraph(path, None, 2)
+    assert main(["kernel", which, "lift", "--context", str(ctx),
+                 "--count", str(reduced_count)]) == 0
+    assert capsys.readouterr().out.strip() == str(expected)
 
 
 def test_usage_error_exits_2():

@@ -210,6 +210,45 @@ def test_verify_compression_propagates_size_guard():
         verify_compression(ident, CountingInstance(Graph.empty(64), None, 32))
 
 
+@pytest.mark.parametrize("problem", ["vertex-cover", "minimal-vertex-cover",
+                                     "odd-cycle-transversal"])
+def test_oracle_count_refuses_a_large_blowup_before_building_it(monkeypatch, problem):
+    from countkernel import vc_kernel
+    from countkernel.oracles import OracleSizeError
+
+    # the worst-case core at k2 = 8: a 64-edge matching, 1,048,576 blowup edges
+    k2 = 8
+    matching = Graph.from_edges(2 * k2 * k2, [(2 * j, 2 * j + 1) for j in range(k2 * k2)])
+    reduced = vc_kernel.reduce_vertex_cover(CountingInstance(matching, None, k2)).reduced
+
+    def refuse(*args):
+        raise AssertionError("oracle_count built the blowup's edge set")
+
+    monkeypatch.setattr(vc_kernel, "padded_blowup_graph", refuse)
+    with pytest.raises(OracleSizeError):
+        oracle_count(problem, reduced)
+
+
+def test_oracle_count_guards_a_blowup_at_the_oracles_limit(monkeypatch):
+    from countkernel import oracles, vc_kernel
+
+    # one edge at k = 1: d = 2, t = 12, 137 subsets of at most 2 of 16 vertices
+    edge = Graph.from_edges(2, [(0, 1)])
+    reduced = vc_kernel.reduce_vertex_cover(CountingInstance(edge, None, 1)).reduced
+    assert (reduced.graph.n, reduced.k) == (16, 2)
+    monkeypatch.setattr(oracles, "SUBSET_LIMIT", 137)
+    assert oracle_count("vertex-cover", reduced) == vc_kernel.decomposed_blowup_count(
+        edge, 2, 12, 1)
+
+    def refuse(*args):
+        raise AssertionError("oracle_count built the blowup's edge set")
+
+    monkeypatch.setattr(oracles, "SUBSET_LIMIT", 136)
+    monkeypatch.setattr(vc_kernel, "padded_blowup_graph", refuse)
+    with pytest.raises(oracles.OracleSizeError):
+        oracle_count("vertex-cover", reduced)
+
+
 def test_registry_contents():
     registry = default_registry()
     assert set(registry) == {

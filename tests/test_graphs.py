@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from countkernel import graphs
 from countkernel.graphs import (
     ParsedGraph,
     BlowupError,
@@ -152,6 +153,222 @@ def parsed_graphs(draw):
 def test_serialize_parse_round_trip_property(parsed, comment):
     text = serialize_graph(parsed.graph, parsed.terminals, parsed.k, comment)
     assert parse_graph(text) == parsed
+
+
+def reference_parse_graph(text):
+    """The first parser: the line loop alone, with every edge checked
+    again by ``Graph``."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    n = None
+    declared_m = 0
+    edges = set()
+    terminals = None
+    k = None
+    last_line = 0
+
+    def ints(parts, want, line):
+        if len(parts) != want:
+            raise ParseError(line, f"expected {want} fields, got {len(parts)}")
+        try:
+            return [int(p) for p in parts]
+        except ValueError:
+            raise ParseError(line, f"non-integer field in {parts!r}") from None
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        last_line = line_no
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        kind, *rest = line.split()
+        if kind == "p":
+            if n is not None:
+                raise ParseError(line_no, "duplicate p record")
+            n, declared_m = ints(rest, 2, line_no)
+            if n < 0 or declared_m < 0:
+                raise ParseError(line_no, "negative counts in p record")
+            continue
+        if n is None:
+            raise ParseError(line_no, f"record '{kind}' before p record")
+        if kind == "e":
+            u, v = ints(rest, 2, line_no)
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise ParseError(line_no, f"endpoint out of range 1..{n}")
+            if u == v:
+                raise ParseError(line_no, f"self-loop at vertex {u}")
+            e = ordered(u - 1, v - 1)
+            if e in edges:
+                raise ParseError(line_no, f"duplicate edge {u} {v}")
+            edges.add(e)
+        elif kind == "t":
+            s, t = ints(rest, 2, line_no)
+            if not (1 <= s <= n and 1 <= t <= n):
+                raise ParseError(line_no, f"terminal out of range 1..{n}")
+            if s == t:
+                raise ParseError(line_no, "terminals must be distinct")
+            terminals = TerminalPair(s - 1, t - 1)
+        elif kind == "k":
+            (value,) = ints(rest, 1, line_no)
+            if value < 0:
+                raise ParseError(line_no, "parameter must be nonnegative")
+            k = value
+        else:
+            raise ParseError(line_no, f"unknown record type '{kind}'")
+
+    if n is None:
+        raise ParseError(max(last_line, 1), "missing p record")
+    if len(edges) != declared_m:
+        raise ParseError(max(last_line, 1),
+                         f"p record declares {declared_m} edges, found {len(edges)}")
+    return ParsedGraph(Graph(n, frozenset(edges)), terminals, k)
+
+
+def _outcome(parse, text):
+    """The parse result, or the line and message of its ParseError;
+    any other exception propagates and fails the test."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return ("ParseError", err.line, str(err))
+
+
+def _assert_parsers_agree(text):
+    assert _outcome(parse_graph, text) == _outcome(reference_parse_graph, text)
+
+
+# The format's alphabet, plus characters int() or splitlines() treat
+# specially: a form feed, "+", "_" and an Arabic-Indic digit.
+PARSE_ALPHABET = "petkc0123456789 \t\r\n\x0c+_٣"
+
+
+# Records over vertices 1..4, well formed or not, for files whose p line
+# usually declares as many edges as they hold.
+RECORDS = ["e 1 2", "e 2 3", "e 3 4", "e 1 3", "e 2 1", "e 4 4", "e 1 5", "e 0 2",
+           "e +1 _2", "e 1_0 2", "e ٣ 1", " e 1 4", "e 1\t4", "e 2 4 1", "e 3",
+           "t 1 4", "t 2 2", "t 1", "k 3", "k -1", "k", "c mid", "", "p 4 1", "q 1 2"]
+
+
+@st.composite
+def record_texts(draw):
+    head = draw(st.lists(st.sampled_from(["c x", "c", ""]), max_size=2))
+    body = draw(st.lists(st.sampled_from(RECORDS), max_size=8))
+    m = sum(line.startswith("e") for line in body) + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    end = draw(st.sampled_from(["", "\n", "\r\n", "\n\n", "\x0c"]))
+    return "\n".join(head + [f"p 4 {m}"] + body) + end
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(st.text(alphabet=PARSE_ALPHABET, max_size=60) | record_texts())
+def test_parse_matches_reference_on_format_text(text):
+    _assert_parsers_agree(text)
+
+
+# The line breaks str.splitlines() honours besides "\n".
+OTHER_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _mutate(text, kind, rng):
+    """One seeded fault or irregularity in a file ``serialize_graph`` wrote."""
+    lines = text.splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith("p "))
+    n, m = map(int, lines[head].split()[1:])
+    edge_at = [i for i, line in enumerate(lines) if line.startswith("e ")]
+    at = rng.choice(edge_at) if edge_at else head
+    column = rng.choice((1, 2))
+    if kind == "self-loop":
+        v = rng.randint(1, max(n, 1))
+        lines.insert(at + 1, f"e {v} {v}")
+        lines[head] = f"p {n} {m + 1}"
+    elif kind == "duplicate" and edge_at:
+        u, v = lines[at].split()[1:]
+        lines.insert(at + 1, rng.choice((f"e {u} {v}", f"e {v} {u}")))
+        lines[head] = f"p {n} {m + rng.choice((0, 1))}"
+    elif kind == "endpoint 0 or n+1" and edge_at:
+        fields = lines[at].split()
+        fields[column] = rng.choice(("0", str(n + 1)))
+        lines[at] = " ".join(fields)
+    elif kind == "m+1":
+        lines[head] = f"p {n} {m + 1}"
+    elif kind == "m-1":
+        lines[head] = f"p {n} {m - 1}"
+    elif kind == "negative count":
+        lines[head] = rng.choice((f"p -1 {m}", f"p {n} -1"))
+    elif kind == "renamed p record":
+        lines[head] = rng.choice(("q", "pp", "e")) + lines[head][1:]
+    elif kind == "unknown record in the e block" and edge_at:
+        lines[at] = rng.choice(("q", "ee", "t", "p")) + lines[at][1:]
+    elif kind == "crlf":
+        lines[at] += "\r"
+    elif kind == "line break in a comment":
+        lines.insert(0, f"c x{rng.choice(OTHER_BREAKS)}{rng.choice(lines[head:])}")
+    elif kind == "extra field":
+        lines[at] += " 1"
+    elif kind == "missing field":
+        lines[at] = lines[at].rsplit(" ", 1)[0]
+    elif kind == "field moved across a line break" and len(edge_at) >= 2:
+        first = rng.choice(edge_at[:-1])
+        u, v = lines[first + 1].split()[1:]
+        lines[first] += " e"
+        lines[first + 1] = f"{u} {v}"
+    elif kind == "mid-block comment":
+        lines.insert(at, "c mid-block")
+    elif kind == "t/k before the e block":
+        tail = [line for line in lines if line[:1] in ("t", "k")]
+        lines = [line for line in lines if line[:1] not in ("t", "k")]
+        lines[head + 1:head + 1] = tail or ["k 1"]
+    elif kind == "second t or k record":
+        lines.append(rng.choice((f"k {rng.randint(0, 9)}", f"t {n} 1")))
+    elif kind == "terminal out of range":
+        lines.append(f"t 1 {n + 1}")
+    elif kind == "no final newline":
+        return "\n".join(lines)
+    return "\n".join(lines) + "\n"
+
+
+MUTATIONS = ["none", "self-loop", "duplicate", "endpoint 0 or n+1", "m+1", "m-1",
+             "negative count", "renamed p record", "unknown record in the e block", "crlf",
+             "line break in a comment", "extra field", "missing field",
+             "field moved across a line break", "mid-block comment",
+             "t/k before the e block", "second t or k record", "terminal out of range",
+             "no final newline"]
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(parsed_graphs(), st.none() | st.text(alphabet="ab c\n", max_size=8),
+       st.sampled_from(MUTATIONS), st.integers(0, 2**32))
+def test_parse_matches_reference_on_mutated_files(parsed, comment, kind, seed):
+    text = serialize_graph(parsed.graph, parsed.terminals, parsed.k, comment)
+    if kind != "none":
+        text = _mutate(text, kind, random.Random(seed))
+    _assert_parsers_agree(text)
+
+
+def test_parse_reads_canonical_files_in_bulk(monkeypatch):
+    # 2*10^5 edges span several bulk chunks
+    rng = random.Random(8)
+    n = 100_000
+    edges = set()
+    while len(edges) < 200_000:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add(ordered(u, v))
+    text = serialize_graph(Graph(n, frozenset(edges)), TerminalPair(4, 9), 12, "bulk")
+    lines = text.split("\n")
+    crlf = "\n".join(lines[:5000] + [lines[5000] + "\r"] + lines[5001:])
+    comment = "\n".join(lines[:150_000] + ["c mid-block"] + lines[150_000:])
+    expected = reference_parse_graph(text)
+
+    def refuse(text):
+        raise AssertionError("parse_graph fell back to the line loop")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs, "_parse_lines", refuse)
+        assert parse_graph(text) == expected
+        for variant in (crlf, comment):
+            with pytest.raises(AssertionError, match="line loop"):
+                parse_graph(variant)
+    assert parse_graph(crlf) == expected
+    assert parse_graph(comment) == expected
 
 
 def test_subdivide_triangle_gives_six_cycle():
