@@ -329,6 +329,16 @@ def exact_treewidth(g: Graph) -> tuple[int, TreeDecomposition]:
     Enforces n <= 12.  Also emits a witness decomposition built from an
     optimal ordering; the witness always validates at the returned
     width.  The empty graph yields width 0 with a single empty bag.
+
+    ``best(done)`` is the least width of eliminating the vertices
+    outside ``done`` after those in it: the minimum over each remaining
+    v of max(degree of v in the fill graph, best(done | v)).  It tries
+    the vertices in increasing (degree, vertex) order and stops at the
+    first degree at or above the minimum found so far.  That vertex
+    and every later one give a maximum at least their degree, so none
+    can lower the minimum: each memo value is still the exact
+    ``best(done)``, and the recovered ordering and witness are the
+    ones the unpruned search gives.
     """
     n = g.n
     if n > TREEWIDTH_LIMIT:
@@ -364,12 +374,18 @@ def exact_treewidth(g: Graph) -> tuple[int, TreeDecomposition]:
         cached = memo.get(done)
         if cached is not None:
             return cached
-        result = n
+        candidates = []
         todo = full & ~done
         while todo:
             v = (todo & -todo).bit_length() - 1
             todo &= todo - 1
-            result = min(result, max(elim_degree(done, v), best(done | (1 << v))))
+            candidates.append((elim_degree(done, v), v))
+        candidates.sort()
+        result = n
+        for d, v in candidates:
+            if d >= result:
+                break
+            result = min(result, max(d, best(done | (1 << v))))
         memo[done] = result
         return result
 

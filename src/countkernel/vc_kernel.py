@@ -102,7 +102,9 @@ def buss_reduce(g: Graph, k: int) -> tuple[Graph, int] | None:
     round but the last deletes at least one vertex, so there are at
     most k + 1 rounds, and two when the first round's deletions settle
     the rule.  A surviving vertex v is renumbered v - (deleted vertices
-    below v), found by bisection in the sorted deleted list.
+    below v), found by bisection in the sorted deleted list.  When the
+    first round deletes nothing the result is ``(g, k)`` itself, with
+    no edge rebuilt.
     """
     if k < 0:
         return None
@@ -119,6 +121,8 @@ def buss_reduce(g: Graph, k: int) -> tuple[Graph, int] | None:
         budget -= len(victims)
         deleted += victims
         edges = [e for e in edges if e[0] not in victims and e[1] not in victims]
+    if not deleted:
+        return g, k
     deleted.sort()
     kept = frozenset((u - bisect(deleted, u), v - bisect(deleted, v)) for u, v in edges)
     return Graph(g.n - len(deleted), kept), budget
@@ -129,9 +133,13 @@ def strip_isolated(g1: Graph, k1: int) -> tuple[Graph, int, int]:
 
     Ranks the endpoints of the edges in increasing order and renumbers
     each edge by the ranks: O(m log m), with no adjacency built and
-    nothing sized by ``g1.n``.
+    nothing sized by ``g1.n``.  When every vertex is an endpoint the
+    core is ``g1`` itself, with no edge rebuilt.
     """
-    rank = {v: i for i, v in enumerate(sorted(set(chain.from_iterable(g1.edges))))}
+    endpoints = set(chain.from_iterable(g1.edges))
+    if len(endpoints) == g1.n:
+        return g1, k1, g1.n
+    rank = {v: i for i, v in enumerate(sorted(endpoints))}
     return Graph(len(rank), frozenset((rank[u], rank[v]) for u, v in g1.edges)), k1, g1.n
 
 

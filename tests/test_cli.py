@@ -10,6 +10,8 @@ from countkernel.framework import CountingInstance
 from countkernel.graphs import Graph, ParsedGraph, TerminalPair, parse_graph, serialize_graph
 from countkernel.vc_kernel import lift_vertex_cover, reduce_vertex_cover
 
+from test_oracles import grid_3x4
+
 K3_TEXT = "p 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 PATH_ST_TEXT = "p 3 2\ne 1 2\ne 2 3\nt 1 3\n"
 C5_TEXT = "p 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n"
@@ -48,6 +50,12 @@ def test_oracle_lpvc_and_tw(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "5/2"
     assert main(["oracle", "tw", "--graph", c5]) == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+def test_oracle_tw_on_the_3x4_grid(tmp_path, capsys):
+    grid = write(tmp_path, "grid.gr", serialize_graph(grid_3x4()))
+    assert main(["oracle", "tw", "--graph", grid]) == 0
+    assert capsys.readouterr().out.strip() == "3"
 
 
 def test_oracle_mincut_json_report(tmp_path, capsys):

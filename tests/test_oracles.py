@@ -5,9 +5,11 @@ from math import comb
 
 import pytest
 
-from countkernel.graphs import Graph, TerminalPair, validate_tree_decomposition
+from countkernel.graphs import Graph, TerminalPair, TreeDecomposition, validate_tree_decomposition
 from countkernel.oracles import (
+    TREEWIDTH_LIMIT,
     OracleSizeError,
+    _adjacency_masks,
     count_min_st_cuts,
     count_minimal_vertex_covers,
     count_odd_cycle_transversals,
@@ -20,6 +22,7 @@ from countkernel.oracles import (
     min_cut_size,
     random_graph,
 )
+from countkernel.verification import all_graphs
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 EDGE = Graph.from_edges(2, [(0, 1)])
@@ -178,6 +181,123 @@ def test_exact_treewidth_witness_validates():
 def test_exact_treewidth_size_guard():
     with pytest.raises(OracleSizeError):
         exact_treewidth(Graph.empty(13))
+
+
+def reference_exact_treewidth(g: Graph) -> tuple[int, TreeDecomposition]:
+    """The unpruned search: every remaining vertex of every prefix."""
+    n = g.n
+    if n > TREEWIDTH_LIMIT:
+        raise OracleSizeError(f"exact_treewidth limited to {TREEWIDTH_LIMIT} vertices, got {n}")
+    if n == 0:
+        td = TreeDecomposition(nodes=("root",), links=frozenset(), bags={"root": frozenset()})
+        return 0, td
+    adj = _adjacency_masks(g)
+    full = (1 << n) - 1
+
+    def elim_degree(done: int, v: int) -> int:
+        # Neighbors of v in the fill graph: vertices outside done reachable
+        # from v through done.
+        seen = 1 << v
+        stack = [v]
+        out = 0
+        while stack:
+            u = stack.pop()
+            nbrs = adj[u] & ~seen
+            while nbrs:
+                w = (nbrs & -nbrs).bit_length() - 1
+                nbrs &= nbrs - 1
+                seen |= 1 << w
+                if done >> w & 1:
+                    stack.append(w)
+                else:
+                    out |= 1 << w
+        return bin(out).count("1")
+
+    memo: dict[int, int] = {full: -1}
+
+    def best(done: int) -> int:
+        cached = memo.get(done)
+        if cached is not None:
+            return cached
+        result = n
+        todo = full & ~done
+        while todo:
+            v = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            result = min(result, max(elim_degree(done, v), best(done | (1 << v))))
+        memo[done] = result
+        return result
+
+    width = best(0)
+
+    order: list[int] = []
+    done = 0
+    while done != full:
+        todo = full & ~done
+        while todo:
+            v = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            if max(elim_degree(done, v), best(done | (1 << v))) == best(done):
+                order.append(v)
+                done |= 1 << v
+                break
+
+    # Standard clique-tree construction along the ordering, with fill-in.
+    position = {v: i for i, v in enumerate(order)}
+    work = [set() for _ in range(n)]
+    for u, v in g.edges:
+        work[u].add(v)
+        work[v].add(u)
+    bags: dict[int, frozenset[int]] = {}
+    links: set[frozenset] = set()
+    for idx, v in enumerate(order):
+        up = {w for w in work[v] if position[w] > idx}
+        bags[v] = frozenset({v} | up)
+        for a in up:
+            work[a].discard(v)
+            for b in up:
+                if b != a:
+                    work[a].add(b)
+        if up:
+            parent = min(up, key=position.__getitem__)
+        elif idx + 1 < n:
+            parent = order[idx + 1]
+        else:
+            parent = None
+        if parent is not None:
+            links.add(frozenset({v, parent}))
+    td = TreeDecomposition(nodes=tuple(order), links=frozenset(links), bags=bags)
+    return width, td
+
+
+def grid_3x4() -> Graph:
+    return Graph.from_edges(12, [(r * 4 + c, r * 4 + c + 1) for r in range(3) for c in range(3)]
+                            + [(r * 4 + c, r * 4 + c + 4) for r in range(2) for c in range(4)])
+
+
+def treewidth_corpus():
+    """Every graph on at most five vertices, a seeded G(n, p) corpus of
+    400 graphs with n = 6..12 (weighted to the cheaper small n) and p =
+    0.1..1.0, K12 and the 3x4 grid."""
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    rng = random.Random(2012)
+    for n, count in zip(range(6, 13), (140, 110, 80, 40, 16, 8, 6)):
+        graphs += [random_graph(n, rng.randint(1, 10) / 10, rng.randrange(10**6))
+                   for _ in range(count)]
+    return graphs + [random_graph(12, 1.0, 0), grid_3x4()]
+
+
+def test_exact_treewidth_matches_the_unpruned_search():
+    for g in treewidth_corpus():
+        width, td = exact_treewidth(g)
+        want_width, want = reference_exact_treewidth(g)
+        assert width == want_width, g
+        assert (td.nodes, td.links, dict(td.bags)) == (want.nodes, want.links, dict(want.bags)), g
+
+
+def test_exact_treewidth_of_k12_and_the_grid():
+    assert exact_treewidth(random_graph(12, 1.0, 0))[0] == 11
+    assert exact_treewidth(grid_3x4())[0] == 3
 
 
 def test_nice_instance_examples():

@@ -443,6 +443,28 @@ def test_buss_and_strip_match_reference_on_corpus():
             assert_matches_reference(g, k)
 
 
+def test_reduce_returns_an_unchanged_host_itself():
+    cycle = Graph.from_edges(1000, [(v, (v + 1) % 1000) for v in range(1000)])
+    g1, k1 = buss_reduce(cycle, 2)
+    assert g1 is cycle and k1 == 2
+    core, k2, n1 = strip_isolated(g1, k1)
+    assert core is cycle and (k2, n1) == (2, 1000)
+
+
+def test_unchanged_reduce_matches_reference_on_corpus():
+    untouched = 0
+    for g in graph_corpus(3000, 6, 0):
+        k = max(map(len, g.adjacency), default=0)
+        got = buss_reduce(g, k)
+        assert got == reference_buss_reduce(g, k) and got[0] is g, g
+        core = strip_isolated(*got)
+        assert core == reference_strip_isolated(*got), g
+        if all(g.adjacency):
+            assert core[0] is g, g
+            untouched += 1
+    assert untouched > 100
+
+
 # Ten hubs and residual budget k2 = 4 at k = 14.  The [5, 3] stars put a
 # centre above the lowered budget once the hubs are gone, so the rule
 # needs a second deleting round; two K5 keep 20 > 16 edges of degree 4.
