@@ -316,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ppt)
 
     p = sub.add_parser("verify", help="run a property suite against the oracles")
-    p.add_argument("suite", choices=["vc-kernel", "minvc-kernel", "sum", "exact",
-                                     "ppt-oct", "ppt-vc", "all"])
+    p.add_argument("suite", choices=[*verification.SUITES, "all"])
     p.add_argument("--nmax", type=int, default=6)
     p.add_argument("--kmax", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)

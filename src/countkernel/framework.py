@@ -233,10 +233,11 @@ class Compression:
     """A named (reduce, lift) pair between two counting problems.
 
     Parameter transformations are compressions without a size bound.
-    ``reference_reduced_count`` supplies the reduced instance's true
-    count when plain enumeration is infeasible (its padding may be
-    huge); implementations must rest on an identity that is itself
-    brute-force verified at enumerable scale.
+    ``reference_reduced_count`` maps a reduced instance to its true
+    count; ``verify_compression`` prefers it to the oracle, so it must
+    rest on an identity brute-force verified at enumerable scale.
+    Oct-to-vc has none: its lift halves twice the source count, so the
+    round trip would check nothing.
     """
 
     name: str
@@ -246,7 +247,7 @@ class Compression:
     lift: Callable[[LiftContext, int], int]
     # Optional bound on |V| of the reduced instance as a function of k.
     size_bound: Callable[[int], int] | None = None
-    reference_reduced_count: Callable[[CountingInstance, CompressionResult], int] | None = None
+    reference_reduced_count: Callable[[CountingInstance], int] | None = None
 
 
 def identity_compression(problem: str) -> Compression:
@@ -299,51 +300,53 @@ def compose_ppt_compression(ppt: Compression, c: Compression) -> Compression:
         inner = LiftContext.from_doc(payload.get("inner"))
         return ppt.lift(outer, c.lift(inner, count))
 
-    reference = None
-    if c.reference_reduced_count is not None:
-        def reference(inst: CountingInstance, _result: CompressionResult) -> int:
-            # Reduces are deterministic, so replaying the chain recovers
-            # the intermediate instance the inner hook needs.
-            first = ppt.reduce(inst)
-            return c.reference_reduced_count(first.reduced, c.reduce(first.reduced))
-
+    # The composite's reduced instance is the inner one, as is its reference.
     return Compression(name, ppt.source_problem, c.target_problem, reduce, lift,
-                       size_bound=None, reference_reduced_count=reference)
+                       size_bound=None, reference_reduced_count=c.reference_reduced_count)
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    compression: str
     direct_count: int
-    lifted_count: int
+    result: CompressionResult
+    reduced_count: int
+    lifted_count: int | None
     size_bound_ok: bool | None
     passed: bool
+    error: str | None = None
 
 
 def verify_compression(c: Compression, inst: CountingInstance) -> VerificationReport:
     """Round-trip check against the oracles on one small instance.
 
-    Reduces, solves the reduced instance by oracle, lifts, and compares
-    with a direct oracle run.  Oracle size errors propagate.
+    Reduces, counts the reduced instance by the compression's reference
+    where it has one (the oracle first would brute-force small blowups)
+    and by the oracle otherwise, lifts, and compares with a direct
+    oracle run.  A lift that refuses the count fails the report with
+    its text in ``error``.  Oracle size errors propagate.
     """
     direct = oracle_count(c.source_problem, inst)
     result = c.reduce(inst)
-    try:
+    if c.reference_reduced_count is not None:
+        reduced_count = c.reference_reduced_count(result.reduced)
+    else:
         reduced_count = oracle_count(c.target_problem, result.reduced)
-    except oracles.OracleSizeError:
-        if c.reference_reduced_count is None:
-            raise
-        reduced_count = c.reference_reduced_count(inst, result)
-    lifted = c.lift(result.context, reduced_count)
+    error = None
+    try:
+        lifted = c.lift(result.context, reduced_count)
+    except (IntegrityError, ProtocolError) as exc:
+        lifted, error = None, str(exc)
     bound_ok = None
     if c.size_bound is not None and inst.k is not None:
         bound_ok = result.reduced.graph.n <= c.size_bound(inst.k)
     return VerificationReport(
-        compression=c.name,
         direct_count=direct,
+        result=result,
+        reduced_count=reduced_count,
         lifted_count=lifted,
         size_bound_ok=bound_ok,
         passed=lifted == direct and bound_ok is not False,
+        error=error,
     )
 
 

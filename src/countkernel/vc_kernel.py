@@ -382,19 +382,21 @@ def decomposed_blowup_count(core: Graph, copies: int, padding: int, budget: int)
                for i in range(min(budget, core.n) + 1))
 
 
-def reference_blowup_count(inst: CountingInstance, result: CompressionResult) -> int:
+def reference_blowup_count(reduced: CountingInstance) -> int:
     """True count of the reduced blowup via the decomposition identity.
 
     The padding makes the blowup too large to enumerate directly, so
-    the count is assembled as sum_i y_i * w_i with oracle y_i; the
-    identity itself is brute-force verified at tiny overridden scale by
-    the verification suite.
+    the count is assembled as sum_i y_i * w_i with oracle y_i on the
+    blowup's core at budget k3 / copies; the identity itself is
+    brute-force verified at tiny overridden scale by the verification
+    suite.  The zero branch's constant instance goes to the oracle; an
+    empty core has no copies and one cover at any budget.
     """
-    fields = _decode_context(result.context, VC_KERNEL)
-    if fields is None:
-        return 0
-    g2, k2, _ = strip_isolated(*buss_reduce(inst.graph, inst.k))
-    return decomposed_blowup_count(g2, fields["d"], fields["t"], k2)
+    g3 = reduced.graph
+    if not isinstance(g3, PaddedBlowup):
+        return oracles.count_vertex_covers(g3, reduced.k)
+    k2 = reduced.k // g3.copies if g3.copies else 0
+    return decomposed_blowup_count(g3.core, g3.copies, g3.padding, k2)
 
 
 def vertex_cover_kernel() -> Compression:

@@ -5,6 +5,11 @@ acceptance test suite both run these.
 Each sweep returns a ``SweepReport``; a sweep passes when it checked a
 positive number of cases and collected no failures.  All corpora are
 deterministic in the seed.
+
+The kernel and transformation sweeps check lift(count(reduce(x))) =
+count(x) only through ``framework.verify_compression``, reference count
+first.  Oct-to-vc has no reference: its lift halves twice the source
+count, so its doubled graph is brute-forced instead.
 """
 
 from __future__ import annotations
@@ -21,12 +26,11 @@ from .compositions import (
     exact_compose,
     extract_counts,
     group_by_min_cut,
-    mincut_to_oct_reduce,
-    oct_to_vc_lift,
-    oct_to_vc_reduce,
+    mincut_to_oct_ppt,
+    oct_to_vc_ppt,
     sum_compose,
 )
-from .framework import CountingInstance, parameter_value
+from .framework import CountingInstance, parameter_value, verify_compression
 from .graphs import (
     Graph,
     TerminalPair,
@@ -36,12 +40,10 @@ from .graphs import (
 from .vc_kernel import (
     blowup_cover_multiplicity,
     decomposed_blowup_count,
-    lift_minimal_vertex_cover,
-    lift_vertex_cover,
+    minimal_vertex_cover_kernel,
     padded_blowup_graph,
-    reduce_minimal_vertex_cover,
     reduce_vertex_cover,
-    reference_blowup_count,
+    vertex_cover_kernel,
 )
 
 ENUMERATION_BUDGET = 1 << 20
@@ -69,6 +71,23 @@ class SweepReport:
 def _timed(report: SweepReport, start: float) -> SweepReport:
     report.seconds = time.monotonic() - start
     return report
+
+
+def _round_trip_sweep(name: str, compression, instances,
+                      extra_checks=lambda inst, trip: ()) -> SweepReport:
+    """One check per ``verify_compression`` round trip and one per pair
+    (ok, message) of ``extra_checks(inst, trip)``, each naming n, m and k."""
+    start = time.monotonic()
+    report = SweepReport(name)
+    for inst in instances:
+        trip = verify_compression(compression, inst)
+        k = inst.k if inst.k is not None else trip.result.reduced.k
+        where = f"(n={inst.graph.n}, m={inst.graph.m}, k={k})"
+        verdict = trip.error or f"lift={trip.lifted_count} direct={trip.direct_count}"
+        report.check(trip.passed, f"{verdict} {where}")
+        for ok, message in extra_checks(inst, trip):
+            report.check(ok, f"{message} {where}")
+    return _timed(report, start)
 
 
 # ---------------------------------------------------------------------------
@@ -125,21 +144,9 @@ def sweep_vc_kernel(graphs: int = 2000, nmax: int = 6, kmax: int = 4,
     the blowup itself is infeasible because the padding is large); that
     identity is itself verified independently by ``sweep_map_size``.
     """
-    start = time.monotonic()
-    report = SweepReport("vc-kernel end-to-end")
-    for g in graph_corpus(graphs, nmax, seed):
-        for k in range(kmax + 1):
-            direct = oracles.count_vertex_covers(g, k)
-            inst = CountingInstance(g, None, k)
-            result = reduce_vertex_cover(inst)
-            if result.context.payload["branch"] == "zero":
-                report.check(direct == 0,
-                             f"zero branch but direct={direct} (n={g.n}, m={g.m}, k={k})")
-                continue
-            lifted = lift_vertex_cover(result.context, reference_blowup_count(inst, result))
-            report.check(lifted == direct,
-                         f"lift={lifted} direct={direct} (n={g.n}, m={g.m}, k={k})")
-    return _timed(report, start)
+    instances = (CountingInstance(g, None, k)
+                 for g in graph_corpus(graphs, nmax, seed) for k in range(kmax + 1))
+    return _round_trip_sweep("vc-kernel end-to-end", vertex_cover_kernel(), instances)
 
 
 def sweep_map_size(seed: int = 0, cases: int = 120) -> SweepReport:
@@ -274,24 +281,18 @@ def sweep_multiplicity_dp(limit: int = 6) -> SweepReport:
 def sweep_minimal_vc(graphs: int = 2000, nmax: int = 6, kmax: int = 4,
                      seed: int = 0) -> SweepReport:
     """Minimal-cover kernel round-trips and respects the quadratic bounds."""
-    start = time.monotonic()
-    report = SweepReport("minimal-vc kernel end-to-end")
-    for g in graph_corpus(graphs, nmax, seed):
-        for k in range(kmax + 1):
-            direct = oracles.count_minimal_vertex_covers(g, k)
-            result = reduce_minimal_vertex_cover(CountingInstance(g, None, k))
-            reduced = result.reduced
-            if result.context.payload["branch"] == "zero":
-                reduced_count = 0
-            else:
-                reduced_count = oracles.count_minimal_vertex_covers(reduced.graph, reduced.k)
-                report.check(reduced.graph.n <= 2 * k * k and reduced.graph.m <= k * k,
-                             f"kernel size ({reduced.graph.n}, {reduced.graph.m}) "
-                             f"exceeds quadratic bounds for k={k}")
-            lifted = lift_minimal_vertex_cover(result.context, reduced_count)
-            report.check(lifted == direct,
-                         f"lift={lifted} direct={direct} (n={g.n}, m={g.m}, k={k})")
-    return _timed(report, start)
+
+    def quadratic_bounds(inst, trip):
+        if trip.result.context.payload["branch"] == "zero":
+            return []
+        g, k = trip.result.reduced.graph, inst.k
+        return [(g.n <= 2 * k * k and g.m <= k * k,
+                 f"kernel size ({g.n}, {g.m}) exceeds quadratic bounds")]
+
+    instances = (CountingInstance(g, None, k)
+                 for g in graph_corpus(graphs, nmax, seed) for k in range(kmax + 1))
+    return _round_trip_sweep("minimal-vc kernel end-to-end", minimal_vertex_cover_kernel(),
+                             instances, quadratic_bounds)
 
 
 def sweep_vc_size_bounds(graphs: int = 400, nmax: int = 6, kmax: int = 4,
@@ -358,41 +359,39 @@ def sweep_sum(tuples: int = 500, nmax: int = 6, seed: int = 0) -> SweepReport:
 
 def sweep_ppt_oct(instances: int = 300, seed: int = 0) -> SweepReport:
     """Cut counts survive the transversal gadget, and outputs are nice."""
-    start = time.monotonic()
-    report = SweepReport("mincut-to-oct transformation")
-    rng = random.Random(seed)
-    produced = 0
-    while produced < instances:
-        n = rng.randint(2, 7)
-        g = oracles.random_graph(n, rng.choice((0.3, 0.45, 0.6)), rng.randrange(1 << 30))
-        if g.m == 0 or g.m > 6:
-            continue
-        if len(connected_components(g)) != 1:
-            continue
-        s, t = rng.sample(range(n), 2)
-        produced += 1
-        inst = CountingInstance(g, TerminalPair(s, t), None, "min-cut-size")
-        direct = oracles.count_min_st_cuts(g, TerminalPair(s, t))[0]
-        result = mincut_to_oct_reduce(inst)
-        gp, k = result.reduced.graph, result.reduced.k
-        transversals = oracles.count_odd_cycle_transversals(gp, k)
-        report.check(transversals == direct,
-                     f"oct={transversals} cuts={direct} (n={n}, m={g.m}, k={k})")
-        report.check(oracles.is_nice_oct_instance(gp, k),
-                     f"output not nice (n={n}, m={g.m}, k={k})")
-    return _timed(report, start)
+
+    def connected_cut_instances():
+        rng = random.Random(seed)
+        produced = 0
+        while produced < instances:
+            n = rng.randint(2, 7)
+            g = oracles.random_graph(n, rng.choice((0.3, 0.45, 0.6)), rng.randrange(1 << 30))
+            if g.m == 0 or g.m > 6:
+                continue
+            if len(connected_components(g)) != 1:
+                continue
+            s, t = rng.sample(range(n), 2)
+            produced += 1
+            yield CountingInstance(g, TerminalPair(s, t), None, "min-cut-size")
+
+    def nice(inst, trip):
+        reduced = trip.result.reduced
+        return [(oracles.is_nice_oct_instance(reduced.graph, reduced.k), "output not nice")]
+
+    return _round_trip_sweep("mincut-to-oct transformation", mincut_to_oct_ppt(),
+                             connected_cut_instances(), nice)
 
 
 def nice_oct_corpus(count: int, nmax: int, kmax: int, seed: int,
-                    ) -> list[tuple[Graph, int]]:
+                    ) -> list[CountingInstance]:
     rng = random.Random(seed)
-    corpus = [(Graph.empty(1), 0)]
+    corpus = [CountingInstance(Graph.empty(1), None, 0)]
     while len(corpus) < count:
         n = rng.randint(1, nmax)
         g = oracles.random_graph(n, rng.choice((0.3, 0.5, 0.8)), rng.randrange(1 << 30))
         k = rng.randint(0, kmax)
         if oracles.is_nice_oct_instance(g, k):
-            corpus.append((g, k))
+            corpus.append(CountingInstance(g, None, k))
     return corpus
 
 
@@ -400,23 +399,19 @@ def sweep_ppt_vc(corpus_size: int = 200, nmax: int = 6, kmax: int = 3,
                  seed: int = 0) -> SweepReport:
     """Doubling a nice instance exactly doubles the count and pins the
     matching number and LP value at n."""
-    start = time.monotonic()
-    report = SweepReport("oct-to-vc transformation")
-    for g, k in nice_oct_corpus(corpus_size, nmax, kmax, seed):
-        direct = oracles.count_odd_cycle_transversals(g, k)
-        result = oct_to_vc_reduce(CountingInstance(g, None, k))
-        reduced = result.reduced
-        covers = oracles.count_vertex_covers(reduced.graph, reduced.k)
-        report.check(covers == 2 * direct,
-                     f"covers={covers} != 2*{direct} (n={g.n}, m={g.m}, k={k})")
-        report.check(oracles.max_matching_size(reduced.graph) == g.n,
-                     f"matching != n={g.n}")
-        report.check(oracles.lp_vc_value(reduced.graph) == Fraction(g.n),
-                     f"LP value != n={g.n}")
-        report.check(parameter_value(reduced) == k, "derived parameter != k")
-        report.check(oct_to_vc_lift(result.context, covers) == direct,
-                     "halving lift mismatch")
-    return _timed(report, start)
+
+    def doubled(inst, trip):
+        reduced, n = trip.result.reduced, inst.graph.n
+        return [
+            (trip.reduced_count == 2 * trip.direct_count,
+             f"covers={trip.reduced_count} != 2*{trip.direct_count}"),
+            (oracles.max_matching_size(reduced.graph) == n, f"matching != n={n}"),
+            (oracles.lp_vc_value(reduced.graph) == Fraction(n), f"LP value != n={n}"),
+            (parameter_value(reduced) == inst.k, "derived parameter != k"),
+        ]
+
+    return _round_trip_sweep("oct-to-vc transformation", oct_to_vc_ppt(),
+                             nice_oct_corpus(corpus_size, nmax, kmax, seed), doubled)
 
 
 def _verify_exact_tuple(report: SweepReport, parts, enumerate_count: bool) -> None:
@@ -519,6 +514,23 @@ def sweep_exact_td(tuples: int = 12, nmax: int = 10, seed: int = 0) -> SweepRepo
 # Suites
 # ---------------------------------------------------------------------------
 
+SUITES = {
+    "vc-kernel": lambda nmax, kmax, seed, n: [
+        sweep_vc_kernel(n(2000), nmax, kmax, seed),
+        sweep_map_size(seed, cases=n(120)),
+        sweep_dominance(kmax=max(kmax, 6)),
+        sweep_multiplicity_dp(limit=6),
+        sweep_vc_size_bounds(min(n(400), 400), nmax, kmax, seed),
+    ],
+    "minvc-kernel": lambda nmax, kmax, seed, n: [sweep_minimal_vc(n(2000), nmax, kmax, seed)],
+    "sum": lambda nmax, kmax, seed, n: [sweep_sum(n(500), nmax, seed)],
+    "exact": lambda nmax, kmax, seed, n: [sweep_exact(n(20), seed),
+                                          sweep_exact_td(n(12), 10, seed)],
+    "ppt-oct": lambda nmax, kmax, seed, n: [sweep_ppt_oct(n(300), seed)],
+    "ppt-vc": lambda nmax, kmax, seed, n: [sweep_ppt_vc(n(200), nmax, 3, seed)],
+}
+
+
 def run_suite(name: str, nmax: int = 6, kmax: int = 4, seed: int = 0,
               trials: int | None = None) -> list[SweepReport]:
     """Run one named verification suite; ``all`` runs everything."""
@@ -526,25 +538,8 @@ def run_suite(name: str, nmax: int = 6, kmax: int = 4, seed: int = 0,
     def n(default: int) -> int:
         return trials if trials is not None else default
 
-    suites = {
-        "vc-kernel": lambda: [
-            sweep_vc_kernel(n(2000), nmax, kmax, seed),
-            sweep_map_size(seed, cases=n(120)),
-            sweep_dominance(kmax=max(kmax, 6)),
-            sweep_multiplicity_dp(limit=6),
-            sweep_vc_size_bounds(min(n(400), 400), nmax, kmax, seed),
-        ],
-        "minvc-kernel": lambda: [sweep_minimal_vc(n(2000), nmax, kmax, seed)],
-        "sum": lambda: [sweep_sum(n(500), nmax, seed)],
-        "exact": lambda: [sweep_exact(n(20), seed), sweep_exact_td(n(12), 10, seed)],
-        "ppt-oct": lambda: [sweep_ppt_oct(n(300), seed)],
-        "ppt-vc": lambda: [sweep_ppt_vc(n(200), nmax, 3, seed)],
-    }
     if name == "all":
-        reports = []
-        for make in suites.values():
-            reports.extend(make())
-        return reports
-    if name not in suites:
+        return [report for suite in SUITES.values() for report in suite(nmax, kmax, seed, n)]
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return suites[name]()
+    return SUITES[name](nmax, kmax, seed, n)

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from math import comb
 
@@ -243,11 +244,44 @@ def test_verify_suite_exit_codes(tmp_path, capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+# The checks each sweep of ``verify all --nmax 5 --kmax 3 --seed 1
+# --trials 10`` made before the round trips shared ``verify_compression``.
+SMALL_SCALE_CHECKS = {
+    "vc-kernel end-to-end": 40,
+    "blowup decomposition at tiny scale": 10,
+    "multiplicity dominance": 1024,
+    "multiplicity closed form vs DP vs enumeration": 6860,
+    "vc kernel size bounds": 64,
+    "minimal-vc kernel end-to-end": 74,
+    "sum composition": 20,
+    "exact composition": 47,
+    "exact composition treewidth witness": 14,
+    "mincut-to-oct transformation": 20,
+    "oct-to-vc transformation": 50,
+}
+
+
 def test_verify_all_succeeds_at_small_scale(capsys):
     assert main(["verify", "all", "--nmax", "5", "--kmax", "3", "--seed", "1",
-                 "--trials", "10"]) == 0
+                 "--trials", "10", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["outputs"]["passed"] is True
+    checks = report["checks"]
+    assert [c["name"] for c in checks] == list(SMALL_SCALE_CHECKS)
+    for check in checks:
+        assert check["passed"], check
+        checked = int(check["detail"].split(" checks")[0])
+        assert checked >= SMALL_SCALE_CHECKS[check["name"]], check
+
+
+def test_verify_fails_a_sweep_whose_lift_refuses_the_count(monkeypatch, capsys):
+    # One more than the blowup's true count: the lift finds a residue and
+    # refuses it, which is a failed check, not an input error.
+    reference = vc_kernel.reference_blowup_count
+    monkeypatch.setattr(vc_kernel, "reference_blowup_count", lambda r: reference(r) + 1)
+    assert main(["verify", "vc-kernel", "--trials", "20"]) == 1
     out = capsys.readouterr().out
-    assert out.count("PASS") >= 10 and "FAIL" not in out
+    assert re.search(r"^FAIL vc-kernel end-to-end: .*\(n=\d+, m=\d+, k=\d+\)$", out, re.M), out
 
 
 def test_verify_json_report(capsys):

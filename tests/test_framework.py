@@ -210,6 +210,21 @@ def test_verify_compression_propagates_size_guard():
         verify_compression(ident, CountingInstance(Graph.empty(64), None, 32))
 
 
+def test_verify_compression_counts_a_blowup_by_its_reference(monkeypatch):
+    from countkernel import vc_kernel
+
+    # one edge at k = 2: d = 2, t = 38, 124,314 subsets the oracle could enumerate
+    edge = Graph.from_edges(2, [(0, 1)])
+
+    def refuse(*args):
+        raise AssertionError("verify_compression built the blowup for the oracle")
+
+    monkeypatch.setattr(vc_kernel, "padded_blowup_graph", refuse)
+    report = verify_compression(vc_kernel.vertex_cover_kernel(), CountingInstance(edge, None, 2))
+    assert report.passed and report.direct_count == report.lifted_count == 3
+    assert report.reduced_count == vc_kernel.decomposed_blowup_count(edge, 2, 38, 2)
+
+
 @pytest.mark.parametrize("problem", ["vertex-cover", "minimal-vertex-cover",
                                      "odd-cycle-transversal"])
 def test_oracle_count_refuses_a_large_blowup_before_building_it(monkeypatch, problem):

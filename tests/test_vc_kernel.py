@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -7,6 +8,7 @@ from countkernel.framework import (
     IntegrityError,
     LiftContext,
     ProtocolError,
+    oracle_count,
 )
 from countkernel import vc_kernel
 from countkernel.graphs import Graph, induced_subgraph, ordered, serialize_graph
@@ -26,6 +28,7 @@ from countkernel.vc_kernel import (
     padded_blowup_graph,
     reduce_minimal_vertex_cover,
     reduce_vertex_cover,
+    reference_blowup_count,
     strip_isolated,
 )
 from countkernel.verification import (
@@ -332,6 +335,24 @@ def test_tiny_blowup_decomposition_brute_force():
                        * blowup_cover_multiplicity(i, copies, padding, k2, core.n)
                        for i in range(min(k2, core.n) + 1))
         assert direct == expected
+
+
+def test_oracle_matches_the_reference_on_the_enumerable_kernel_outputs():
+    # The round trips count a blowup by its reference, never by the oracle,
+    # so the oracle checks the reference here on every blowup the C01
+    # corpus makes that it can enumerate.
+    blowups = {}
+    for g in graph_corpus(2000, 6, 0):
+        for k in range(5):
+            reduced = reduce_vertex_cover(CountingInstance(g, None, k)).reduced
+            if isinstance(reduced.graph, PaddedBlowup):
+                candidates = sum(comb(reduced.graph.n, i) for i in range(reduced.k + 1))
+                if candidates <= 130_000:
+                    blowups[reduced] = candidates
+    # the empty core, and one edge at k2 = 1 and k2 = 2
+    assert sorted(blowups.values()) == [1, 137, 124_314], blowups
+    for reduced in blowups:
+        assert oracle_count("vertex-cover", reduced) == reference_blowup_count(reduced), reduced
 
 
 def test_lift_rejects_impossible_coefficients():
