@@ -5,9 +5,12 @@ Vertices are dense 0-based indices.  The text file format is 1-based
 (see ``parse_graph``).  ``parse_graph`` reads a file laid out the way
 ``serialize_graph`` writes it in bulk, and any other file line by line;
 the two paths agree on every text, and each checks every edge once.
-All types are immutable values; every transformation returns a new
-graph together with explicit provenance maps, so callers never rely on
-index arithmetic.
+The bulk path keeps the edges as the two endpoint columns it read, and
+``Graph.edges`` is built from them only when something reads it: the
+#VC kernel's reduce never does (see ``Graph``).  All types are
+immutable values; every transformation returns a new graph together
+with explicit provenance maps, so callers never rely on index
+arithmetic.
 """
 
 from __future__ import annotations
@@ -38,36 +41,57 @@ def ordered(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     Invariants enforced at construction: no self-loops, every endpoint
     below ``n``.  Duplicate edges cannot be represented (``edges`` is a
-    set of normalized pairs).
+    set of normalized pairs).  A graph is immutable.
+
+    A graph holds its edges in one of two forms behind one API.
+    ``Graph(n, edges)`` holds the set, and derives the two endpoint
+    columns (``columns``) from it when they are asked for.  The bulk
+    parse, the degree rule and the isolated-vertex strip build graphs
+    that hold only the columns, and ``edges`` builds the set of ordered
+    pairs from them on its first read, O(m), and caches it.  The #VC
+    reduce reads only the columns, so it never builds a parsed host's
+    edge set.  ``m`` is O(1) in both forms.  ``==``, ``hash`` and
+    ``repr`` read ``edges``, so the two forms of one graph are equal
+    and hash alike.
     """
 
-    n: int
-    edges: frozenset[Edge]
-
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, edges: frozenset[Edge]):
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+            if not (0 <= u < v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_columns", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: Graph is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: Graph is immutable")
 
     @classmethod
-    def _checked(cls, n: int, edges: frozenset[Edge]) -> "Graph":
+    def _checked(cls, n: int, edges: frozenset[Edge] | None = None,
+                 columns: tuple[list[int], list[int]] | None = None) -> "Graph":
         """A graph whose edges the caller has already checked: distinct
-        pairs u < v below a nonnegative n.  Only the two paths of
-        ``parse_graph`` call it, so a file's edges are checked once, as
-        they are read."""
+        pairs below a nonnegative n, given as a set of pairs u < v or as
+        endpoint columns in either orientation.  Only ``parse_graph``,
+        which checks a file's edges once as it reads them, and the
+        degree rule and the strip, which renumber checked edges, call
+        it."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", edges)
+        if edges is not None:
+            object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "_columns", columns)
         return g
 
     @classmethod
@@ -78,9 +102,36 @@ class Graph:
     def empty(cls, n: int) -> "Graph":
         return cls(n, frozenset())
 
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        # Only a column-backed graph gets here; the set form holds its edges.
+        us, vs = self._columns
+        return frozenset([(u, v) if u < v else (v, u) for u, v in zip(us, vs)])
+
+    def columns(self) -> tuple[list[int], list[int]]:
+        """The edges as two endpoint lists: the i-th edge joins ``us[i]``
+        and ``vs[i]``, in either order.  A column-backed graph returns
+        the lists it holds, which the caller must not change; a graph
+        built from a set derives them from ``edges``, O(m), on each
+        call."""
+        if self._columns is not None:
+            return self._columns
+        return [u for u, _ in self.edges], [v for _, v in self.edges]
+
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self._columns[0]) if self._columns is not None else len(self.edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(n={self.n!r}, edges={self.edges!r})"
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -210,7 +261,9 @@ def parse_graph(text: str | bytes) -> ParsedGraph:
     the bulk path finds a fault in, is read by the line loop
     (``_parse_lines``), which raises ``ParseError`` with the offending
     line.  Both paths check each edge once, as they read it, and build
-    the ``Graph`` without checking its edges again.
+    the ``Graph`` without checking its edges again: the bulk path from
+    its endpoint columns, whose edge set is built on first read, and the
+    line loop from the edge set it collected.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -230,8 +283,9 @@ def _parse_bulk(text: str) -> ParsedGraph | None:
     a line; the second and third columns are converted with ``int``,
     which refuses ``e``, so the lines start exactly at every third
     token and each is ``e <u> <v>``, split as the line loop splits it.
-    Range and self-loops are checked on the columns, duplicates and the
-    count by the size of the edge set.  Anything else returns None, so
+    Range and self-loops are checked on the columns, the count by their
+    length, and duplicates by the size of a set of canonical int keys
+    u*n + v, u < v, dropped once checked.  Anything else returns None, so
     the line loop reparses the file and reports the fault with its
     line number.
     """
@@ -281,7 +335,8 @@ def _parse_bulk(text: str) -> ParsedGraph | None:
     except ValueError:  # a wrong field count or a field that is not an integer
         return None
 
-    pairs: list[Edge] = []
+    us: list[int] = []
+    vs: list[int] = []
     pos = p_end + 1
     while pos < end:
         cut = text.find("\n", pos + _BULK_CHUNK, end)
@@ -290,20 +345,20 @@ def _parse_bulk(text: str) -> ParsedGraph | None:
         chunk = _edge_chunk(text[pos:cut], n)
         if chunk is None:
             return None
-        pairs += chunk
+        us += chunk[0]
+        vs += chunk[1]
         pos = cut + 1
-    if len(pairs) != m:
+    if len(us) != m:
         return None
-    edges = frozenset(pairs)
-    if len(edges) != m:  # a duplicate edge
-        return None
-    return ParsedGraph(Graph._checked(n, edges), terminals, k)
+    if len({u * n + v if u < v else v * n + u for u, v in zip(us, vs)}) != m:
+        return None  # a duplicate edge
+    return ParsedGraph(Graph._checked(n, columns=(us, vs)), terminals, k)
 
 
-def _edge_chunk(chunk: str, n: int) -> list[Edge] | None:
-    """The edges of a chunk of ``e`` lines as ordered 0-based pairs, or
-    None if a line is not ``e <u> <v>``, an endpoint is not an integer
-    in 1..n or an edge is a self-loop."""
+def _edge_chunk(chunk: str, n: int) -> tuple[list[int], list[int]] | None:
+    """The 0-based endpoint columns of a chunk of ``e`` lines, in file
+    order, or None if a line is not ``e <u> <v>``, an endpoint is not
+    an integer in 1..n or an edge is a self-loop."""
     lines = chunk.count("\n") + 1
     if not chunk.startswith("e ") or chunk.count("\ne ") != lines - 1:
         return None
@@ -317,7 +372,7 @@ def _edge_chunk(chunk: str, n: int) -> list[Edge] | None:
         return None
     if min(us) < 1 or min(vs) < 1 or max(us) > n or max(vs) > n or any(map(eq, us, vs)):
         return None
-    return [(u - 1, v - 1) if u < v else (v - 1, u - 1) for u, v in zip(us, vs)]
+    return [u - 1 for u in us], [v - 1 for v in vs]
 
 
 def _parse_lines(text: str) -> ParsedGraph:

@@ -20,13 +20,14 @@ Reduce pipeline for the counting kernel:
    (``PaddedBlowup``): its file is written row by row from the core,
    and its d^2*m2 edges are built only for a caller that asks for them.
 
-Steps 1 and 2 work on the edge set alone, never on ``Graph.adjacency``
-or on anything sized by the declared n: O(m) per round of the rule
-(degrees in a ``Counter``, the deleted vertices in a set), and the rule
-needs at most k + 1 rounds, usually two; the strip ranks the endpoints
-of the surviving edges, O(m log m).  Their time and memory do not
-depend on n, so a file that declares n = 10^12 costs what its edges
-cost, and n1 is carried as a number.
+Steps 1 and 2 work on the endpoint columns alone (``Graph.columns``),
+never on ``Graph.adjacency``, on ``Graph.edges`` or on anything sized
+by the declared n: O(m) per round of the rule (degrees in a
+``Counter``, the deleted vertices in a set), and the rule needs at most
+k + 1 rounds, usually two; the strip ranks the endpoints of the
+surviving edges, O(m log m).  Their time and memory do not depend on n,
+so a file that declares n = 10^12 costs what its edges cost, and n1 is
+carried as a number.  A parsed host's edge set is never built.
 
 The count of the blown-up instance decomposes as ``sum_i y_i * w_i``
 where ``y_i`` is the number of core covers of size exactly ``i`` and
@@ -53,7 +54,7 @@ from __future__ import annotations
 from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, compress, product
 from math import comb
 
 from . import oracles
@@ -94,25 +95,29 @@ def buss_reduce(g: Graph, k: int) -> tuple[Graph, int] | None:
     the budget, deleting them one by one would reach budget 0 with one
     still above it, which is None.
 
-    A round counts degrees over the surviving edges in a ``Counter``
-    and drops the edges of the deleted vertices, O(m) with no adjacency
-    built and nothing sized by ``g.n``.  The first round takes every
-    vertex of degree above k; a later one deletes anything only when
-    earlier deletions left a vertex above the lowered budget.  Every
-    round but the last deletes at least one vertex, so there are at
-    most k + 1 rounds, and two when the first round's deletions settle
-    the rule.  A surviving vertex v is renumbered v - (deleted vertices
-    below v), found by bisection in the sorted deleted list.  When the
-    first round deletes nothing the result is ``(g, k)`` itself, with
-    no edge rebuilt.
+    The rule reads the endpoint columns of ``g`` (``Graph.columns``),
+    in their order, and never its edge set.  A round counts degrees in
+    a ``Counter`` over both columns and drops the edges of the deleted
+    vertices from both with ``compress``: O(m), with no adjacency, edge
+    set or tuple built and nothing sized by ``g.n``.  The first round takes every vertex of degree above k;
+    a later one deletes anything only when earlier deletions left a
+    vertex above the lowered budget.  Every round but the last deletes
+    at least one vertex, so there are at most k + 1 rounds, and two
+    when the first round's deletions settle the rule.  A surviving
+    vertex v is renumbered v - (deleted vertices below v), found by
+    bisection in the sorted deleted list, and the result holds the
+    renumbered columns, so its ``m`` is known without building its edge
+    set.  When the first round deletes nothing the result is ``(g, k)``
+    itself, with no edge rebuilt.
     """
     if k < 0:
         return None
-    edges = g.edges
+    us, vs = g.columns()
     budget = k
     deleted: list[int] = []
     while True:
-        degree = Counter(chain.from_iterable(edges))
+        degree = Counter(us)
+        degree.update(vs)
         victims = {v for v, d in degree.items() if d > budget}
         if not victims:
             break
@@ -120,27 +125,31 @@ def buss_reduce(g: Graph, k: int) -> tuple[Graph, int] | None:
             return None
         budget -= len(victims)
         deleted += victims
-        edges = [e for e in edges if e[0] not in victims and e[1] not in victims]
+        keep = [u not in victims and v not in victims for u, v in zip(us, vs)]
+        us, vs = list(compress(us, keep)), list(compress(vs, keep))
     if not deleted:
         return g, k
     deleted.sort()
-    kept = frozenset((u - bisect(deleted, u), v - bisect(deleted, v)) for u, v in edges)
-    return Graph(g.n - len(deleted), kept), budget
+    kept = ([u - bisect(deleted, u) for u in us], [v - bisect(deleted, v) for v in vs])
+    return Graph._checked(g.n - len(deleted), columns=kept), budget
 
 
 def strip_isolated(g1: Graph, k1: int) -> tuple[Graph, int, int]:
     """Drop isolated vertices; returns (core, unchanged budget, n1).
 
-    Ranks the endpoints of the edges in increasing order and renumbers
-    each edge by the ranks: O(m log m), with no adjacency built and
-    nothing sized by ``g1.n``.  When every vertex is an endpoint the
-    core is ``g1`` itself, with no edge rebuilt.
+    Ranks the endpoints of the edge columns in increasing order and
+    renumbers both columns by the ranks: O(m log m), with no adjacency
+    or edge set built and nothing sized by ``g1.n``.  The core holds the
+    renumbered columns, so its ``m`` is known without building its edge
+    set.  When every vertex is an endpoint the core is ``g1`` itself.
     """
-    endpoints = set(chain.from_iterable(g1.edges))
+    us, vs = g1.columns()
+    endpoints = {*us, *vs}
     if len(endpoints) == g1.n:
         return g1, k1, g1.n
     rank = {v: i for i, v in enumerate(sorted(endpoints))}
-    return Graph(len(rank), frozenset((rank[u], rank[v]) for u, v in g1.edges)), k1, g1.n
+    core = Graph._checked(len(rank), columns=([rank[u] for u in us], [rank[v] for v in vs]))
+    return core, k1, g1.n
 
 
 def padded_blowup_graph(core: Graph, copies: int, padding: int) -> Graph:

@@ -371,6 +371,28 @@ def test_parse_reads_canonical_files_in_bulk(monkeypatch):
     assert parse_graph(comment) == expected
 
 
+@pytest.mark.parametrize("reverse", [True, False])
+def test_bulk_parse_finds_a_duplicate_chunks_apart(reverse):
+    # The last e line repeats the first edge, 2*10^5 lines and several
+    # bulk chunks later; the p line counts it, so only the repeat is wrong.
+    rng = random.Random(9)
+    n = 100_000
+    edges = set()
+    while len(edges) < 200_000:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add(ordered(u, v))
+    lines = serialize_graph(Graph(n, frozenset(edges))).splitlines()
+    lines[0] = f"p {n} {len(edges) + 1}"
+    u, v = lines[1].split()[1:]
+    lines.append(f"e {v} {u}" if reverse else f"e {u} {v}")
+    text = "\n".join(lines) + "\n"
+    assert len(text) > 2 * graphs._BULK_CHUNK
+    dup = f"{v} {u}" if reverse else f"{u} {v}"
+    with pytest.raises(ParseError, match=f"^line {len(lines)}: duplicate edge {dup}$"):
+        parse_graph(text)
+
+
 def test_subdivide_triangle_gives_six_cycle():
     out, edge_map = subdivide_all_edges(K3)
     assert out.n == 6 and out.m == 6

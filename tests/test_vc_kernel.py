@@ -11,7 +11,7 @@ from countkernel.framework import (
     oracle_count,
 )
 from countkernel import vc_kernel
-from countkernel.graphs import Graph, induced_subgraph, ordered, serialize_graph
+from countkernel.graphs import Graph, induced_subgraph, ordered, parse_graph, serialize_graph
 from countkernel.oracles import (
     count_minimal_vertex_covers,
     count_vertex_covers,
@@ -431,6 +431,33 @@ def assert_matches_reference(g, k):
         assert strip_isolated(*got) == reference_strip_isolated(*want), (g, k)
 
 
+def parsed_form(g):
+    """``g`` read back by the bulk parse from a file whose ``e`` lines are
+    shuffled and whose endpoints are in random order, as the benchmark
+    writes its hosts: the graph held as endpoint columns."""
+    rng = random.Random(0)
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.sorted_edges()]
+    rng.shuffle(pairs)
+    text = f"p {g.n} {g.m}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in pairs)
+    parsed = parse_graph(text).graph
+    assert "edges" not in parsed.__dict__, "the bulk parse built the edge set"
+    return parsed
+
+
+def both_forms(g):
+    """``g`` as built from its edge set and as parsed into columns."""
+    return g, parsed_form(g)
+
+
+def assert_forms_match_reference(g, ks):
+    """``assert_matches_reference`` at each k on both forms of ``g``,
+    which must be equal and hash alike."""
+    for form in both_forms(g):
+        for k in ks:
+            assert_matches_reference(form, k)
+        assert form == g and hash(form) == hash(g)
+
+
 def hub_and_leaf_host(seed, n, hubs, core_edges, core_n):
     """Hubs first, then the core, then leaves of the hubs round robin and
     a seeded handful of isolated vertices, under a seeded relabelling."""
@@ -460,8 +487,7 @@ def cliques(count, size):
 
 def test_buss_and_strip_match_reference_on_corpus():
     for g in graph_corpus(3000, 6, 0):
-        for k in range(5):
-            assert_matches_reference(g, k)
+        assert_forms_match_reference(g, range(5))
 
 
 def test_reduce_returns_an_unchanged_host_itself():
@@ -497,11 +523,12 @@ CORES = {"stars": stars([3, 3, 2]), "second-round": stars([5, 3]), "dense": cliq
 @pytest.mark.parametrize("core", sorted(CORES))
 def test_buss_and_strip_match_reference_on_hub_and_leaf_hosts(seed, core):
     g = hub_and_leaf_host(seed, 2000, HUBS, *CORES[core])
-    for k in (HUBS - 1, HUBS, HUBS + K2 - 1, HUBS + K2, HUBS + K2 + 3):
-        assert_matches_reference(g, k)
-    branch = reduce_vertex_cover(CountingInstance(g, None, HUBS + K2)).context.payload["branch"]
-    assert branch == ("zero" if core == "dense" else "normal")
-    assert buss_reduce(g, HUBS - 1) is None
+    assert_forms_match_reference(g, (HUBS - 1, HUBS, HUBS + K2 - 1, HUBS + K2, HUBS + K2 + 3))
+    for form in both_forms(g):
+        inst = CountingInstance(form, None, HUBS + K2)
+        branch = reduce_vertex_cover(inst).context.payload["branch"]
+        assert branch == ("zero" if core == "dense" else "normal")
+        assert buss_reduce(form, HUBS - 1) is None
 
 
 @pytest.mark.parametrize("edges, n, k, expected", [
@@ -523,22 +550,27 @@ def test_buss_and_strip_match_reference_on_hub_and_leaf_hosts(seed, core):
 ])
 def test_buss_budget_exhaustion_boundaries(edges, n, k, expected):
     g = Graph.from_edges(n, edges)
-    assert buss_reduce(g, k) == expected
-    assert_matches_reference(g, k)
+    for form in both_forms(g):
+        assert buss_reduce(form, k) == expected
+    assert_forms_match_reference(g, (k,))
 
 
 def test_reduced_instance_and_context_are_byte_identical_to_reference(monkeypatch):
     g = hub_and_leaf_host(11, 20_000, HUBS, *CORES["second-round"])
 
-    def outputs():
-        result = reduce_vertex_cover(CountingInstance(g, None, HUBS + K2))
+    def outputs(host):
+        result = reduce_vertex_cover(CountingInstance(host, None, HUBS + K2))
         return (serialize_graph(result.reduced.graph, k=result.reduced.k),
                 result.context.to_json())
 
-    fast = outputs()
+    fast = outputs(g)
+    assert outputs(parsed_form(g)) == fast
     monkeypatch.setattr(vc_kernel, "buss_reduce", reference_buss_reduce)
     monkeypatch.setattr(vc_kernel, "strip_isolated", reference_strip_isolated)
-    assert outputs() == fast
+    assert outputs(g) == fast
+    parsed = parsed_form(g)
+    assert outputs(parsed) == fast
+    assert parsed == g and hash(parsed) == hash(g)
     assert '"branch": "normal"' in fast[1]
 
 
@@ -557,3 +589,24 @@ def test_reduce_never_builds_the_adjacency(monkeypatch):
     assert g1.n > 90_000
     assert "adjacency" not in g.__dict__
     assert "adjacency" not in g1.__dict__
+
+
+def test_reduce_never_builds_the_host_edge_set():
+    g = parsed_form(hub_and_leaf_host(5, 100_000, HUBS, *CORES["stars"]))
+    for reduce in (reduce_vertex_cover, reduce_minimal_vertex_cover):
+        result = reduce(CountingInstance(g, None, HUBS + K2))
+        assert result.context.payload["branch"] == "normal"
+        assert result.context.payload["n1"] == str(g.n - HUBS)
+    assert g.m > 90_000
+    assert "edges" not in g.__dict__
+    assert "adjacency" not in g.__dict__
+
+
+def test_zero_branch_of_a_host_below_the_budget_builds_no_edge_set():
+    # A 40,000-edge path and isolated vertices: degree 2 <= k, so the rule
+    # deletes nothing, and the strip leaves far more than k^2 edges.
+    n, k = 100_000, 12
+    g = parsed_form(Graph.from_edges(n, [(v, v + 1) for v in range(40_000)]))
+    for reduce in (reduce_vertex_cover, reduce_minimal_vertex_cover):
+        assert reduce(CountingInstance(g, None, k)).context.payload["branch"] == "zero"
+    assert "edges" not in g.__dict__
