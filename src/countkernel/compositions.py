@@ -247,18 +247,20 @@ class ExactMetadata:
 
     @classmethod
     def from_json(cls, text: str) -> "ExactMetadata":
-        """Decode strictly; every fault raises ProtocolError.
+        """Decode strictly; every fault raises ProtocolError, text that
+        is not JSON or nests deeper than the decoder can follow included.
 
         Every key must be present, the counts nonnegative JSON integers
         and the branch ``gadget`` or ``trivial``.  The fields must be
         ones ``exact_compose`` emits: ell >= 1, m even, one exponent
         m*(i-1) + m*(ell-1) per input, the trivial branch exactly when
         ell >= 2^(m/2), and there one recorded answer per input as a
-        nonnegative decimal string.
+        nonnegative decimal string that ``int`` converts, which caps its
+        length (4,300 digits by default).
         """
         try:
             doc = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ProtocolError(f"exact metadata is not JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise ProtocolError("exact metadata is not an object")
@@ -286,7 +288,11 @@ class ExactMetadata:
                     isinstance(a, str) and a.isascii() and a.isdigit() for a in answers)):
                 raise ProtocolError(
                     f"trivial exact metadata needs {ell} recorded answers as decimal strings")
-            answers = tuple(int(a) for a in answers)
+            try:
+                answers = tuple(int(a) for a in answers)
+            except ValueError:
+                raise ProtocolError(
+                    "exact metadata recorded answer has more digits than int() converts") from None
         elif answers is not None:
             raise ProtocolError("gadget exact metadata carries recorded answers")
         return cls(branch, ell, m, k, tuple(exponents), answers)

@@ -173,14 +173,20 @@ class LiftContext:
 
     @classmethod
     def from_json(cls, text: str) -> "LiftContext":
-        return cls.from_doc(json.loads(text))
+        """Decode a context document.  Text that is not JSON, or that
+        nests deeper than the decoder can follow, raises ProtocolError."""
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise ProtocolError(f"lift context is not JSON: {exc}") from None
+        return cls.from_doc(doc)
 
     def expect(self, compression: str) -> dict:
         """Return the payload after checking ownership, version and type."""
         if self.compression != compression:
             raise ProtocolError(
                 f"context belongs to {self.compression!r}, not {compression!r}")
-        if self.version != CONTEXT_VERSION:
+        if type(self.version) is not int or self.version != CONTEXT_VERSION:  # True == 1.0 == 1
             raise ProtocolError(f"unsupported context version {self.version}")
         if not isinstance(self.payload, dict):
             raise ProtocolError(f"{compression} context payload is not an object")
@@ -190,7 +196,8 @@ class LiftContext:
 def decimal_fields(payload: dict, owner: str, names) -> dict[str, int]:
     """The named payload fields as integers.
 
-    Each must be present and a nonnegative ASCII decimal string;
+    Each must be present and a nonnegative ASCII decimal string that
+    ``int`` converts, which caps its length (4,300 digits by default);
     anything else raises ProtocolError.
     """
     fields = {}
@@ -201,7 +208,11 @@ def decimal_fields(payload: dict, owner: str, names) -> dict[str, int]:
         if not (isinstance(value, str) and value.isascii() and value.isdigit()):
             raise ProtocolError(
                 f"{owner} context field {f!r} is {value!r}, not a nonnegative decimal string")
-        fields[f] = int(value)
+        try:
+            fields[f] = int(value)
+        except ValueError:
+            raise ProtocolError(f"{owner} context field {f!r} has {len(value)} digits, "
+                                "more than int() converts") from None
     return fields
 
 

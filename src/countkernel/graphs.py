@@ -2,24 +2,25 @@
 transformations shared by the kernels and the cut compositions.
 
 Vertices are dense 0-based indices.  The text file format is 1-based
-(see ``parse_graph``).  ``parse_graph`` reads a file laid out the way
-``serialize_graph`` writes it in bulk, and any other file line by line;
-the two paths agree on every text, and each checks every edge once.
-The bulk path keeps the edges as the two endpoint columns it read, and
-``Graph.edges`` is built from them only when something reads it: the
-#VC kernel's reduce never does (see ``Graph``).  All types are
-immutable values; every transformation returns a new graph together
-with explicit provenance maps, so callers never rely on index
-arithmetic.
+(see ``parse_graph``).  ``parse_graph`` reads a file once, a chunk at
+a time: each run of ``e`` lines in bulk, every other line by the
+record rules, and each edge checked once.  It keeps the edges as two
+endpoint columns, and ``Graph.edges`` is built from them only when
+something reads it: the #VC kernel's reduce never does (see
+``Graph``).  All types are immutable values; every transformation
+returns a new graph together with explicit provenance maps, so callers
+never rely on index arithmetic.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 from operator import eq
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 Edge = tuple[int, int]
 
@@ -50,14 +51,14 @@ class Graph:
 
     A graph holds its edges in one of two forms behind one API.
     ``Graph(n, edges)`` holds the set, and derives the two endpoint
-    columns (``columns``) from it when they are asked for.  The bulk
-    parse, the degree rule and the isolated-vertex strip build graphs
-    that hold only the columns, and ``edges`` builds the set of ordered
-    pairs from them on its first read, O(m), and caches it.  The #VC
-    reduce reads only the columns, so it never builds a parsed host's
-    edge set.  ``m`` is O(1) in both forms.  ``==``, ``hash`` and
-    ``repr`` read ``edges``, so the two forms of one graph are equal
-    and hash alike.
+    columns (``columns``) from it when they are asked for.
+    ``parse_graph``, the degree rule and the isolated-vertex strip build
+    graphs that hold only the columns, and ``edges`` builds the set of
+    ordered pairs from them on its first read, O(m), and caches it.  The
+    #VC reduce reads only the columns, so it never builds a parsed
+    host's edge set.  ``m`` is O(1) in both forms.  ``==``, ``hash`` and
+    ``repr`` read ``edges``, so the two forms of one graph are equal and
+    hash alike.
     """
 
     def __init__(self, n: int, edges: frozenset[Edge]):
@@ -79,18 +80,14 @@ class Graph:
         raise AttributeError(f"cannot delete {name!r}: Graph is immutable")
 
     @classmethod
-    def _checked(cls, n: int, edges: frozenset[Edge] | None = None,
-                 columns: tuple[list[int], list[int]] | None = None) -> "Graph":
+    def _checked(cls, n: int, columns: tuple[list[int], list[int]]) -> "Graph":
         """A graph whose edges the caller has already checked: distinct
-        pairs below a nonnegative n, given as a set of pairs u < v or as
-        endpoint columns in either orientation.  Only ``parse_graph``,
-        which checks a file's edges once as it reads them, and the
-        degree rule and the strip, which renumber checked edges, call
-        it."""
+        pairs below a nonnegative n, given as endpoint columns in either
+        orientation.  Only ``parse_graph``, which checks a file's edges
+        once as it reads them, and the degree rule and the strip, which
+        renumber checked edges, call it."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
-        if edges is not None:
-            object.__setattr__(g, "edges", edges)
         object.__setattr__(g, "_columns", columns)
         return g
 
@@ -237,13 +234,13 @@ class TdCheck:
 # File format
 # ---------------------------------------------------------------------------
 
-# The bulk path reads the ``e`` block a chunk at a time, each chunk cut
-# at the first line break after this many characters (about 80,000
-# lines): one ``split()`` of a whole 10^6-edge file costs more memory
-# than the edge set it yields.
+# ``parse_graph`` reads a text a chunk at a time, each chunk cut at the
+# first line break after this many characters (about 80,000 lines): one
+# ``split()`` of a whole 10^6-edge file costs more memory than the edges
+# it yields.
 _BULK_CHUNK = 1 << 20
-# The line breaks ``str.splitlines`` honours besides "\n".  Any of them
-# sends a file to the line loop, which counts lines by them.
+# The line breaks ``str.splitlines`` honours besides "\n".  A text that
+# holds any of them is read line by line, numbered as splitlines numbers.
 _OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
@@ -253,192 +250,199 @@ def parse_graph(text: str | bytes) -> ParsedGraph:
     One record per line: ``c <comment>``; ``p <n> <m>`` exactly once and
     first; ``e <u> <v>`` with 1-based endpoints, m times; optional
     ``t <s> <t>``; optional ``k <value>``.  Blank lines are ignored.
+    The first fault in file order raises ``ParseError`` with its 1-based
+    line number.
 
-    Two paths read the same format and agree: equal results, and the
-    same ``ParseError`` for every fault.  A file laid out the way
-    ``serialize_graph`` writes it is read in bulk, a chunk of ``e``
-    lines at a time (``_parse_bulk``).  Any other text, and any file
-    the bulk path finds a fault in, is read by the line loop
-    (``_parse_lines``), which raises ``ParseError`` with the offending
-    line.  Both paths check each edge once, as they read it, and build
-    the ``Graph`` without checking its edges again: the bulk path from
-    its endpoint columns, whose edge set is built on first read, and the
-    line loop from the edge set it collected.
+    The text is read once, in chunks of ``_BULK_CHUNK`` characters cut
+    at line breaks.  In each chunk the lines from the first that starts
+    with ``e `` to the last are checked in bulk (``_Reader.bulk``); the
+    lines around them, and all of them if the bulk check fails, go
+    through the record rules (``_Reader.record``), as does every line of
+    a text with a line break other than "\\n".  Each edge is checked
+    once and kept in the endpoint columns the ``Graph`` is built from.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    parsed = _parse_bulk(text)
-    return parsed if parsed is not None else _parse_lines(text)
-
-
-def _parse_bulk(text: str) -> ParsedGraph | None:
-    """The file read in bulk, or None when the bulk path cannot vouch
-    for it.
-
-    It reads text laid out as ``serialize_graph`` writes it: ``c``
-    lines, ``p n m``, the ``e`` block, then at most one ``t`` and one
-    ``k`` line, each line ending in a newline except perhaps the last.
-    Each chunk of the ``e`` block is ``split()`` once.  Every line of
-    it starts with ``e`` and a space, and the chunk holds three tokens
-    a line; the second and third columns are converted with ``int``,
-    which refuses ``e``, so the lines start exactly at every third
-    token and each is ``e <u> <v>``, split as the line loop splits it.
-    Range and self-loops are checked on the columns, the count by their
-    length, and duplicates by the size of a set of canonical int keys
-    u*n + v, u < v, dropped once checked.  Anything else returns None, so
-    the line loop reparses the file and reports the fault with its
-    line number.
-    """
+    reader = _Reader()
     if any(c in text for c in _OTHER_BREAKS):
-        return None
-    start = 0
-    while text.startswith("c", start):
-        start = text.find("\n", start) + 1
-        if not start:
-            return None
-    p_end = text.find("\n", start)
-    if p_end < 0:
-        p_end = len(text)
-    head = text[start:p_end].split()
-    if len(head) != 3 or head[0] != "p":
-        return None
-    try:
-        n, m = int(head[1]), int(head[2])
-    except ValueError:
-        return None
-    if n < 0 or m < 0:
-        return None
-
-    # The t and k lines, read from the end back to the e block.
-    tail: dict[str, list[str]] = {}
+        lines = text.splitlines()
+        reader.lines(lines, 1)
+        return reader.finish(len(lines))
     end = len(text) - text.endswith("\n")
-    while end > p_end:
-        cut = text.rfind("\n", p_end, end)
-        line = text[cut + 1:end]
-        if line[:2] not in ("t ", "k ") or line[0] in tail:
-            break
-        tail[line[0]] = line.split()
-        end = cut
-    terminals = k = None
-    try:
-        if "t" in tail:
-            _, s, t = tail["t"]
-            s, t = int(s), int(t)
-            if not (1 <= s <= n and 1 <= t <= n) or s == t:
-                return None
-            terminals = TerminalPair(s - 1, t - 1)
-        if "k" in tail:
-            _, k = tail["k"]
-            k = int(k)
-            if k < 0:
-                return None
-    except ValueError:  # a wrong field count or a field that is not an integer
-        return None
-
-    us: list[int] = []
-    vs: list[int] = []
-    pos = p_end + 1
-    while pos < end:
+    pos, line = 0, 1
+    while True:
         cut = text.find("\n", pos + _BULK_CHUNK, end)
         if cut < 0:
             cut = end
-        chunk = _edge_chunk(text[pos:cut], n)
-        if chunk is None:
-            return None
-        us += chunk[0]
-        vs += chunk[1]
+        line = reader.chunk(text, pos, cut, line)
+        if cut == end:
+            return reader.finish(line - 1)
         pos = cut + 1
-    if len(us) != m:
-        return None
-    if len({u * n + v if u < v else v * n + u for u, v in zip(us, vs)}) != m:
-        return None  # a duplicate edge
-    return ParsedGraph(Graph._checked(n, columns=(us, vs)), terminals, k)
 
 
-def _edge_chunk(chunk: str, n: int) -> tuple[list[int], list[int]] | None:
-    """The 0-based endpoint columns of a chunk of ``e`` lines, in file
-    order, or None if a line is not ``e <u> <v>``, an endpoint is not
-    an integer in 1..n or an edge is a self-loop."""
-    lines = chunk.count("\n") + 1
-    if not chunk.startswith("e ") or chunk.count("\ne ") != lines - 1:
-        return None
-    tokens = chunk.split()
-    if len(tokens) != 3 * lines:
-        return None
-    try:
-        us = list(map(int, tokens[1::3]))
-        vs = list(map(int, tokens[2::3]))
-    except ValueError:
-        return None
-    if min(us) < 1 or min(vs) < 1 or max(us) > n or max(vs) > n or any(map(eq, us, vs)):
-        return None
-    return [u - 1 for u in us], [v - 1 for v in vs]
+class _Reader:
+    """One parse: the records read so far, the edges as 0-based endpoint
+    columns, and ``marks``, the index and line of each edge that is not
+    on the line after the previous edge's, which give a duplicate found
+    later its line."""
 
+    def __init__(self):
+        self.n = self.m = self.terminals = self.k = None
+        self.us: list[int] = []
+        self.vs: list[int] = []
+        self.marks: list[tuple[int, int]] = []
+        self.next_line = 0
 
-def _parse_lines(text: str) -> ParsedGraph:
-    """The line loop: every record checked as it is read, and the first
-    fault raised as a ``ParseError`` with its 1-based line number."""
-    n = None
-    declared_m = 0
-    edges: set[Edge] = set()
-    terminals: TerminalPair | None = None
-    k: int | None = None
-    last_line = 0
+    def chunk(self, text: str, start: int, end: int, line: int) -> int:
+        """Read ``text[start:end]``, whole "\\n"-separated lines of which
+        the first is numbered ``line``; return the number of the line
+        after them.  The chunk is read in place: only its run of ``e``
+        lines and the few lines around that run are copied out."""
+        if text.startswith("e ", start, end):
+            first = start
+        else:
+            first = text.find("\ne ", start, end) + 1
+            if not first:
+                lines = text[start:end].split("\n")
+                self.lines(lines, line)
+                return line + len(lines)
+            self.lines(text[start:first - 1].split("\n"), line)
+        stop = text.find("\n", max(first, text.rfind("\ne ", start, end) + 1), end)
+        if stop < 0:
+            stop = end
+        run = text[first:stop]
+        run_line = line + text.count("\n", start, first)
+        after = run_line + run.count("\n") + 1
+        columns = self.bulk(run, after - run_line)
+        if columns:
+            self.edges(run_line, *columns)
+        else:
+            self.lines(run.split("\n"), run_line)
+        if stop < end:
+            self.lines(text[stop + 1:end].split("\n"), after)
+        return after + text.count("\n", stop, end)
 
-    def ints(parts: list[str], want: int, line: int) -> list[int]:
+    def bulk(self, run: str, lines: int) -> tuple[list[int], list[int]] | None:
+        """The 0-based endpoint columns of ``run``, ``lines`` lines that
+        each start with ``e ``, if a p record came before them and each
+        line is ``e <u> <v>`` with integers 1 <= u != v <= n; otherwise
+        None.
+
+        The run is ``split()`` once and must hold three tokens a line.
+        Its second and third columns are converted with ``int``, which
+        refuses ``e``, so the lines start exactly at every third token
+        and each is ``e <u> <v>``, split as the record rules split it.
+        Range and self-loops are checked on the columns.
+        """
+        if self.n is None or run.count("\ne ") != lines - 1:
+            return None
+        tokens = run.split()
+        if len(tokens) != 3 * lines:
+            return None
+        try:
+            us = list(map(int, tokens[1::3]))
+            vs = list(map(int, tokens[2::3]))
+        except ValueError:
+            return None
+        n = self.n
+        if min(us) < 1 or min(vs) < 1 or max(us) > n or max(vs) > n or any(map(eq, us, vs)):
+            return None
+        return [u - 1 for u in us], [v - 1 for v in vs]
+
+    def edges(self, line: int, us: list[int], vs: list[int]) -> None:
+        """Append checked 0-based edges read from consecutive lines, the
+        first numbered ``line``."""
+        if line != self.next_line:
+            self.marks.append((len(self.us), line))
+        self.next_line = line + len(us)
+        self.us += us
+        self.vs += vs
+
+    def lines(self, lines: Iterable[str], line: int) -> None:
+        for line_no, raw in enumerate(lines, start=line):
+            self.record(line_no, raw)
+
+    def record(self, line_no: int, raw: str) -> None:
+        """The record rules: one line checked and read."""
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            return
+        kind, *rest = line.split()
+        n = self.n
+        if kind == "p":
+            if n is not None:
+                self.fail(line_no, "duplicate p record")
+            n, m = self.ints(rest, 2, line_no)
+            if n < 0 or m < 0:
+                self.fail(line_no, "negative counts in p record")
+            self.n, self.m = n, m
+        elif n is None:
+            self.fail(line_no, f"record '{kind}' before p record")
+        elif kind == "e":
+            u, v = self.ints(rest, 2, line_no)
+            if not (1 <= u <= n and 1 <= v <= n):
+                self.fail(line_no, f"endpoint out of range 1..{n}")
+            if u == v:
+                self.fail(line_no, f"self-loop at vertex {u}")
+            self.edges(line_no, [u - 1], [v - 1])
+        elif kind == "t":
+            s, t = self.ints(rest, 2, line_no)
+            if not (1 <= s <= n and 1 <= t <= n):
+                self.fail(line_no, f"terminal out of range 1..{n}")
+            if s == t:
+                self.fail(line_no, "terminals must be distinct")
+            self.terminals = TerminalPair(s - 1, t - 1)
+        elif kind == "k":
+            (value,) = self.ints(rest, 1, line_no)
+            if value < 0:
+                self.fail(line_no, "parameter must be nonnegative")
+            self.k = value
+        else:
+            self.fail(line_no, f"unknown record type '{kind}'")
+
+    def ints(self, parts: list[str], want: int, line: int) -> list[int]:
         if len(parts) != want:
-            raise ParseError(line, f"expected {want} fields, got {len(parts)}")
+            self.fail(line, f"expected {want} fields, got {len(parts)}")
         try:
             return [int(p) for p in parts]
         except ValueError:
-            raise ParseError(line, f"non-integer field in {parts!r}") from None
+            pass
+        self.fail(line, f"non-integer field in {parts!r}")
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        last_line = line_no
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        kind, *rest = line.split()
-        if kind == "p":
-            if n is not None:
-                raise ParseError(line_no, "duplicate p record")
-            n, declared_m = ints(rest, 2, line_no)
-            if n < 0 or declared_m < 0:
-                raise ParseError(line_no, "negative counts in p record")
-            continue
-        if n is None:
-            raise ParseError(line_no, f"record '{kind}' before p record")
-        if kind == "e":
-            u, v = ints(rest, 2, line_no)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(line_no, f"endpoint out of range 1..{n}")
-            if u == v:
-                raise ParseError(line_no, f"self-loop at vertex {u}")
-            e = ordered(u - 1, v - 1)
-            if e in edges:
-                raise ParseError(line_no, f"duplicate edge {u} {v}")
-            edges.add(e)
-        elif kind == "t":
-            s, t = ints(rest, 2, line_no)
-            if not (1 <= s <= n and 1 <= t <= n):
-                raise ParseError(line_no, f"terminal out of range 1..{n}")
-            if s == t:
-                raise ParseError(line_no, "terminals must be distinct")
-            terminals = TerminalPair(s - 1, t - 1)
-        elif kind == "k":
-            (value,) = ints(rest, 1, line_no)
-            if value < 0:
-                raise ParseError(line_no, "parameter must be nonnegative")
-            k = value
-        else:
-            raise ParseError(line_no, f"unknown record type '{kind}'")
+    def fail(self, line: int, message: str) -> NoReturn:
+        """Raise the first fault in file order: a duplicate among the
+        edges read so far, which all come before ``line``, or else
+        ``message`` at ``line``."""
+        self.check_duplicates()
+        raise ParseError(line, message)
 
-    if n is None:
-        raise ParseError(max(last_line, 1), "missing p record")
-    if len(edges) != declared_m:
-        raise ParseError(max(last_line, 1),
-                         f"p record declares {declared_m} edges, found {len(edges)}")
-    return ParsedGraph(Graph._checked(n, frozenset(edges)), terminals, k)
+    def check_duplicates(self) -> None:
+        """Raise ``ParseError`` at the first edge that repeats an earlier
+        one, if any.
+
+        The canonical int keys u*n + v, u < v, of all edges go into one
+        set, dropped once counted; only when it is short does a second
+        pass look for the first repeat.
+        """
+        n, us, vs = self.n, self.us, self.vs
+        if len({u * n + v if u < v else v * n + u for u, v in zip(us, vs)}) == len(us):
+            return
+        seen = set()
+        for i, edge in enumerate(map(ordered, us, vs)):
+            if edge in seen:
+                first, line = self.marks[bisect(self.marks, (i, inf)) - 1]
+                raise ParseError(line + i - first, f"duplicate edge {us[i] + 1} {vs[i] + 1}")
+            seen.add(edge)
+
+    def finish(self, last_line: int) -> ParsedGraph:
+        """The parsed file, once its last line, numbered ``last_line``, is read."""
+        if self.n is None:
+            raise ParseError(max(last_line, 1), "missing p record")
+        self.check_duplicates()
+        if len(self.us) != self.m:
+            raise ParseError(max(last_line, 1),
+                             f"p record declares {self.m} edges, found {len(self.us)}")
+        return ParsedGraph(Graph._checked(self.n, (self.us, self.vs)), self.terminals, self.k)
 
 
 def serialize_graph(g: Graph, terminals: TerminalPair | None = None,

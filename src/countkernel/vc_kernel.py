@@ -295,6 +295,19 @@ def blowup_cover_multiplicity(i: int, copies: int, padding: int,
 # The counting kernel
 # ---------------------------------------------------------------------------
 
+def _kernel_core(inst: CountingInstance, kernel: str) -> tuple[Graph, int, int] | None:
+    """The degree rule, then the strip, as both kernels start: (core,
+    k2, n1), or None when the count is provably 0 (the rule exhausts the
+    budget, or the core keeps more than k2^2 edges)."""
+    if inst.param_kind != "solution-size" or inst.k is None:
+        raise ValueError(f"{kernel} expects a solution-size instance")
+    step = buss_reduce(inst.graph, inst.k)
+    if step is None:
+        return None
+    g2, k2, n1 = strip_isolated(*step)
+    return None if g2.m > k2 * k2 else (g2, k2, n1)
+
+
 def _zero_result(name: str) -> CompressionResult:
     # Both kernels write the counting kernel's fields, a superset of their own.
     payload = {"branch": "zero", **{f: "0" for f in _CONTEXT_FIELDS[VC_KERNEL]}}
@@ -309,15 +322,10 @@ def reduce_vertex_cover(inst: CountingInstance) -> CompressionResult:
     budget 0, whose count is 0) when the degree rule exhausts the
     budget or the core retains more than k2^2 edges.
     """
-    if inst.param_kind != "solution-size" or inst.k is None:
-        raise ValueError("vertex-cover kernel expects a solution-size instance")
-    step = buss_reduce(inst.graph, inst.k)
-    if step is None:
+    core = _kernel_core(inst, "vertex-cover kernel")
+    if core is None:
         return _zero_result(VC_KERNEL)
-    g1, k1 = step
-    g2, k2, n1 = strip_isolated(g1, k1)
-    if g2.m > k2 * k2:
-        return _zero_result(VC_KERNEL)
+    g2, k2, n1 = core
     g3, k3, d, t = build_padded_blowup(g2, k2)
     payload = {
         "branch": "normal",
@@ -431,15 +439,10 @@ def reduce_minimal_vertex_cover(inst: CountingInstance) -> CompressionResult:
     degree rule unchanged in number, so the core with the residual
     budget is already the kernel.
     """
-    if inst.param_kind != "solution-size" or inst.k is None:
-        raise ValueError("minimal-vertex-cover kernel expects a solution-size instance")
-    step = buss_reduce(inst.graph, inst.k)
-    if step is None:
+    core = _kernel_core(inst, "minimal-vertex-cover kernel")
+    if core is None:
         return _zero_result(MINIMAL_VC_KERNEL)
-    g1, k1 = step
-    g2, k2, n1 = strip_isolated(g1, k1)
-    if g2.m > k2 * k2:
-        return _zero_result(MINIMAL_VC_KERNEL)
+    g2, k2, n1 = core
     payload = {"branch": "normal", "n1": str(n1), "n2": str(g2.n), "k2": str(k2)}
     reduced = CountingInstance(g2, None, k2, "solution-size")
     return CompressionResult(reduced, LiftContext(MINIMAL_VC_KERNEL, payload))

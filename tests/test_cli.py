@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import tracemalloc
 from math import comb
 
@@ -7,6 +8,7 @@ import pytest
 
 from countkernel import oracles, vc_kernel
 from countkernel.cli import main
+from countkernel.compositions import ExactMetadata
 from countkernel.framework import CountingInstance
 from countkernel.graphs import Graph, ParsedGraph, TerminalPair, parse_graph, serialize_graph
 from countkernel.vc_kernel import lift_vertex_cover, reduce_vertex_cover
@@ -148,6 +150,27 @@ def test_kernel_lift_malformed_context_exits_3(tmp_path, capsys, which, corrupt)
     assert "context" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+def test_kernel_lift_refuses_a_version_that_is_not_the_int_1(tmp_path, capsys, version):
+    graph = write(tmp_path, "k3.gr", K3_TEXT)
+    context = tmp_path / "ctx.json"
+    assert main(["kernel", "minvc", "reduce", "--graph", graph, "--k", "2",
+                 "--out", str(tmp_path / "r.gr"), "--context", str(context)]) == 0
+    doc = json.loads(context.read_text())
+    doc["version"] = version
+    context.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["kernel", "minvc", "lift", "--context", str(context), "--count", "3"]) == 3
+    assert "unsupported context version" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[" * 200_000, "{not json"], ids=["nested-deep", "not-json"])
+def test_kernel_lift_refuses_a_context_that_is_not_json(tmp_path, capsys, text):
+    context = write(tmp_path, "ctx.json", text)
+    assert main(["kernel", "vc", "lift", "--context", context, "--count", "1"]) == 3
+    assert "lift context is not JSON" in capsys.readouterr().err
+
+
 def test_compose_sum_and_oracle(tmp_path, capsys):
     a = write(tmp_path, "a.gr", PATH_ST_TEXT)
     b = write(tmp_path, "b.gr", PATH_ST_TEXT)
@@ -209,6 +232,39 @@ def test_extract_refuses_noncanonical_counts(tmp_path, capsys, count):
     capsys.readouterr()
     assert main(["extract", "--meta", meta, "--count", count]) == 3
     assert "not a nonnegative decimal" in capsys.readouterr().err
+
+
+def test_extract_refuses_deeply_nested_metadata(tmp_path, capsys):
+    meta = write(tmp_path, "meta.json", "[" * 200_000)
+    assert main(["extract", "--meta", meta, "--count", "1"]) == 3
+    assert "exact metadata is not JSON" in capsys.readouterr().err
+
+
+def _decimal(value):
+    """str(value) past the interpreter's int/str digit cap, if it has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+def test_extract_reads_and_prints_counts_over_4300_digits(tmp_path, capsys):
+    # Metadata of the shape compose exact gives two 4,000-edge inputs, and
+    # a count of 4,817 digits that encodes the input counts 1 and 1.
+    meta = write(tmp_path, "meta.json",
+                 ExactMetadata("gadget", 2, 8000, 3, (8000, 16000)).to_json())
+    count = _decimal(2**16000 + 2**8000)
+    assert len(count) == 4817
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main(["extract", "--meta", meta, "--count", count]) == 0
+    assert capsys.readouterr().out.split() == ["1", "1"]
+    assert main(["extract", "--meta", meta, "--count", count[:-1] + "3"]) == 3
+    assert "residue of 1" in capsys.readouterr().err
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
 
 
 def test_ppt_subcommands(tmp_path, capsys):

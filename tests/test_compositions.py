@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from countkernel.compositions import (
     OCT_TO_VC,
@@ -36,6 +37,8 @@ from countkernel.oracles import (
     max_matching_size,
     random_graph,
 )
+
+from test_framework import json_texts
 
 EDGE = (Graph.from_edges(2, [(0, 1)]), TerminalPair(0, 1))
 PATH = (Graph.from_edges(3, [(0, 1), (1, 2)]), TerminalPair(0, 2))
@@ -393,13 +396,43 @@ def _metadata_doc():
     lambda d: {**d, "ell": 1, "m": 0, "exponents": [0], "branch": "trivial",
                "recorded_answers": ["-1"]},
     lambda d: [d],
+    lambda d: {**d, "ell": 1, "m": 0, "exponents": [0], "branch": "trivial",
+               "recorded_answers": ["1" * 4301]},
 ], ids=["no-ell", "no-k", "short-exponents", "wrong-exponents", "negative-exponent",
         "exponents-not-list", "ell-string", "k-bool", "ell-float", "ell-zero", "ell-huge",
         "odd-m", "negative-k", "bad-branch", "trivial-branch-too-small",
-        "gadget-with-answers", "trivial-without-answers", "negative-answer", "not-an-object"])
+        "gadget-with-answers", "trivial-without-answers", "negative-answer", "not-an-object",
+        "answer-past-the-int-digit-cap"])
 def test_exact_metadata_decoder_refuses_malformed_documents(corrupt):
     assert ExactMetadata.from_json(json.dumps(_metadata_doc())).exponents == (4, 8)
     with pytest.raises(ProtocolError):
         ExactMetadata.from_json(json.dumps(corrupt(_metadata_doc())))
     with pytest.raises(ProtocolError):
         ExactMetadata.from_json("{not json")
+
+
+# Documents exact_compose emits: gadget branches at ell = 2 and 3, and a
+# trivial branch.
+METADATA_DOCS = [json.loads(ExactMetadata(*fields).to_json()) for fields in (
+    ("gadget", 2, 4, 1, (4, 8)),
+    ("gadget", 3, 8, 2, (16, 24, 32)),
+    ("trivial", 2, 2, 1, (2, 4), (1, 0)),
+)]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(json_texts(METADATA_DOCS), st.data())
+def test_metadata_decoder_and_extract_refuse_only_with_typed_errors(text, data):
+    # The CLI maps ProtocolError and IntegrityError to exit 3; anything
+    # else would escape it as a traceback.
+    try:
+        meta = ExactMetadata.from_json(text)
+    except ProtocolError:
+        return
+    # A composed count of small input counts, perhaps off by one.
+    counts = data.draw(st.lists(st.integers(0, 8), min_size=meta.ell, max_size=meta.ell))
+    count = sum(c << e for c, e in zip(counts, meta.exponents)) + data.draw(st.integers(-1, 1))
+    try:
+        assert isinstance(extract_counts(meta, count), list)
+    except IntegrityError:
+        pass

@@ -1,8 +1,12 @@
+import copy
+import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from countkernel.compositions import mincut_to_oct_ppt, oct_to_vc_ppt
+from countkernel.compositions import mincut_to_oct_ppt, oct_to_vc_ppt, oct_to_vc_reduce
 from countkernel.framework import (
     CompositionError,
     CountingInstance,
@@ -141,6 +145,90 @@ def test_composed_lift_refuses_malformed_nested_contexts(corrupt):
     context = composite.reduce(PATH_CUT).context
     with pytest.raises(ProtocolError):
         composite.lift(LiftContext(context.compression, corrupt(context.payload)), 2)
+
+
+# Scalars of every JSON kind, with the strings the decoders look for,
+# and containers of them a few levels deep.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**40) | st.floats(allow_nan=False)
+    | st.text(max_size=4) | st.sampled_from(
+        ["-1", "1.0", "x", "normal", "zero", "gadget", "trivial", "vertex-cover-kernel"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=3),
+    max_leaves=6)
+# What a mutation writes into a document: mostly decimals, as the fields
+# hold, one of them too long for int().
+FIELD_VALUES = (st.integers(0, 10**6).map(str) | st.integers(0, 64) | st.just("1" * 4301)
+                | JSON_VALUES)
+
+
+def _nested(draw):
+    depth = draw(st.integers(1, 3000) | st.sampled_from([990, 1000, 200_000]))
+    opener, closer = draw(st.sampled_from([("[", "]"), ('{"a": ', "}"), ('[{"b": ', "}]")]))
+    return opener * depth + ("1" + closer * depth if draw(st.booleans()) else "")
+
+
+@st.composite
+def json_texts(draw, documents):
+    """A text for a JSON decoder: one of ``documents`` as it is, with a
+    value or two replaced or dropped, with a value nested deep, or cut
+    short; or a random value, random text or deep nesting."""
+    kind = draw(st.sampled_from(
+        ["as is", "mutated", "mutated", "deep value", "cut short", "value", "text", "deep"]))
+    if kind == "value":
+        return json.dumps(draw(JSON_VALUES))
+    if kind == "text":
+        return draw(st.text(alphabet='{}[]":,.-0123456789 aeflnrstu', max_size=40))
+    if kind == "deep":
+        return _nested(draw)
+    doc = copy.deepcopy(draw(st.sampled_from(documents)))
+    for _ in range(draw(st.integers(1, 2)) if kind == "mutated" else 0):
+        holders = [doc] + [v for v in doc.values() if isinstance(v, dict)]
+        holders += [w for v in holders[1:] for w in v.values() if isinstance(w, dict)]
+        holder = draw(st.sampled_from(holders))
+        key = draw(st.sampled_from(sorted(holder) + ["extra"]))
+        if draw(st.integers(0, 3)):
+            holder[key] = draw(FIELD_VALUES)
+        else:
+            holder.pop(key, None)
+    text = json.dumps(doc)
+    if kind == "deep value":
+        at = draw(st.sampled_from([m.end() for m in re.finditer(": ", text)]))
+        end = re.compile(r'"[^"]*"|[^,}\]]*').match(text, at).end()
+        text = text[:at] + _nested(draw) + text[end:]
+    if kind == "cut short":
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+# Every owner of a lift context that ships, and a context of each on both
+# branches where it has two.
+OWNERS = [*default_registry().values(), mincut_to_oct_ppt(), oct_to_vc_ppt(),
+          _mincut_to_vc_pipeline()]
+K4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+CONTEXT_DOCS = [
+    *(c.reduce(CountingInstance(g, None, k)).context.to_doc()
+      for c in default_registry().values() for g, k in ((K3, 2), (K4, 1))),
+    mincut_to_oct_ppt().reduce(PATH_CUT).context.to_doc(),
+    oct_to_vc_reduce(CountingInstance(K3, None, 1)).context.to_doc(),
+    _mincut_to_vc_pipeline().reduce(PATH_CUT).context.to_doc(),
+]
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(json_texts(CONTEXT_DOCS), st.integers(0, 40) | st.integers(0, 10**60))
+def test_context_decoder_and_lifts_refuse_only_with_typed_errors(text, count):
+    # The CLI maps ProtocolError and IntegrityError to exit 3; anything
+    # else would escape it as a traceback.
+    try:
+        ctx = LiftContext.from_json(text)
+    except ProtocolError:
+        return
+    for owner in OWNERS:
+        try:
+            assert isinstance(owner.lift(ctx, count), int)
+        except (ProtocolError, IntegrityError):
+            pass
 
 
 def test_oracle_count_dispatch_and_errors():

@@ -232,8 +232,19 @@ def _outcome(parse, text):
         return ("ParseError", err.line, str(err))
 
 
+# Chunk sizes that cut a fuzzed text of a few lines at many places.
+SMALL_CHUNKS = (1, 3, 7, 16)
+
+
 def _assert_parsers_agree(text):
-    assert _outcome(parse_graph, text) == _outcome(reference_parse_graph, text)
+    """parse_graph agrees with the reference at its own chunk size and
+    at each of SMALL_CHUNKS."""
+    expected = _outcome(reference_parse_graph, text)
+    assert _outcome(parse_graph, text) == expected
+    for chunk in SMALL_CHUNKS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "_BULK_CHUNK", chunk)
+            assert _outcome(parse_graph, text) == expected, f"_BULK_CHUNK = {chunk}"
 
 
 # The format's alphabet, plus characters int() or splitlines() treat
@@ -343,32 +354,61 @@ def test_parse_matches_reference_on_mutated_files(parsed, comment, kind, seed):
     _assert_parsers_agree(text)
 
 
-def test_parse_reads_canonical_files_in_bulk(monkeypatch):
-    # 2*10^5 edges span several bulk chunks
-    rng = random.Random(8)
+def _host_file_lines(seed):
+    """The lines of a canonical file of 2*10^5 random edges among 10^5
+    vertices, a few bulk chunks long."""
+    rng = random.Random(seed)
     n = 100_000
     edges = set()
     while len(edges) < 200_000:
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             edges.add(ordered(u, v))
-    text = serialize_graph(Graph(n, frozenset(edges)), TerminalPair(4, 9), 12, "bulk")
-    lines = text.split("\n")
+    return serialize_graph(Graph(n, frozenset(edges)), TerminalPair(4, 9), 12, "bulk").split("\n")
+
+
+def test_parse_reads_canonical_files_in_bulk(monkeypatch):
+    lines = _host_file_lines(8)
+    text = "\n".join(lines)
     crlf = "\n".join(lines[:5000] + [lines[5000] + "\r"] + lines[5001:])
     comment = "\n".join(lines[:150_000] + ["c mid-block"] + lines[150_000:])
     expected = reference_parse_graph(text)
+    assert len(text) > 2 * graphs._BULK_CHUNK
 
-    def refuse(text):
-        raise AssertionError("parse_graph fell back to the line loop")
+    # The numbers of the e lines that go through the per-line record rules.
+    per_line = []
+    record = graphs._Reader.record
 
-    with monkeypatch.context() as patch:
-        patch.setattr(graphs, "_parse_lines", refuse)
-        assert parse_graph(text) == expected
-        for variant in (crlf, comment):
-            with pytest.raises(AssertionError, match="line loop"):
-                parse_graph(variant)
-    assert parse_graph(crlf) == expected
+    def counting_record(self, line_no, raw):
+        if raw.startswith("e"):
+            per_line.append(line_no)
+        record(self, line_no, raw)
+
+    monkeypatch.setattr(graphs._Reader, "record", counting_record)
+    assert parse_graph(text) == expected
+    assert per_line == []
+    # The comment breaks the bulk run of its own chunk only.
     assert parse_graph(comment) == expected
+    assert min(per_line) < 150_001 < max(per_line) and len(per_line) < 100_000
+    # A carriage return sends the whole text through the record rules.
+    per_line.clear()
+    assert parse_graph(crlf) == expected
+    assert len(per_line) == 200_000
+
+
+def test_parse_reports_an_early_duplicate_before_a_later_fault():
+    # The first chunk's bulk run repeats the first edge on line 4, and a
+    # chunk 1.5*10^5 lines later holds a malformed e line: the duplicate
+    # comes first in the file, so it is the error.
+    lines = _host_file_lines(10)
+    assert lines[2].startswith("e ")
+    lines.insert(3, lines[2])
+    lines[150_000] = "e 1"
+    text = "\n".join(lines)
+    assert len(text) > 2 * graphs._BULK_CHUNK
+    u, v = lines[2].split()[1:]
+    with pytest.raises(ParseError, match=f"^line 4: duplicate edge {u} {v}$"):
+        parse_graph(text)
 
 
 @pytest.mark.parametrize("reverse", [True, False])
