@@ -142,7 +142,17 @@ def mincut_to_oct_reduce(inst: CountingInstance) -> CompressionResult:
 
 
 def mincut_to_oct_lift(ctx: LiftContext, count: int) -> int:
-    ctx.expect(MINCUT_TO_OCT)
+    """The transversal count is the cut count.  A ``separated`` context
+    has k = 0 and exactly one transversal, the empty set; a ``normal``
+    one has k >= 1 and at least one minimum cut."""
+    payload = ctx.expect(MINCUT_TO_OCT)
+    branch, k = payload.get("branch"), decimal_fields(payload, MINCUT_TO_OCT, ("k",))["k"]
+    if branch not in ("separated", "normal") or (k == 0) != (branch == "separated"):
+        raise ProtocolError(f"inconsistent {MINCUT_TO_OCT} context: branch {branch!r}, k = {k}")
+    if count < 1 or (branch == "separated" and count > 1):
+        exactly = "exactly" if branch == "separated" else "at least"
+        raise IntegrityError(
+            f"a {branch} {MINCUT_TO_OCT} instance has {exactly} one transversal; corrupted count")
     return count
 
 
@@ -195,13 +205,12 @@ def oct_to_vc_lift(ctx: LiftContext, count: int) -> int:
     """
     fields = decimal_fields(ctx.expect(OCT_TO_VC), OCT_TO_VC, ("n", "k"))
     if count < 0 or count % 2:
-        raise IntegrityError(
-            f"cover count {count} of a doubled graph must be even and nonnegative")
+        raise IntegrityError("the cover count of a doubled graph must be even and nonnegative")
     n, k = fields["n"], fields["k"]
     if exceeds_subset_count(count // 2, n, k):
         raise IntegrityError(
-            f"{count // 2} transversals of size at most {k} in a {n}-vertex graph; "
-            "corrupted count")
+            f"a {(count // 2).bit_length()}-bit number of transversals of size at most {k} "
+            f"in a {n}-vertex graph; corrupted count")
     return count // 2
 
 
@@ -461,12 +470,12 @@ def extract_counts(meta: ExactMetadata, composed_count: int) -> list[int]:
         out[i - 1] = remaining >> meta.exponents[i - 1]
         remaining -= out[i - 1] << meta.exponents[i - 1]
     if remaining:
-        raise IntegrityError(f"extraction left a residue of {remaining}")
+        raise IntegrityError(f"extraction left a residue of {remaining.bit_length()} bits")
     worst = max(out)
     if _exceeds_binomial(worst, meta.m // 2, meta.cut_size):
         raise IntegrityError(
-            f"extracted input count {worst} exceeds C({meta.m // 2}, {meta.cut_size}); "
-            "corrupted count")
+            f"extracted an input count of {worst.bit_length()} bits, above "
+            f"C({meta.m // 2}, {meta.cut_size}); corrupted count")
     return out
 
 

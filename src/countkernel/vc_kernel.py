@@ -228,16 +228,21 @@ class PaddedBlowup:
         return padded_blowup_graph(self.core, self.copies, self.padding)
 
 
-def build_padded_blowup(g2: Graph, k2: int) -> tuple[PaddedBlowup, int, int, int]:
-    """Blow up the core with its kernel parameters; returns (blowup, k3, d, t).
+def blowup_parameters(n2: int, k2: int) -> tuple[int, int, int]:
+    """The blowup of an n2-vertex core at budget k2: (d, t, k3) with
+    d = n2 copies per core vertex, t = d + d*k2 + 2*(d*k2)**2 padding
+    vertices and the scaled budget k3 = d*k2."""
+    k3 = n2 * k2
+    return n2, n2 + k3 + 2 * k3 * k3, k3
 
-    d = n2 copies per core vertex and t = d + d*k2 + 2*(d*k2)**2
-    padding vertices.  The blowup is the implicit ``PaddedBlowup``: the
-    core plus d and t, with d*d*m2 edges that are not built here.
+
+def build_padded_blowup(g2: Graph, k2: int) -> tuple[PaddedBlowup, int, int, int]:
+    """Blow up the core by ``blowup_parameters``; returns (blowup, k3, d, t).
+
+    The blowup is the implicit ``PaddedBlowup``: the core plus d and t,
+    with d*d*m2 edges that are not built here.
     """
-    d = g2.n
-    t = d + d * k2 + 2 * (d * k2) ** 2
-    k3 = d * k2
+    d, t, k3 = blowup_parameters(g2.n, k2)
     return PaddedBlowup(g2, d, t), k3, d, t
 
 
@@ -357,24 +362,30 @@ def _decode_context(ctx: LiftContext, name: str) -> dict[str, int] | None:
 def lift_vertex_cover(ctx: LiftContext, reduced_count: int) -> int:
     """Recover the original cover count from the blowup's count.
 
+    The context's d, t and k3 must be ``blowup_parameters(n2, k2)``.
     Sizes above the core order are skipped: no core cover can use more
     than n2 vertices, and the multiplicity is undefined there.  Each
     extracted y_i must be a possible number of size-i core covers: at
     most C(n2, i), and y_0 = 0 on a non-empty core (it has no isolated
     vertex, so the empty set covers nothing).  A coefficient outside
     that range, or a nonzero residue after the extraction loop, means
-    the supplied count was not the reduced instance's true count.
+    the supplied count was not the reduced instance's true count.  Each
+    y_i then takes the sum_{j <= k2 - i} C(n1 - n2, j) choices of
+    isolated vertices, from partial sums built once, term by term.
     """
     fields = _decode_context(ctx, VC_KERNEL)
     if fields is None:
         return 0
     n1, n2, k2, d, t, k3 = (fields[f] for f in _CONTEXT_FIELDS[VC_KERNEL])
     # A normal core has at most k2^2 edges and no isolated vertex.
-    if (d != n2 or k3 != d * k2 or t != d + k3 + 2 * k3 * k3 or n1 < n2
-            or n2 > 2 * k2 * k2):
+    if (d, t, k3) != blowup_parameters(n2, k2) or n1 < n2 or n2 > 2 * k2 * k2:
         raise ProtocolError(f"inconsistent {VC_KERNEL} context {fields}")
     if reduced_count < 0:
         raise IntegrityError("counts are nonnegative")
+    term, choices = 1, [1]  # choices[s] = sum_{j <= s} C(n1 - n2, j)
+    for j in range(k2):
+        term = term * (n1 - n2 - j) // (j + 1)
+        choices.append(choices[-1] + term)
     remaining = reduced_count
     total = 0
     for i in range(min(k2, n2) + 1):
@@ -382,12 +393,13 @@ def lift_vertex_cover(ctx: LiftContext, reduced_count: int) -> int:
         y = remaining // w
         if y > comb(n2, i) or (i == 0 and n2 and y):
             raise IntegrityError(
-                f"lift extracted {y} core covers of size {i} from a {n2}-vertex core; "
-                "corrupted count")
+                f"lift extracted a {y.bit_length()}-bit number of core covers of size {i} "
+                f"from a {n2}-vertex core; corrupted count")
         remaining -= y * w
-        total += y * sum(comb(n1 - n2, j) for j in range(k2 - i + 1))
+        total += y * choices[k2 - i]
     if remaining:
-        raise IntegrityError(f"lift left a residue of {remaining}; corrupted count")
+        raise IntegrityError(
+            f"lift left a residue of {remaining.bit_length()} bits; corrupted count")
     return total
 
 
@@ -462,8 +474,8 @@ def lift_minimal_vertex_cover(ctx: LiftContext, reduced_count: int) -> int:
     n2, k2 = fields["n2"], fields["k2"]
     if exceeds_subset_count(reduced_count, n2, k2):
         raise IntegrityError(
-            f"{reduced_count} minimal covers of size at most {k2} in a {n2}-vertex core; "
-            "corrupted count")
+            f"a {reduced_count.bit_length()}-bit number of minimal covers of size at most "
+            f"{k2} in a {n2}-vertex core; corrupted count")
     return reduced_count
 
 

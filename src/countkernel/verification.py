@@ -2,14 +2,16 @@
 oracles on seeded corpora.  The CLI's ``verify`` subcommand and the
 acceptance test suite both run these.
 
-Each sweep returns a ``SweepReport``; a sweep passes when it checked a
-positive number of cases and collected no failures.  All corpora are
-deterministic in the seed.
+Each sweep yields its checks as (ok, message) pairs, and one runner,
+``_sweep``, turns the stream into a timed ``SweepReport``; a sweep
+passes when it checked a positive number of cases and collected no
+failures.  All corpora are deterministic in the seed.
 
 The kernel and transformation sweeps check lift(count(reduce(x))) =
 count(x) only through ``framework.verify_compression``, reference count
-first.  Oct-to-vc has no reference: its lift halves twice the source
-count, so its doubled graph is brute-forced instead.
+first, as the stream ``_round_trips``.  Oct-to-vc has no reference: its
+lift halves twice the source count, so its doubled graph is
+brute-forced instead.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 from math import comb
 
 from . import oracles
@@ -39,6 +41,7 @@ from .graphs import (
 )
 from .vc_kernel import (
     blowup_cover_multiplicity,
+    blowup_parameters,
     decomposed_blowup_count,
     minimal_vertex_cover_kernel,
     padded_blowup_graph,
@@ -62,32 +65,31 @@ class SweepReport:
     def passed(self) -> bool:
         return self.checked > 0 and not self.failures
 
-    def check(self, ok: bool, message: str) -> None:
-        self.checked += 1
-        if not ok and len(self.failures) < self.MAX_FAILURES:
-            self.failures.append(message)
 
-
-def _timed(report: SweepReport, start: float) -> SweepReport:
+def _sweep(name: str, checks) -> SweepReport:
+    """Count a stream of (ok, message) checks into one report, keeping
+    the first failures' messages; the time includes drawing the stream."""
+    start = time.monotonic()
+    report = SweepReport(name)
+    for ok, message in checks:
+        report.checked += 1
+        if not ok and len(report.failures) < report.MAX_FAILURES:
+            report.failures.append(message)
     report.seconds = time.monotonic() - start
     return report
 
 
-def _round_trip_sweep(name: str, compression, instances,
-                      extra_checks=lambda inst, trip: ()) -> SweepReport:
+def _round_trips(compression, instances, extra_checks=lambda inst, trip: ()):
     """One check per ``verify_compression`` round trip and one per pair
     (ok, message) of ``extra_checks(inst, trip)``, each naming n, m and k."""
-    start = time.monotonic()
-    report = SweepReport(name)
     for inst in instances:
         trip = verify_compression(compression, inst)
         k = inst.k if inst.k is not None else trip.result.reduced.k
         where = f"(n={inst.graph.n}, m={inst.graph.m}, k={k})"
         verdict = trip.error or f"lift={trip.lifted_count} direct={trip.direct_count}"
-        report.check(trip.passed, f"{verdict} {where}")
+        yield trip.passed, f"{verdict} {where}"
         for ok, message in extra_checks(inst, trip):
-            report.check(ok, f"{message} {where}")
-    return _timed(report, start)
+            yield ok, f"{message} {where}"
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +119,15 @@ def graph_corpus(count: int, nmax: int, seed: int) -> list[Graph]:
     return corpus
 
 
-def cut_instance_pool(count: int, nmax: int, seed: int, max_edges: int | None = None,
-                      ) -> list[tuple[Graph, TerminalPair]]:
+def cut_instance_pool(count: int, nmax: int, seed: int, probabilities=(0.25, 0.4, 0.6),
+                      keep=lambda g: True) -> list[tuple[Graph, TerminalPair]]:
+    """Seeded graphs on 2..nmax vertices that ``keep`` accepts, with random terminals."""
     rng = random.Random(seed)
     pool = []
     while len(pool) < count:
         n = rng.randint(2, nmax)
-        g = oracles.random_graph(n, rng.choice((0.25, 0.4, 0.6)), rng.randrange(1 << 30))
-        if max_edges is not None and g.m > max_edges:
+        g = oracles.random_graph(n, rng.choice(probabilities), rng.randrange(1 << 30))
+        if not keep(g):
             continue
         s, t = rng.sample(range(n), 2)
         pool.append((g, TerminalPair(s, t)))
@@ -146,7 +149,7 @@ def sweep_vc_kernel(graphs: int = 2000, nmax: int = 6, kmax: int = 4,
     """
     instances = (CountingInstance(g, None, k)
                  for g in graph_corpus(graphs, nmax, seed) for k in range(kmax + 1))
-    return _round_trip_sweep("vc-kernel end-to-end", vertex_cover_kernel(), instances)
+    return _sweep("vc-kernel end-to-end", _round_trips(vertex_cover_kernel(), instances))
 
 
 def sweep_map_size(seed: int = 0, cases: int = 120) -> SweepReport:
@@ -156,26 +159,27 @@ def sweep_map_size(seed: int = 0, cases: int = 120) -> SweepReport:
     count(blowup, copies*k2) must equal sum_i y_i * w_i with both
     factors computed independently.
     """
-    start = time.monotonic()
-    report = SweepReport("blowup decomposition at tiny scale")
-    rng = random.Random(seed)
-    overrides = ((1, 4), (2, 3), (2, 1), (3, 2))
-    produced = 0
-    while produced < cases:
-        copies, padding = overrides[produced % len(overrides)]
-        n2 = rng.randint(2, (20 - padding) // copies)
-        g2 = oracles.random_graph(n2, rng.choice((0.4, 0.6, 0.9)), rng.randrange(1 << 30))
-        if g2.isolated_vertices():
-            continue
-        k2 = rng.randint(1, 3)
-        produced += 1
-        blown = padded_blowup_graph(g2, copies, padding)
-        direct = oracles.count_vertex_covers(blown, copies * k2)
-        expected = decomposed_blowup_count(g2, copies, padding, k2)
-        report.check(direct == expected,
-                     f"blowup count {direct} != decomposition {expected} "
-                     f"(n2={n2}, m={g2.m}, k2={k2}, copies={copies}, padding={padding})")
-    return _timed(report, start)
+
+    def checks():
+        rng = random.Random(seed)
+        overrides = ((1, 4), (2, 3), (2, 1), (3, 2))
+        produced = 0
+        while produced < cases:
+            copies, padding = overrides[produced % len(overrides)]
+            n2 = rng.randint(2, (20 - padding) // copies)
+            g2 = oracles.random_graph(n2, rng.choice((0.4, 0.6, 0.9)), rng.randrange(1 << 30))
+            if g2.isolated_vertices():
+                continue
+            k2 = rng.randint(1, 3)
+            produced += 1
+            blown = padded_blowup_graph(g2, copies, padding)
+            direct = oracles.count_vertex_covers(blown, copies * k2)
+            expected = decomposed_blowup_count(g2, copies, padding, k2)
+            yield (direct == expected,
+                   f"blowup count {direct} != decomposition {expected} "
+                   f"(n2={n2}, m={g2.m}, k2={k2}, copies={copies}, padding={padding})")
+
+    return _sweep("blowup decomposition at tiny scale", checks())
 
 
 def reduce_produced_parameters(kmax: int = 6):
@@ -191,20 +195,20 @@ def sweep_dominance(kmax: int = 6) -> SweepReport:
 
     This is the property that makes floor division in the lift recover
     each y_i exactly; checked with exact arithmetic over every
-    reduce-producible parameter pair.
+    reduce-producible parameter pair.  The multiplicities pass 4,300
+    digits at k2 = 9, so a message gives their bit lengths.
     """
-    start = time.monotonic()
-    report = SweepReport("multiplicity dominance")
-    for n2, k2 in reduce_produced_parameters(kmax):
-        d = n2
-        t = d + d * k2 + 2 * (d * k2) ** 2
-        ws = [blowup_cover_multiplicity(i, d, t, k2, n2)
-              for i in range(min(k2, n2) + 1)]
-        for i in range(len(ws)):
-            tail = sum(comb(n2, j) * ws[j] for j in range(i + 1, len(ws)))
-            report.check(ws[i] > tail,
-                         f"w_{i}={ws[i]} <= tail {tail} (n2={n2}, k2={k2})")
-    return _timed(report, start)
+
+    def checks():
+        for n2, k2 in reduce_produced_parameters(kmax):
+            d, t, _ = blowup_parameters(n2, k2)
+            ws = [blowup_cover_multiplicity(i, d, t, k2, n2) for i in range(min(k2, n2) + 1)]
+            for i in range(len(ws)):
+                tail = sum(comb(n2, j) * ws[j] for j in range(i + 1, len(ws)))
+                yield (ws[i] > tail, f"w_{i} of {ws[i].bit_length()} bits <= tail of "
+                                     f"{tail.bit_length()} bits (n2={n2}, k2={k2})")
+
+    return _sweep("multiplicity dominance", checks())
 
 
 def multiplicity_by_enumeration(i: int, copies: int, padding: int,
@@ -261,21 +265,18 @@ def multiplicity_by_dp(i: int, copies: int, padding: int,
 def sweep_multiplicity_dp(limit: int = 6) -> SweepReport:
     """Closed form, convolution DP and direct enumeration agree on all
     small parameters."""
-    start = time.monotonic()
-    report = SweepReport("multiplicity closed form vs DP vs enumeration")
-    for copies in range(limit + 1):
-        for padding in range(limit + 1):
-            for budget in range(limit + 1):
-                for core in range(limit + 1):
-                    for i in range(min(budget, core) + 1):
-                        closed = blowup_cover_multiplicity(i, copies, padding, budget, core)
-                        dp = multiplicity_by_dp(i, copies, padding, budget, core)
-                        direct = multiplicity_by_enumeration(i, copies, padding, budget, core)
-                        report.check(closed == dp == direct,
-                                     f"closed={closed} dp={dp} enum={direct} at (i={i}, "
-                                     f"copies={copies}, padding={padding}, budget={budget}, "
-                                     f"core={core})")
-    return _timed(report, start)
+
+    def checks():
+        for copies, padding, budget, core in product(range(limit + 1), repeat=4):
+            for i in range(min(budget, core) + 1):
+                closed = blowup_cover_multiplicity(i, copies, padding, budget, core)
+                dp = multiplicity_by_dp(i, copies, padding, budget, core)
+                direct = multiplicity_by_enumeration(i, copies, padding, budget, core)
+                yield (closed == dp == direct,
+                       f"closed={closed} dp={dp} enum={direct} at (i={i}, copies={copies}, "
+                       f"padding={padding}, budget={budget}, core={core})")
+
+    return _sweep("multiplicity closed form vs DP vs enumeration", checks())
 
 
 def sweep_minimal_vc(graphs: int = 2000, nmax: int = 6, kmax: int = 4,
@@ -291,28 +292,29 @@ def sweep_minimal_vc(graphs: int = 2000, nmax: int = 6, kmax: int = 4,
 
     instances = (CountingInstance(g, None, k)
                  for g in graph_corpus(graphs, nmax, seed) for k in range(kmax + 1))
-    return _round_trip_sweep("minimal-vc kernel end-to-end", minimal_vertex_cover_kernel(),
-                             instances, quadratic_bounds)
+    return _sweep("minimal-vc kernel end-to-end",
+                  _round_trips(minimal_vertex_cover_kernel(), instances, quadratic_bounds))
 
 
 def sweep_vc_size_bounds(graphs: int = 400, nmax: int = 6, kmax: int = 4,
                          seed: int = 0) -> SweepReport:
     """Normal-branch blowups match the size formula and the k^6 bound."""
-    start = time.monotonic()
-    report = SweepReport("vc kernel size bounds")
-    for g in graph_corpus(graphs, nmax, seed):
-        for k in range(kmax + 1):
-            result = reduce_vertex_cover(CountingInstance(g, None, k))
-            payload = result.context.payload
-            if payload["branch"] != "normal":
-                continue
-            n2, k2 = int(payload["n2"]), int(payload["k2"])
-            n3 = result.reduced.graph.n
-            formula = n2 * n2 + n2 + n2 * k2 + 2 * (n2 * k2) ** 2
-            report.check(n3 == formula, f"|V|={n3} != formula {formula}")
-            if k >= 1:
-                report.check(n3 <= 18 * k ** 6, f"|V|={n3} > 18k^6 for k={k}")
-    return _timed(report, start)
+
+    def checks():
+        for g in graph_corpus(graphs, nmax, seed):
+            for k in range(kmax + 1):
+                result = reduce_vertex_cover(CountingInstance(g, None, k))
+                payload = result.context.payload
+                if payload["branch"] != "normal":
+                    continue
+                n2, k2 = int(payload["n2"]), int(payload["k2"])
+                n3 = result.reduced.graph.n
+                formula = n2 * n2 + n2 + n2 * k2 + 2 * (n2 * k2) ** 2
+                yield n3 == formula, f"|V|={n3} != formula {formula}"
+                if k >= 1:
+                    yield n3 <= 18 * k ** 6, f"|V|={n3} > 18k^6 for k={k}"
+
+    return _sweep("vc kernel size bounds", checks())
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +326,8 @@ def _equal_cut_tuples(pool, rng, want: int, max_len: int, min_cut: int = 1):
     classes = group_by_min_cut(pool)
     usable = {k: ix for k, ix in classes.items() if k >= min_cut and ix}
     tuples = []
-    attempts = 0
-    while len(tuples) < want and attempts < want * 50:
-        attempts += 1
-        if not usable:
-            break
-        k = rng.choice(sorted(usable))
-        members = usable[k]
+    for _ in range(want if usable else 0):
+        members = usable[rng.choice(sorted(usable))]
         ell = rng.randint(1, max_len)
         tuples.append([pool[rng.choice(members)] for _ in range(ell)])
     return tuples
@@ -338,48 +335,36 @@ def _equal_cut_tuples(pool, rng, want: int, max_len: int, min_cut: int = 1):
 
 def sweep_sum(tuples: int = 500, nmax: int = 6, seed: int = 0) -> SweepReport:
     """Composed min-cut count equals the sum of the input counts."""
-    start = time.monotonic()
-    report = SweepReport("sum composition")
-    rng = random.Random(seed)
-    pool = cut_instance_pool(max(60, tuples // 4), nmax, seed + 1)
-    for parts in _equal_cut_tuples(pool, rng, tuples, max_len=4):
-        composed = sum_compose(parts)
-        total_m = composed.graph.m
-        if comb(total_m, composed.cut_size) > ENUMERATION_BUDGET:
-            continue
-        count, size = oracles.count_min_st_cuts(composed.graph, composed.terminals)
-        expected = sum(oracles.count_min_st_cuts(g, st)[0] for g, st in parts)
-        report.check(count == expected and size == composed.cut_size,
-                     f"composed {count} (cut {size}) != sum {expected} "
-                     f"(cut {composed.cut_size}, ell={len(parts)})")
-        report.check(composed.cut_size <= max(g.m for g, _ in parts),
-                     "parameter exceeds the largest input edge count")
-    return _timed(report, start)
+
+    def checks():
+        rng = random.Random(seed)
+        pool = cut_instance_pool(max(60, tuples // 4), nmax, seed + 1)
+        for parts in _equal_cut_tuples(pool, rng, tuples, max_len=4):
+            composed = sum_compose(parts)
+            if comb(composed.graph.m, composed.cut_size) > ENUMERATION_BUDGET:
+                continue
+            count, size = oracles.count_min_st_cuts(composed.graph, composed.terminals)
+            expected = sum(oracles.count_min_st_cuts(g, st)[0] for g, st in parts)
+            yield (count == expected and size == composed.cut_size,
+                   f"composed {count} (cut {size}) != sum {expected} "
+                   f"(cut {composed.cut_size}, ell={len(parts)})")
+            yield (composed.cut_size <= max(g.m for g, _ in parts),
+                   "parameter exceeds the largest input edge count")
+
+    return _sweep("sum composition", checks())
 
 
 def sweep_ppt_oct(instances: int = 300, seed: int = 0) -> SweepReport:
     """Cut counts survive the transversal gadget, and outputs are nice."""
 
-    def connected_cut_instances():
-        rng = random.Random(seed)
-        produced = 0
-        while produced < instances:
-            n = rng.randint(2, 7)
-            g = oracles.random_graph(n, rng.choice((0.3, 0.45, 0.6)), rng.randrange(1 << 30))
-            if g.m == 0 or g.m > 6:
-                continue
-            if len(connected_components(g)) != 1:
-                continue
-            s, t = rng.sample(range(n), 2)
-            produced += 1
-            yield CountingInstance(g, TerminalPair(s, t), None, "min-cut-size")
-
     def nice(inst, trip):
         reduced = trip.result.reduced
         return [(oracles.is_nice_oct_instance(reduced.graph, reduced.k), "output not nice")]
 
-    return _round_trip_sweep("mincut-to-oct transformation", mincut_to_oct_ppt(),
-                             connected_cut_instances(), nice)
+    pool = cut_instance_pool(instances, 7, seed, probabilities=(0.3, 0.45, 0.6),
+                             keep=lambda g: 0 < g.m <= 6 and len(connected_components(g)) == 1)
+    corpus = (CountingInstance(g, st, None, "min-cut-size") for g, st in pool)
+    return _sweep("mincut-to-oct transformation", _round_trips(mincut_to_oct_ppt(), corpus, nice))
 
 
 def nice_oct_corpus(count: int, nmax: int, kmax: int, seed: int,
@@ -410,31 +395,23 @@ def sweep_ppt_vc(corpus_size: int = 200, nmax: int = 6, kmax: int = 3,
             (parameter_value(reduced) == inst.k, "derived parameter != k"),
         ]
 
-    return _round_trip_sweep("oct-to-vc transformation", oct_to_vc_ppt(),
-                             nice_oct_corpus(corpus_size, nmax, kmax, seed), doubled)
+    corpus = nice_oct_corpus(corpus_size, nmax, kmax, seed)
+    return _sweep("oct-to-vc transformation", _round_trips(oct_to_vc_ppt(), corpus, doubled))
 
 
-def _verify_exact_tuple(report: SweepReport, parts, enumerate_count: bool) -> None:
-    composition = exact_compose(parts)
+def _exact_tuple_checks(composition, parts, enumerate_count: bool):
+    """The checks on one gadget-branch composition of ``parts``."""
     meta = composition.metadata
     per_input = [oracles.count_min_st_cuts(g, st)[0] for g, st in parts]
-    if meta.branch == "trivial":
-        report.check(extract_counts(meta, 0) == per_input,
-                     "trivial branch answers mismatch")
-        return
     expected = sum(q * (1 << e) for q, e in zip(per_input, meta.exponents))
     cut = oracles.min_cut_size(composition.graph, composition.terminals)
-    report.check(cut == meta.cut_size + meta.m * (meta.ell - 1),
-                 f"composed cut {cut} != k + m(ell-1)")
+    yield cut == meta.cut_size + meta.m * (meta.ell - 1), f"composed cut {cut} != k + m(ell-1)"
     if enumerate_count:
         count, _ = oracles.count_min_st_cuts(composition.graph, composition.terminals)
-        report.check(count == expected,
-                     f"composed count {count} != weighted sum {expected}")
-        report.check(extract_counts(meta, count) == per_input,
-                     f"extraction failed on count {count}")
+        yield count == expected, f"composed count {count} != weighted sum {expected}"
+        yield extract_counts(meta, count) == per_input, f"extraction failed on count {count}"
     else:
-        report.check(extract_counts(meta, expected) == per_input,
-                     "extraction failed on the weighted sum")
+        yield extract_counts(meta, expected) == per_input, "extraction failed on the weighted sum"
 
 
 def sweep_exact(tuples: int = 20, seed: int = 0) -> SweepReport:
@@ -445,69 +422,66 @@ def sweep_exact(tuples: int = 20, seed: int = 0) -> SweepReport:
     enumeration space exceeds the budget are checked structurally
     (composed cut size, extraction on the weighted sum) instead.
     """
-    start = time.monotonic()
-    report = SweepReport("exact composition")
-    path = (Graph.from_edges(3, [(0, 1), (1, 2)]), TerminalPair(0, 2))
-    composition = exact_compose([path, path])
-    count, size = oracles.count_min_st_cuts(composition.graph, composition.terminals)
-    report.check(count == 544, f"pinned example count {count} != 544")
-    report.check(size == 5, f"pinned example cut size {size} != 5")
-    report.check(extract_counts(composition.metadata, count) == [2, 2],
-                 "pinned example extraction != [2, 2]")
 
-    rng = random.Random(seed)
-    pool = cut_instance_pool(80, 4, seed + 1, max_edges=3)
-    verified = 0
-    structural = 0
-    for parts in _equal_cut_tuples(pool, rng, tuples * 12, max_len=2):
-        if len(parts) != 2:
-            continue
-        probe = exact_compose(parts)
-        if probe.metadata.branch == "trivial":
-            continue
-        k_prime = probe.metadata.cut_size + probe.metadata.m * (probe.metadata.ell - 1)
-        feasible = comb(probe.graph.m, k_prime) <= ENUMERATION_BUDGET
-        if feasible and verified < tuples:
-            _verify_exact_tuple(report, parts, enumerate_count=True)
-            verified += 1
-        elif not feasible and structural < 5:
-            _verify_exact_tuple(report, parts, enumerate_count=False)
-            structural += 1
-        if verified >= tuples and structural >= 5:
-            break
-    report.check(verified >= tuples,
-                 f"only {verified} of {tuples} tuples verified by enumeration")
+    def checks():
+        path = (Graph.from_edges(3, [(0, 1), (1, 2)]), TerminalPair(0, 2))
+        composition = exact_compose([path, path])
+        count, size = oracles.count_min_st_cuts(composition.graph, composition.terminals)
+        yield count == 544, f"pinned example count {count} != 544"
+        yield size == 5, f"pinned example cut size {size} != 5"
+        yield (extract_counts(composition.metadata, count) == [2, 2],
+               "pinned example extraction != [2, 2]")
 
-    # Trivial branch: two single edges force ell >= 2^(max edge count).
-    edge = (Graph.from_edges(2, [(0, 1)]), TerminalPair(0, 1))
-    trivial = exact_compose([edge, edge])
-    report.check(trivial.metadata.branch == "trivial", "expected trivial branch")
-    report.check(extract_counts(trivial.metadata, 0) == [1, 1],
-                 "trivial branch answers != [1, 1]")
+        rng = random.Random(seed)
+        pool = cut_instance_pool(80, 4, seed + 1, keep=lambda g: g.m <= 3)
+        verified = structural = 0
+        for parts in _equal_cut_tuples(pool, rng, tuples * 12, max_len=2):
+            if len(parts) != 2:
+                continue
+            probe = exact_compose(parts)
+            if probe.metadata.branch == "trivial":
+                continue
+            k_prime = probe.metadata.cut_size + probe.metadata.m * (probe.metadata.ell - 1)
+            feasible = comb(probe.graph.m, k_prime) <= ENUMERATION_BUDGET
+            if feasible and verified < tuples:
+                yield from _exact_tuple_checks(probe, parts, enumerate_count=True)
+                verified += 1
+            elif not feasible and structural < 5:
+                yield from _exact_tuple_checks(probe, parts, enumerate_count=False)
+                structural += 1
+            if verified >= tuples and structural >= 5:
+                break
+        yield verified >= tuples, f"only {verified} of {tuples} tuples verified by enumeration"
 
-    single = exact_compose([path])
-    count1, _ = oracles.count_min_st_cuts(single.graph, single.terminals)
-    report.check(extract_counts(single.metadata, count1) == [2],
-                 "single-instance composition != [2]")
-    return _timed(report, start)
+        # Trivial branch: two single edges force ell >= 2^(max edge count).
+        edge = (Graph.from_edges(2, [(0, 1)]), TerminalPair(0, 1))
+        trivial = exact_compose([edge, edge])
+        yield trivial.metadata.branch == "trivial", "expected trivial branch"
+        yield extract_counts(trivial.metadata, 0) == [1, 1], "trivial branch answers != [1, 1]"
+
+        single = exact_compose([path])
+        count1, _ = oracles.count_min_st_cuts(single.graph, single.terminals)
+        yield extract_counts(single.metadata, count1) == [2], "single-instance composition != [2]"
+
+    return _sweep("exact composition", checks())
 
 
 def sweep_exact_td(tuples: int = 12, nmax: int = 10, seed: int = 0) -> SweepReport:
     """Witness decompositions validate within one of the input treewidths."""
-    start = time.monotonic()
-    report = SweepReport("exact composition treewidth witness")
-    rng = random.Random(seed)
-    pool = cut_instance_pool(40, nmax, seed + 1)
-    for parts in _equal_cut_tuples(pool, rng, tuples, max_len=3, min_cut=0):
-        composition = exact_compose(parts)
-        if composition.metadata.branch == "trivial":
-            continue
-        check = validate_tree_decomposition(composition.graph, composition.witness)
-        report.check(check.ok, f"witness invalid: {check.violation}")
-        bound = max(2, max(oracles.exact_treewidth(g)[0] for g, _ in parts) + 1)
-        report.check(check.width <= bound,
-                     f"witness width {check.width} > bound {bound}")
-    return _timed(report, start)
+
+    def checks():
+        rng = random.Random(seed)
+        pool = cut_instance_pool(40, nmax, seed + 1)
+        for parts in _equal_cut_tuples(pool, rng, tuples, max_len=3, min_cut=0):
+            composition = exact_compose(parts)
+            if composition.metadata.branch == "trivial":
+                continue
+            check = validate_tree_decomposition(composition.graph, composition.witness)
+            yield check.ok, f"witness invalid: {check.violation}"
+            bound = max(2, max(oracles.exact_treewidth(g)[0] for g, _ in parts) + 1)
+            yield check.width <= bound, f"witness width {check.width} > bound {bound}"
+
+    return _sweep("exact composition treewidth witness", checks())
 
 
 # ---------------------------------------------------------------------------

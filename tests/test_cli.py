@@ -117,6 +117,21 @@ def test_kernel_minvc_lift_refuses_counts_above_the_subset_bound(tmp_path, capsy
     assert "corrupted count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which, refusal", [("vc", "bit number of core covers of size 0"),
+                                            ("minvc", "bit number of minimal covers")],
+                         ids=["vc", "minvc"])
+def test_kernel_lift_refuses_a_count_past_the_digit_cap_with_its_own_message(
+        tmp_path, capsys, which, refusal):
+    graph = write(tmp_path, "c4.gr", "p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\nk 3\n")
+    context = str(tmp_path / "ctx.json")
+    assert main(["kernel", which, "reduce", "--graph", graph,
+                 "--out", str(tmp_path / "r.gr"), "--context", context]) == 0
+    capsys.readouterr()
+    assert main(["kernel", which, "lift", "--context", context, "--count", "7" * 5000]) == 3
+    err = capsys.readouterr().err
+    assert refusal in err and "corrupted count" in err, err
+
+
 @pytest.mark.parametrize("which", ["vc", "minvc"])
 @NONCANONICAL_COUNTS
 def test_kernel_lift_refuses_noncanonical_counts(tmp_path, capsys, which, count):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from countkernel.compositions import (
+    MINCUT_TO_OCT,
     OCT_TO_VC,
     ExactMetadata,
     exact_compose,
@@ -143,6 +144,29 @@ def test_mincut_oct_separated_terminals():
     assert count_min_st_cuts(apart, TerminalPair(0, 2))[0] == 1
 
 
+def test_mincut_oct_lift_checks_the_count_against_its_branch():
+    separated = mincut_to_oct_reduce(
+        CountingInstance(Graph.from_edges(4, [(0, 1), (2, 3)]), TerminalPair(0, 2), None,
+                         "min-cut-size")).context
+    normal = mincut_to_oct_reduce(CountingInstance(*EDGE, None, "min-cut-size")).context
+    assert mincut_to_oct_lift(separated, 1) == 1
+    assert mincut_to_oct_lift(normal, 7) == 7
+    for ctx, bad in ((separated, 0), (separated, 5), (separated, -1), (normal, 0), (normal, -3)):
+        with pytest.raises(IntegrityError):
+            mincut_to_oct_lift(ctx, bad)
+
+
+@pytest.mark.parametrize("payload", [
+    {"branch": ["junk"]}, {"branch": "junk", "k": "1"}, {"branch": "normal"},
+    {"branch": "normal", "k": 1}, {"branch": "normal", "k": "0"},
+    {"branch": "separated", "k": "2"}, {"k": "1"},
+], ids=["junk-branch-no-k", "unknown-branch", "no-k", "int-k", "normal-k-0", "separated-k-2",
+        "no-branch"])
+def test_mincut_oct_lift_refuses_malformed_contexts(payload):
+    with pytest.raises(ProtocolError):
+        mincut_to_oct_lift(LiftContext(MINCUT_TO_OCT, payload), 1)
+
+
 def test_mincut_oct_discards_stray_components():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
     inst = CountingInstance(g, TerminalPair(0, 2), None, "min-cut-size")
@@ -194,6 +218,17 @@ def test_oct_vc_lift_refuses_counts_above_the_subset_bound():
     # a huge context stays cheap: the bound stops growing once it passes the count
     huge = LiftContext(OCT_TO_VC, {"n": str(10**40), "k": str(10**20)})
     assert oct_to_vc_lift(huge, 2 * 10**30) == 10**30
+
+
+# 5,000 sevens: past the 4,300 digits that str() converts by default.
+SEVENS = 7 * (10**5000 - 1) // 9
+
+
+def test_oct_vc_lift_refuses_a_count_past_the_digit_cap_with_integrity_error():
+    ctx = oct_to_vc_reduce(CountingInstance(K3, None, 1)).context
+    for bad in (SEVENS, SEVENS + 1):  # odd, then even and above the subset bound
+        with pytest.raises(IntegrityError):
+            oct_to_vc_lift(ctx, bad)
 
 
 @pytest.mark.parametrize("payload", [
@@ -270,6 +305,14 @@ def test_exact_extraction_residue_detected():
     meta = exact_compose([PATH, PATH]).metadata
     with pytest.raises(IntegrityError):
         extract_counts(meta, 545)
+
+
+def test_extract_refuses_counts_past_the_digit_cap_with_integrity_error():
+    # Input 2's count would be the 5,000 sevens; then a residue of 6,021 digits.
+    with pytest.raises(IntegrityError):
+        extract_counts(ExactMetadata("gadget", 2, 8, 1, (8, 16)), SEVENS << 16)
+    with pytest.raises(IntegrityError):
+        extract_counts(ExactMetadata("gadget", 2, 40000, 1, (40000, 80000)), (1 << 20000) + 1)
 
 
 def test_exact_witness_validates_with_bound():

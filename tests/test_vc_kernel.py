@@ -21,6 +21,7 @@ from countkernel.oracles import (
 from countkernel.vc_kernel import (
     PaddedBlowup,
     blowup_cover_multiplicity,
+    blowup_parameters,
     build_padded_blowup,
     buss_reduce,
     lift_minimal_vertex_cover,
@@ -191,10 +192,14 @@ def test_closed_form_matches_dp_on_reduce_produced_parameters():
 
 def test_dominance_at_the_papers_scale():
     # The floor-division lift is exact only if every w_i dominates the
-    # tail; k2 = 7 and 8 were out of reach of the convolution DP.
+    # tail; k2 = 7 and 8 were out of reach of the convolution DP.  At
+    # k2 = 9 the multiplicities pass the 4,300 digits str() converts.
     report = sweep_dominance(kmax=8)
     assert report.passed, report.failures[:3]
     assert report.checked == 2909
+    report = sweep_dominance(kmax=9)
+    assert report.passed, report.failures[:3]
+    assert report.checked == 4492
 
 
 def test_multiplicity_domain_errors():
@@ -237,6 +242,26 @@ def test_lift_star_with_empty_core():
     # the empty reduced instance has exactly one cover
     assert lift_vertex_cover(result.context, 1) == 6
     assert count_vertex_covers(STAR5, 2) == 6
+
+
+def test_lift_reattaches_the_isolated_vertex_choices_as_binomial_sums():
+    # Seeded normal contexts with n1 up to 4,000 digits, and a count
+    # assembled from admissible y_i: the lift must weigh each y_i by
+    # sum_{j <= k2 - i} C(n1 - n2, j), computed here by math.comb.
+    rng = random.Random(14)
+    for _ in range(40):
+        k2 = rng.randint(0, 12)
+        n2 = rng.choice([0, *range(2, min(2 * k2 * k2, 12) + 1)])
+        n1 = n2 + rng.choice([0, 1, rng.randrange(10**6), rng.randrange(10**4000)])
+        d, t, k3 = blowup_parameters(n2, k2)
+        fields = {"n1": n1, "n2": n2, "k2": k2, "d": d, "t": t, "k3": k3}
+        ctx = LiftContext(vc_kernel.VC_KERNEL,
+                          {"branch": "normal", **{f: str(v) for f, v in fields.items()}})
+        ys = [0 if i == 0 and n2 else rng.randint(0, comb(n2, i))
+              for i in range(min(k2, n2) + 1)]
+        count = sum(y * blowup_cover_multiplicity(i, d, t, k2, n2) for i, y in enumerate(ys))
+        assert lift_vertex_cover(ctx, count) == sum(
+            y * sum(comb(n1 - n2, j) for j in range(k2 - i + 1)) for i, y in enumerate(ys))
 
 
 def test_lift_zero_branch_ignores_count():

@@ -1,0 +1,73 @@
+"""A planted fault in what a sweep checks fails that sweep.
+
+Each case runs a sweep at small arguments twice: as it is, where it
+must pass, and with one name it checks through replaced in the
+``verification`` module, where it must fail and its first failure must
+name the fault.
+"""
+
+import dataclasses
+
+import pytest
+
+from countkernel import verification as V
+from countkernel.vc_kernel import PaddedBlowup
+
+
+def plus_one(real):
+    return lambda *args: real(*args) + 1
+
+
+def sum_of_first_part(real):
+    return lambda parts: real(parts[:1])
+
+
+def one_more_padding_vertex(real):
+    def reduce(inst):
+        result = real(inst)
+        g = result.reduced.graph
+        if not isinstance(g, PaddedBlowup):
+            return result
+        padded = PaddedBlowup(g.core, g.copies, g.padding + 1)
+        reduced = dataclasses.replace(result.reduced, graph=padded)
+        return dataclasses.replace(result, reduced=reduced)
+    return reduce
+
+
+def plus_one_each(real):
+    return lambda meta, count: [q + 1 for q in real(meta, count)]
+
+
+def invalid(real):
+    return lambda g, td: dataclasses.replace(real(g, td), ok=False, violation="planted")
+
+
+PLANTED = [
+    pytest.param(lambda: V.sweep_map_size(seed=0, cases=8), "decomposed_blowup_count",
+                 plus_one, "!= decomposition", id="C02-map-size"),
+    pytest.param(lambda: V.sweep_dominance(kmax=2), "blowup_cover_multiplicity",
+                 lambda real: lambda *args: 1, "w_0 of 1 bits <= tail of 2 bits",
+                 id="C03-dominance"),
+    pytest.param(lambda: V.sweep_multiplicity_dp(limit=2), "multiplicity_by_dp",
+                 plus_one, "closed=1 dp=2 enum=1", id="C04-multiplicity-dp"),
+    pytest.param(lambda: V.sweep_sum(tuples=12, nmax=5, seed=0), "sum_compose",
+                 sum_of_first_part, "!= sum", id="C06-sum"),
+    pytest.param(lambda: V.sweep_exact(tuples=1, seed=0), "extract_counts",
+                 plus_one_each, "pinned example extraction != [2, 2]", id="C09-exact"),
+    pytest.param(lambda: V.sweep_exact_td(tuples=4, nmax=6, seed=0),
+                 "validate_tree_decomposition", invalid, "witness invalid: planted",
+                 id="C10-exact-td"),
+    pytest.param(lambda: V.sweep_vc_size_bounds(graphs=30, nmax=5, kmax=2, seed=0),
+                 "reduce_vertex_cover", one_more_padding_vertex, "!= formula",
+                 id="C11a-size-bounds"),
+]
+
+
+@pytest.mark.parametrize("sweep, name, plant, message", PLANTED)
+def test_a_planted_fault_fails_the_sweep(monkeypatch, sweep, name, plant, message):
+    clean = sweep()
+    assert clean.passed, clean.failures[:3]
+    monkeypatch.setattr(V, name, plant(getattr(V, name)))
+    report = sweep()
+    assert not report.passed
+    assert message in report.failures[0], report.failures[0]
