@@ -125,16 +125,12 @@ def mincut_to_oct_reduce(inst: CountingInstance) -> CompressionResult:
     blown, copy_of = false_twin_blowup(subdivided, range(kept.n), k + 1)
 
     base = blown.n
-    xs = [base + j for j in range(k + 1)]
-    ys = [base + k + 1 + j for j in range(k + 1)]
-    edges = set(blown.edges)
-    for j in range(k + 1):
-        edges.add(ordered(xs[j], ys[j]))
-        for si in copy_of[s]:
-            edges.add(ordered(si, xs[j]))
-        for ti in copy_of[t]:
-            edges.add(ordered(ti, ys[j]))
-    gprime = Graph(base + 2 * (k + 1), frozenset(edges))
+    us, vs = (list(column) for column in blown.columns())
+    for x in range(base, base + k + 1):
+        y = x + k + 1
+        us += [x, *copy_of[s], *copy_of[t]]
+        vs += [y] + [x] * len(copy_of[s]) + [y] * len(copy_of[t])
+    gprime = Graph._from_columns(base + 2 * (k + 1), us, vs)
 
     reduced = CountingInstance(gprime, None, k, "solution-size")
     payload = {"branch": "normal", "k": str(k)}
@@ -166,14 +162,16 @@ def mincut_to_oct_ppt() -> Compression:
 # ---------------------------------------------------------------------------
 
 def two_copy_matching_graph(g: Graph) -> Graph:
-    """Two disjoint copies of g plus the perfect matching between them."""
-    edges = set()
-    for u, v in g.edges:
-        edges.add(ordered(u, v))
-        edges.add(ordered(u + g.n, v + g.n))
-    for v in range(g.n):
-        edges.add(ordered(v, v + g.n))
-    return Graph(2 * g.n, frozenset(edges))
+    """Two disjoint copies of g plus the perfect matching between them.
+
+    Built from ``g.columns()`` as endpoint columns, so a parsed ``g``
+    never builds its edge set: the copies of g's distinct edges and the
+    matching edges v-(v+n) are distinct pairs.
+    """
+    n = g.n
+    us, vs = g.columns()
+    return Graph._from_columns(2 * n, us + [u + n for u in us] + list(range(n)),
+                               vs + [v + n for v in vs] + list(range(n, 2 * n)))
 
 
 def oct_to_vc_reduce(inst: CountingInstance, verify_nice: bool = False) -> CompressionResult:

@@ -7,17 +7,19 @@ a time: each run of ``e`` lines in bulk, every other line by the
 record rules, and each edge checked once.  It keeps the edges as two
 endpoint columns, and ``Graph.edges`` is built from them only when
 something reads it: the #VC kernel's reduce never does (see
-``Graph``).  All types are immutable values; every transformation
-returns a new graph together with explicit provenance maps, so callers
-never rely on index arithmetic.
+``Graph``).  The gadget builders return column-backed graphs too, and
+``serialize_graph`` writes either form from one sort of integer keys.
+All types are immutable values; every transformation returns a new
+graph together with explicit provenance maps, so callers never rely on
+index arithmetic.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from math import inf
 from operator import eq
 from typing import Iterable, Mapping, NoReturn, Sequence
@@ -46,19 +48,24 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     Invariants enforced at construction: no self-loops, every endpoint
-    below ``n``.  Duplicate edges cannot be represented (``edges`` is a
-    set of normalized pairs).  A graph is immutable.
+    below ``n``, no duplicate edges.  The set form cannot represent a
+    duplicate; in the column form, the parse checks for them and the
+    builders make their pairs distinct by construction.  A graph is
+    immutable.
 
     A graph holds its edges in one of two forms behind one API.
     ``Graph(n, edges)`` holds the set, and derives the two endpoint
     columns (``columns``) from it when they are asked for.
-    ``parse_graph``, the degree rule and the isolated-vertex strip build
-    graphs that hold only the columns, and ``edges`` builds the set of
-    ordered pairs from them on its first read, O(m), and caches it.  The
-    #VC reduce reads only the columns, so it never builds a parsed
-    host's edge set.  ``m`` is O(1) in both forms.  ``==``, ``hash`` and
-    ``repr`` read ``edges``, so the two forms of one graph are equal and
-    hash alike.
+    ``parse_graph``, the degree rule, the isolated-vertex strip and the
+    gadget builders (``subdivide_all_edges``, ``false_twin_blowup``,
+    the mincut-to-OCT gadget and the OCT-to-VC doubling) build graphs
+    that hold only the columns, and ``edges`` builds the set of ordered
+    pairs from them on its first read, O(m), and caches it.  The #VC
+    reduce, the OCT-to-VC doubling and ``serialize_graph`` read a
+    column-backed graph's columns only, so they never build a parsed
+    host's edge set.  ``m`` is O(1) in both forms.  ``==``, ``hash``
+    and ``repr`` read ``edges``, so the two forms of one graph are equal
+    and hash alike.
     """
 
     def __init__(self, n: int, edges: frozenset[Edge]):
@@ -83,13 +90,26 @@ class Graph:
     def _checked(cls, n: int, columns: tuple[list[int], list[int]]) -> "Graph":
         """A graph whose edges the caller has already checked: distinct
         pairs below a nonnegative n, given as endpoint columns in either
-        orientation.  Only ``parse_graph``, which checks a file's edges
-        once as it reads them, and the degree rule and the strip, which
-        renumber checked edges, call it."""
+        orientation.  ``parse_graph``, which checks a file's edges once
+        as it reads them, the degree rule and the strip, which renumber
+        checked edges, and ``_from_columns`` call it."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "_columns", columns)
         return g
+
+    @classmethod
+    def _from_columns(cls, n: int, us: list[int], vs: list[int]) -> "Graph":
+        """The graph on the edges ``us[i]``-``vs[i]``, which the caller
+        builds distinct.  Range and self-loops are checked here in bulk
+        over the columns, as ``Graph(n, edges)`` checks them per edge."""
+        if us and (min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n
+                   or any(map(eq, us, vs))):
+            u, v = next((u, v) for u, v in zip(us, vs)
+                        if u == v or not (0 <= u < n and 0 <= v < n))
+            raise ValueError(f"self-loop at vertex {u}" if u == v
+                             else f"edge ({u},{v}) out of range for n={n}")
+        return cls._checked(n, (us, vs))
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[Sequence[int]]) -> "Graph":
@@ -114,6 +134,11 @@ class Graph:
         if self._columns is not None:
             return self._columns
         return [u for u, _ in self.edges], [v for _, v in self.edges]
+
+    def _pairs(self) -> Iterable[Edge]:
+        """The edges as (u, v) pairs in either orientation, read from
+        whichever form the graph holds."""
+        return zip(*self._columns) if self._columns is not None else self.edges
 
     @property
     def m(self) -> int:
@@ -146,22 +171,6 @@ class Graph:
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
-
-    def rows(self):
-        """Each vertex u with a higher neighbour, in increasing u, with
-        the 1-based decimal labels of those neighbours in increasing
-        order: the ``e`` records of ``serialize_graph`` by lower endpoint.
-
-        Each row is sorted on its own, so rows in increasing u give the
-        order of ``sorted(self.edges)`` without comparing tuples.
-        """
-        grouped: defaultdict[int, list[int]] = defaultdict(list)
-        for u, v in self.edges:
-            grouped[u].append(v)
-        for u in sorted(grouped):
-            row = grouped[u]
-            row.sort()
-            yield u, [str(v + 1) for v in row]
 
     def isolated_vertices(self) -> list[int]:
         return [v for v in range(self.n) if not self.adjacency[v]]
@@ -455,23 +464,40 @@ def serialize_graph(g: Graph, terminals: TerminalPair | None = None,
     (u, v) order, then ``t <s> <t>`` if ``terminals`` is given and
     ``k <value>`` if ``k`` is, each line ending in a newline.
 
-    The edges come from ``g.rows()``.  ``g`` is a ``Graph``, or any
-    value with ``n``, ``m`` and rows like ``Graph.rows``, such as the
-    #VC kernel's ``PaddedBlowup``, which writes its rows from its core
-    and never builds its edge set.
+    A ``Graph``'s edges are read in either form without building the
+    other: one ``sorted`` list of integer keys gives them in order, and
+    one ``%`` over an ``e %d %d`` template formats them all.  Any other
+    ``g`` has ``n``, ``m`` and ``rows()``: each vertex u with a higher
+    neighbour, in increasing u, with the 1-based decimal labels of those
+    neighbours in increasing order.  The #VC kernel's ``PaddedBlowup``
+    writes its rows from its core and never builds its edge set.
     """
-    lines = []
-    if comment:
-        lines.extend(f"c {part}" for part in comment.splitlines())
+    lines = [f"c {part}" for part in comment.splitlines()] if comment else []
     lines.append(f"p {g.n} {g.m}")
-    for u, labels in g.rows():
-        pre = f"e {u + 1} "
-        lines.append(pre + ("\n" + pre).join(labels))
+    if isinstance(g, Graph):
+        if g.m:
+            flat = tuple(chain.from_iterable(_sorted_pairs(g, 1)))
+            lines.append("\n".join(["e %d %d"] * g.m) % flat)
+    else:
+        for u, labels in g.rows():
+            pre = f"e {u + 1} "
+            lines.append(pre + ("\n" + pre).join(labels))
     if terminals is not None:
         lines.append(f"t {terminals.s + 1} {terminals.t + 1}")
     if k is not None:
         lines.append(f"k {k}")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _sorted_pairs(g: Graph, first: int) -> Iterable[Edge]:
+    """The edges as pairs (u + first, v + first), u < v, in increasing
+    order: the ``divmod`` pairs of one sorted list of integer keys."""
+    base = g.n + first
+    shift = first * (base + 1)
+    keys = [u * base + v + shift if u < v else v * base + u + shift for u, v in g._pairs()]
+    keys.sort()
+    return map(divmod, keys, repeat(base))
 
 
 # ---------------------------------------------------------------------------
@@ -482,18 +508,15 @@ def subdivide_all_edges(g: Graph) -> tuple[Graph, dict[Edge, int]]:
     """Subdivide every edge once.
 
     Returns the new graph on n+m vertices (originals keep their indices)
-    and the map from each original edge to its subdivision vertex.
+    and the map from each original edge to its subdivision vertex, which
+    number the edges n, n+1, ... in sorted order.  The new graph holds
+    endpoint columns: edge (u, v) gives u-a and v-a for its vertex a.
     """
-    edge_vertex: dict[Edge, int] = {}
-    new_edges: set[Edge] = set()
-    next_index = g.n
-    for u, v in g.sorted_edges():
-        a = next_index
-        next_index += 1
-        edge_vertex[(u, v)] = a
-        new_edges.add(ordered(u, a))
-        new_edges.add(ordered(v, a))
-    return Graph(g.n + g.m, frozenset(new_edges)), edge_vertex
+    pairs = list(_sorted_pairs(g, 0))
+    subdivision = range(g.n, g.n + g.m)
+    us = [u for u, _ in pairs] + [v for _, v in pairs]
+    graph = Graph._from_columns(g.n + g.m, us, [*subdivision, *subdivision])
+    return graph, dict(zip(pairs, subdivision))
 
 
 def false_twin_blowup(g: Graph, targets: Iterable[int],
@@ -503,7 +526,9 @@ def false_twin_blowup(g: Graph, targets: Iterable[int],
     Each twin inherits exactly the target's neighborhood.  Rejects
     adjacent targets: copy-to-copy adjacency would be ambiguous there.
     Returns the new graph and the map from every original vertex to its
-    copy tuple (singleton for non-targets).
+    copy tuple (singleton for non-targets).  The new graph holds
+    endpoint columns: each edge has at most one target end, so its
+    copies are distinct pairs, appended as two column runs.
     """
     target_set = set(targets)
     if copies <= 0:
@@ -511,9 +536,6 @@ def false_twin_blowup(g: Graph, targets: Iterable[int],
     for v in target_set:
         if not 0 <= v < g.n:
             raise ValueError(f"target {v} out of range")
-    for u, v in g.edges:
-        if u in target_set and v in target_set:
-            raise BlowupError(f"targets {u} and {v} are adjacent")
 
     copy_of: dict[int, tuple[int, ...]] = {}
     next_index = 0
@@ -521,12 +543,15 @@ def false_twin_blowup(g: Graph, targets: Iterable[int],
         width = copies if v in target_set else 1
         copy_of[v] = tuple(range(next_index, next_index + width))
         next_index += width
-    new_edges = set()
-    for u, v in g.edges:
-        for cu in copy_of[u]:
-            for cv in copy_of[v]:
-                new_edges.add(ordered(cu, cv))
-    return Graph(next_index, frozenset(new_edges)), copy_of
+    us: list[int] = []
+    vs: list[int] = []
+    for u, v in g._pairs():
+        if u in target_set and v in target_set:
+            raise BlowupError(f"targets {u} and {v} are adjacent")
+        cu, cv = copy_of[u], copy_of[v]
+        us += cu * len(cv)
+        vs += cv * len(cu)
+    return Graph._from_columns(next_index, us, vs), copy_of
 
 
 def chain_identify(instances: Sequence[tuple[Graph, TerminalPair]],

@@ -208,7 +208,9 @@ class PaddedBlowup:
         return self.core.m * self.copies * self.copies
 
     def rows(self):
-        """The rows of ``Graph.rows``, in increasing u.
+        """The rows ``serialize_graph`` writes, in increasing u: each
+        vertex with a higher neighbour, with the 1-based labels of those
+        neighbours in increasing order.
 
         Every copy of core vertex u has the same row: the copy ranges of
         u's higher core neighbours.  So each core vertex's labels are

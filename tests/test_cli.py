@@ -1,4 +1,5 @@
 import json
+import random
 import re
 import sys
 import tracemalloc
@@ -10,10 +11,23 @@ from countkernel import oracles, vc_kernel
 from countkernel.cli import main
 from countkernel.compositions import ExactMetadata
 from countkernel.framework import CountingInstance
-from countkernel.graphs import Graph, ParsedGraph, TerminalPair, parse_graph, serialize_graph
+from countkernel.graphs import (
+    Graph,
+    ParsedGraph,
+    TerminalPair,
+    ordered,
+    parse_graph,
+    serialize_graph,
+)
 from countkernel.vc_kernel import lift_vertex_cover, reduce_vertex_cover
 
+from test_builders import (
+    reference_mincut_to_oct_graph,
+    reference_row_writer,
+    reference_two_copy_matching_graph,
+)
 from test_oracles import grid_3x4
+from test_verification import one_more_cut_on_composed_graphs
 
 K3_TEXT = "p 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 PATH_ST_TEXT = "p 3 2\ne 1 2\ne 2 3\nt 1 3\n"
@@ -309,6 +323,27 @@ def test_gen_is_deterministic(tmp_path, capsys):
     assert parsed.terminals == TerminalPair(0, 5)
 
 
+def test_ppt_pipeline_writes_the_reference_builders_bytes(tmp_path, capsys):
+    # A 1,000-vertex cycle with 1,000 random chords, cut between opposite
+    # vertices, through both transformations, against the set-based
+    # builders and the row writer they replaced.
+    rng = random.Random(61)
+    n = 1000
+    edges = {ordered(v, (v + 1) % n) for v in range(n)}
+    while len(edges) < 2 * n:
+        edges.add(ordered(*rng.sample(range(n), 2)))
+    g, st = Graph(n, frozenset(edges)), TerminalPair(0, n // 2)
+    cut = write(tmp_path, "cut.gr", serialize_graph(g, st))
+    oct_file, vc_file = tmp_path / "oct.gr", tmp_path / "vc.gr"
+    assert main(["ppt", "mincut-oct", "--graph", cut, "--out", str(oct_file)]) == 0
+    assert main(["ppt", "oct-vc", "--graph", str(oct_file), "--out", str(vc_file)]) == 0
+    oct_graph, k = reference_mincut_to_oct_graph(g, st)
+    doubled = reference_two_copy_matching_graph(oct_graph)
+    assert k >= 2 and doubled.m > 50_000
+    assert oct_file.read_bytes() == reference_row_writer(oct_graph, k=k).encode()
+    assert vc_file.read_bytes() == reference_row_writer(doubled, k=oct_graph.n + k).encode()
+
+
 def test_verify_suite_exit_codes(tmp_path, capsys):
     assert main(["verify", "ppt-vc", "--trials", "12", "--seed", "3"]) == 0
     out = capsys.readouterr().out
@@ -353,6 +388,17 @@ def test_verify_fails_a_sweep_whose_lift_refuses_the_count(monkeypatch, capsys):
     assert main(["verify", "vc-kernel", "--trials", "20"]) == 1
     out = capsys.readouterr().out
     assert re.search(r"^FAIL vc-kernel end-to-end: .*\(n=\d+, m=\d+, k=\d+\)$", out, re.M), out
+
+
+def test_verify_fails_the_exact_sweep_on_a_wrong_composed_count(monkeypatch, capsys):
+    # One more cut on every composed graph: extract finds a residue and
+    # refuses the count, which is a failed check, not an input error.
+    monkeypatch.setattr(oracles, "count_min_st_cuts",
+                        one_more_cut_on_composed_graphs(oracles.count_min_st_cuts))
+    assert main(["verify", "exact", "--trials", "1"]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"^FAIL exact composition: .* checks in .*; pinned example count 545 != 544$",
+                     out, re.M), out
 
 
 def test_verify_json_report(capsys):

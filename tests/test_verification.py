@@ -71,3 +71,23 @@ def test_a_planted_fault_fails_the_sweep(monkeypatch, sweep, name, plant, messag
     report = sweep()
     assert not report.passed
     assert message in report.failures[0], report.failures[0]
+
+
+def one_more_cut_on_composed_graphs(real):
+    """``count_min_st_cuts`` with one more cut on every graph of more than
+    six vertices: the exact compositions, but not their inputs."""
+    def count(g, st):
+        total, size = real(g, st)
+        return (total + 1, size) if g.n > 6 else (total, size)
+    return count
+
+
+def test_a_wrong_composed_count_fails_the_exact_sweep_without_aborting_it(monkeypatch):
+    monkeypatch.setattr(V.oracles, "count_min_st_cuts",
+                        one_more_cut_on_composed_graphs(V.oracles.count_min_st_cuts))
+    report = V.sweep_exact(tuples=1, seed=0)
+    assert not report.passed
+    assert report.failures[0] == "pinned example count 545 != 544"
+    refusal = "pinned example extraction != [2, 2]: extraction left a residue of 1 bits"
+    assert refusal in report.failures
+    assert any(message.startswith("extraction failed on count") for message in report.failures)
