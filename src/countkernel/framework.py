@@ -327,7 +327,9 @@ class VerificationReport:
     error: str | None = None
 
 
-def verify_compression(c: Compression, inst: CountingInstance) -> VerificationReport:
+def verify_compression(c: Compression, inst: CountingInstance,
+                       count: Callable[[str, CountingInstance], int] | None = None,
+                       ) -> VerificationReport:
     """Round-trip check against the oracles on one small instance.
 
     Reduces, counts the reduced instance by the compression's reference
@@ -335,13 +337,21 @@ def verify_compression(c: Compression, inst: CountingInstance) -> VerificationRe
     and by the oracle otherwise, lifts, and compares with a direct
     oracle run.  A lift that refuses the count fails the report with
     its text in ``error``.  Oracle size errors propagate.
+
+    ``count(problem, instance)`` stands in for ``oracle_count``, which
+    is looked up at call time when none is given.  A verification sweep
+    passes one that keeps the oracle's answers for the length of the
+    sweep, so a repeated instance is brute-forced once; the reduce and
+    the lift still run on every call, and the oracles themselves cache
+    nothing.
     """
-    direct = oracle_count(c.source_problem, inst)
+    count = count or oracle_count
+    direct = count(c.source_problem, inst)
     result = c.reduce(inst)
     if c.reference_reduced_count is not None:
         reduced_count = c.reference_reduced_count(result.reduced)
     else:
-        reduced_count = oracle_count(c.target_problem, result.reduced)
+        reduced_count = count(c.target_problem, result.reduced)
     error = None
     try:
         lifted = c.lift(result.context, reduced_count)

@@ -12,6 +12,14 @@ count(x) only through ``framework.verify_compression``, reference count
 first, as the stream ``_round_trips``.  Oct-to-vc has no reference: its
 lift halves twice the source count, so its doubled graph is
 brute-forced instead.
+
+The corpora repeat instances, so every sweep asks its oracles through
+``_shared`` tables that it makes when it starts and drops when it ends:
+each oracle runs once per distinct instance of the sweep.  A table
+holds only the oracle's answers, keyed by graph, terminals and budget;
+every reduce, lift and composition still runs on every instance, and a
+size refusal is not stored.  The oracles stay the dumb arbiter and
+cache nothing themselves.
 """
 
 from __future__ import annotations
@@ -32,7 +40,13 @@ from .compositions import (
     oct_to_vc_ppt,
     sum_compose,
 )
-from .framework import CountingInstance, IntegrityError, parameter_value, verify_compression
+from .framework import (
+    CountingInstance,
+    IntegrityError,
+    oracle_count,
+    parameter_value,
+    verify_compression,
+)
 from .graphs import (
     Graph,
     TerminalPair,
@@ -79,11 +93,29 @@ def _sweep(name: str, checks) -> SweepReport:
     return report
 
 
+def _shared(oracle, key=lambda *args: args):
+    """``oracle``, asked once per key: its answer is stored under
+    ``key(*args)`` and returned again for a repeat.  Only answers are
+    stored; an exception, such as an ``OracleSizeError``, stores
+    nothing and is raised again by the next ask."""
+    answers = {}
+
+    def ask(*args):
+        k = key(*args)
+        if k not in answers:
+            answers[k] = oracle(*args)
+        return answers[k]
+
+    return ask
+
+
 def _round_trips(compression, instances, extra_checks=lambda inst, trip: ()):
     """One check per ``verify_compression`` round trip and one per pair
     (ok, message) of ``extra_checks(inst, trip)``, each naming n, m and k."""
+    count = _shared(oracle_count, key=lambda problem, inst: (
+        problem, inst.graph, inst.terminals, inst.k))
     for inst in instances:
-        trip = verify_compression(compression, inst)
+        trip = verify_compression(compression, inst, count)
         k = inst.k if inst.k is not None else trip.result.reduced.k
         where = f"(n={inst.graph.n}, m={inst.graph.m}, k={k})"
         verdict = trip.error or f"lift={trip.lifted_count} direct={trip.direct_count}"
@@ -337,14 +369,15 @@ def sweep_sum(tuples: int = 500, nmax: int = 6, seed: int = 0) -> SweepReport:
     """Composed min-cut count equals the sum of the input counts."""
 
     def checks():
+        count_cuts = _shared(oracles.count_min_st_cuts)
         rng = random.Random(seed)
         pool = cut_instance_pool(max(60, tuples // 4), nmax, seed + 1)
         for parts in _equal_cut_tuples(pool, rng, tuples, max_len=4):
             composed = sum_compose(parts)
             if comb(composed.graph.m, composed.cut_size) > ENUMERATION_BUDGET:
                 continue
-            count, size = oracles.count_min_st_cuts(composed.graph, composed.terminals)
-            expected = sum(oracles.count_min_st_cuts(g, st)[0] for g, st in parts)
+            count, size = count_cuts(composed.graph, composed.terminals)
+            expected = sum(count_cuts(g, st)[0] for g, st in parts)
             yield (count == expected and size == composed.cut_size,
                    f"composed {count} (cut {size}) != sum {expected} "
                    f"(cut {composed.cut_size}, ell={len(parts)})")
@@ -357,9 +390,11 @@ def sweep_sum(tuples: int = 500, nmax: int = 6, seed: int = 0) -> SweepReport:
 def sweep_ppt_oct(instances: int = 300, seed: int = 0) -> SweepReport:
     """Cut counts survive the transversal gadget, and outputs are nice."""
 
+    is_nice = _shared(oracles.is_nice_oct_instance)
+
     def nice(inst, trip):
         reduced = trip.result.reduced
-        return [(oracles.is_nice_oct_instance(reduced.graph, reduced.k), "output not nice")]
+        return [(is_nice(reduced.graph, reduced.k), "output not nice")]
 
     pool = cut_instance_pool(instances, 7, seed, probabilities=(0.3, 0.45, 0.6),
                              keep=lambda g: 0 < g.m <= 6 and len(connected_components(g)) == 1)
@@ -369,13 +404,14 @@ def sweep_ppt_oct(instances: int = 300, seed: int = 0) -> SweepReport:
 
 def nice_oct_corpus(count: int, nmax: int, kmax: int, seed: int,
                     ) -> list[CountingInstance]:
+    is_nice = _shared(oracles.is_nice_oct_instance)
     rng = random.Random(seed)
     corpus = [CountingInstance(Graph.empty(1), None, 0)]
     while len(corpus) < count:
         n = rng.randint(1, nmax)
         g = oracles.random_graph(n, rng.choice((0.3, 0.5, 0.8)), rng.randrange(1 << 30))
         k = rng.randint(0, kmax)
-        if oracles.is_nice_oct_instance(g, k):
+        if is_nice(g, k):
             corpus.append(CountingInstance(g, None, k))
     return corpus
 
@@ -384,14 +420,15 @@ def sweep_ppt_vc(corpus_size: int = 200, nmax: int = 6, kmax: int = 3,
                  seed: int = 0) -> SweepReport:
     """Doubling a nice instance exactly doubles the count and pins the
     matching number and LP value at n."""
+    matching, lp_value = _shared(oracles.max_matching_size), _shared(oracles.lp_vc_value)
 
     def doubled(inst, trip):
         reduced, n = trip.result.reduced, inst.graph.n
         return [
             (trip.reduced_count == 2 * trip.direct_count,
              f"covers={trip.reduced_count} != 2*{trip.direct_count}"),
-            (oracles.max_matching_size(reduced.graph) == n, f"matching != n={n}"),
-            (oracles.lp_vc_value(reduced.graph) == Fraction(n), f"LP value != n={n}"),
+            (matching(reduced.graph) == n, f"matching != n={n}"),
+            (lp_value(reduced.graph) == Fraction(n), f"LP value != n={n}"),
             (parameter_value(reduced) == inst.k, "derived parameter != k"),
         ]
 
@@ -408,15 +445,16 @@ def _extraction_check(meta, count: int, want: list[int], message: str):
         return False, f"{message}: {exc}"
 
 
-def _exact_tuple_checks(composition, parts, enumerate_count: bool):
-    """The checks on one gadget-branch composition of ``parts``."""
+def _exact_tuple_checks(composition, parts, count_cuts, cut_size, enumerate_count: bool):
+    """The checks on one gadget-branch composition of ``parts``, asking
+    the sweep's shared ``count_min_st_cuts`` and ``min_cut_size``."""
     meta = composition.metadata
-    per_input = [oracles.count_min_st_cuts(g, st)[0] for g, st in parts]
+    per_input = [count_cuts(g, st)[0] for g, st in parts]
     expected = sum(q * (1 << e) for q, e in zip(per_input, meta.exponents))
-    cut = oracles.min_cut_size(composition.graph, composition.terminals)
+    cut = cut_size(composition.graph, composition.terminals)
     yield cut == meta.cut_size + meta.m * (meta.ell - 1), f"composed cut {cut} != k + m(ell-1)"
     if enumerate_count:
-        count, _ = oracles.count_min_st_cuts(composition.graph, composition.terminals)
+        count, _ = count_cuts(composition.graph, composition.terminals)
         yield count == expected, f"composed count {count} != weighted sum {expected}"
         yield _extraction_check(meta, count, per_input, f"extraction failed on count {count}")
     else:
@@ -433,9 +471,10 @@ def sweep_exact(tuples: int = 20, seed: int = 0) -> SweepReport:
     """
 
     def checks():
+        count_cuts, cut_size = _shared(oracles.count_min_st_cuts), _shared(oracles.min_cut_size)
         path = (Graph.from_edges(3, [(0, 1), (1, 2)]), TerminalPair(0, 2))
         composition = exact_compose([path, path])
-        count, size = oracles.count_min_st_cuts(composition.graph, composition.terminals)
+        count, size = count_cuts(composition.graph, composition.terminals)
         yield count == 544, f"pinned example count {count} != 544"
         yield size == 5, f"pinned example cut size {size} != 5"
         yield _extraction_check(composition.metadata, count, [2, 2],
@@ -453,10 +492,12 @@ def sweep_exact(tuples: int = 20, seed: int = 0) -> SweepReport:
             k_prime = probe.metadata.cut_size + probe.metadata.m * (probe.metadata.ell - 1)
             feasible = comb(probe.graph.m, k_prime) <= ENUMERATION_BUDGET
             if feasible and verified < tuples:
-                yield from _exact_tuple_checks(probe, parts, enumerate_count=True)
+                yield from _exact_tuple_checks(probe, parts, count_cuts, cut_size,
+                                               enumerate_count=True)
                 verified += 1
             elif not feasible and structural < 5:
-                yield from _exact_tuple_checks(probe, parts, enumerate_count=False)
+                yield from _exact_tuple_checks(probe, parts, count_cuts, cut_size,
+                                               enumerate_count=False)
                 structural += 1
             if verified >= tuples and structural >= 5:
                 break
@@ -469,7 +510,7 @@ def sweep_exact(tuples: int = 20, seed: int = 0) -> SweepReport:
         yield _extraction_check(trivial.metadata, 0, [1, 1], "trivial branch answers != [1, 1]")
 
         single = exact_compose([path])
-        count1, _ = oracles.count_min_st_cuts(single.graph, single.terminals)
+        count1, _ = count_cuts(single.graph, single.terminals)
         yield _extraction_check(single.metadata, count1, [2], "single-instance composition != [2]")
 
     return _sweep("exact composition", checks())
@@ -479,6 +520,7 @@ def sweep_exact_td(tuples: int = 12, nmax: int = 10, seed: int = 0) -> SweepRepo
     """Witness decompositions validate within one of the input treewidths."""
 
     def checks():
+        treewidth = _shared(oracles.exact_treewidth)
         rng = random.Random(seed)
         pool = cut_instance_pool(40, nmax, seed + 1)
         for parts in _equal_cut_tuples(pool, rng, tuples, max_len=3, min_cut=0):
@@ -487,7 +529,7 @@ def sweep_exact_td(tuples: int = 12, nmax: int = 10, seed: int = 0) -> SweepRepo
                 continue
             check = validate_tree_decomposition(composition.graph, composition.witness)
             yield check.ok, f"witness invalid: {check.violation}"
-            bound = max(2, max(oracles.exact_treewidth(g)[0] for g, _ in parts) + 1)
+            bound = max(2, max(treewidth(g)[0] for g, _ in parts) + 1)
             yield check.width <= bound, f"witness width {check.width} > bound {bound}"
 
     return _sweep("exact composition treewidth witness", checks())

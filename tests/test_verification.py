@@ -3,7 +3,9 @@
 Each case runs a sweep at small arguments twice: as it is, where it
 must pass, and with one name it checks through replaced in the
 ``verification`` module, where it must fail and its first failure must
-name the fault.
+name the fault.  Some faults show only on a repeated instance, so a
+sweep that reused a round trip, and not only the oracle's answer,
+would miss them.
 """
 
 import dataclasses
@@ -11,7 +13,9 @@ import dataclasses
 import pytest
 
 from countkernel import verification as V
-from countkernel.vc_kernel import PaddedBlowup
+from countkernel.framework import CountingInstance
+from countkernel.graphs import Graph
+from countkernel.vc_kernel import PaddedBlowup, minimal_vertex_cover_kernel
 
 
 def plus_one(real):
@@ -42,6 +46,37 @@ def invalid(real):
     return lambda g, td: dataclasses.replace(real(g, td), ok=False, violation="planted")
 
 
+def lift_one_more_on_repeats(real):
+    """The kernel with a lift one too high on each round trip of an
+    instance after its first, which a sweep that reused round trips
+    would miss."""
+    def kernel():
+        compression, seen, repeat = real(), set(), False
+
+        def reduce(inst):
+            nonlocal repeat
+            repeat = (inst.graph, inst.k) in seen
+            seen.add((inst.graph, inst.k))
+            return compression.reduce(inst)
+
+        def lift(ctx, count):
+            return compression.lift(ctx, count) + repeat
+
+        return dataclasses.replace(compression, reduce=reduce, lift=lift)
+    return kernel
+
+
+def first_part_on_repeats(real):
+    """``sum_compose`` of the first part only, on each repeat of a tuple."""
+    seen = set()
+
+    def compose(parts):
+        repeat = tuple(parts) in seen
+        seen.add(tuple(parts))
+        return real(parts[:1] if repeat else parts)
+    return compose
+
+
 PLANTED = [
     pytest.param(lambda: V.sweep_map_size(seed=0, cases=8), "decomposed_blowup_count",
                  plus_one, "!= decomposition", id="C02-map-size"),
@@ -52,6 +87,11 @@ PLANTED = [
                  plus_one, "closed=1 dp=2 enum=1", id="C04-multiplicity-dp"),
     pytest.param(lambda: V.sweep_sum(tuples=12, nmax=5, seed=0), "sum_compose",
                  sum_of_first_part, "!= sum", id="C06-sum"),
+    pytest.param(lambda: V.sweep_sum(tuples=60, nmax=5, seed=0), "sum_compose",
+                 first_part_on_repeats, "!= sum", id="C06-sum-on-repeats"),
+    pytest.param(lambda: V.sweep_minimal_vc(graphs=150, nmax=6, kmax=2, seed=0),
+                 "minimal_vertex_cover_kernel", lift_one_more_on_repeats,
+                 "lift=1 direct=0 (n=5, m=10, k=0)", id="C05-minvc-lift-on-repeats"),
     pytest.param(lambda: V.sweep_exact(tuples=1, seed=0), "extract_counts",
                  plus_one_each, "pinned example extraction != [2, 2]", id="C09-exact"),
     pytest.param(lambda: V.sweep_exact_td(tuples=4, nmax=6, seed=0),
@@ -91,3 +131,38 @@ def test_a_wrong_composed_count_fails_the_exact_sweep_without_aborting_it(monkey
     refusal = "pinned example extraction != [2, 2]: extraction left a residue of 1 bits"
     assert refusal in report.failures
     assert any(message.startswith("extraction failed on count") for message in report.failures)
+
+
+def test_each_oracle_runs_once_per_distinct_instance(monkeypatch):
+    calls = []
+    real = V.oracles.count_minimal_vertex_covers
+
+    def counted(g, k):
+        calls.append((g, k))
+        return real(g, k)
+
+    monkeypatch.setattr(V.oracles, "count_minimal_vertex_covers", counted)
+    assert V.sweep_minimal_vc(graphs=300, nmax=6, kmax=4, seed=0).passed
+    reduce = minimal_vertex_cover_kernel().reduce
+    keys = set()
+    for g in V.graph_corpus(300, 6, 0):
+        for k in range(5):
+            reduced = reduce(CountingInstance(g, None, k)).reduced
+            keys |= {(g, k), (reduced.graph, reduced.k)}
+    assert len(set(calls)) == len(calls) == len(keys)
+
+
+def test_a_refused_instance_is_asked_again(monkeypatch):
+    asked = []
+
+    def oracle(problem, inst):
+        asked.append(inst)
+        return V.oracle_count(problem, inst)
+
+    monkeypatch.setattr(V.oracles, "SUBSET_LIMIT", 10)
+    count = V._shared(oracle)
+    inst = CountingInstance(Graph.empty(8), None, 4)
+    for _ in range(2):
+        with pytest.raises(V.oracles.OracleSizeError):
+            count("vertex-cover", inst)
+    assert asked == [inst, inst]
