@@ -12,6 +12,10 @@ both contexts nested.
 ``default_registry`` names the shipped kernels and identity
 compressions, so the CLI can pipeline them across processes; contexts
 round-trip through JSON with counts as decimal strings.
+
+Only the verification helpers ``parameter_value`` and ``oracle_count``
+reach the brute-force ``oracles``, and they import them when called,
+so loading this module does not load them.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from . import oracles
 from .graphs import Graph, TerminalPair
 
 if TYPE_CHECKING:
@@ -62,6 +65,10 @@ class IntegrityError(Exception):
     """A count fed to a lift procedure is inconsistent with its context."""
 
 
+class OracleSizeError(Exception):
+    """Enumeration space too large for a brute-force oracle."""
+
+
 @dataclass(frozen=True)
 class CountingInstance:
     """A graph instance of one of the counting problems.
@@ -94,6 +101,8 @@ class CountingInstance:
 
 def parameter_value(inst: CountingInstance):
     """The instance's parameter under its declared kind."""
+    from . import oracles
+
     if inst.param_kind == "solution-size":
         return inst.k
     if inst.param_kind == "min-cut-size":
@@ -116,11 +125,13 @@ def oracle_count(problem: str, inst: CountingInstance) -> int:
     before that, so a large blowup is refused without building its
     edges.
     """
+    from . import oracles
+
     g = inst.graph
     if not isinstance(g, Graph):
         if problem in SUBSET_PROBLEMS and not exceeds_subset_count(
                 oracles.SUBSET_LIMIT + 1, g.n, inst.k):
-            raise oracles.OracleSizeError(
+            raise OracleSizeError(
                 f"{problem}: more than {oracles.SUBSET_LIMIT} candidate subsets "
                 f"of at most {inst.k} of {g.n} vertices")
         g = g.materialize()

@@ -18,14 +18,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+# Defined in framework, so that the CLI catches it without importing this module.
+from .framework import OracleSizeError
 from .graphs import Graph, TerminalPair, TreeDecomposition
 
 SUBSET_LIMIT = 1 << 26
 TREEWIDTH_LIMIT = 12
-
-
-class OracleSizeError(Exception):
-    """Enumeration space too large for a brute-force oracle."""
 
 
 def _adjacency_masks(g: Graph) -> list[int]:

@@ -47,6 +47,11 @@ vertices; inclusion-exclusion over the j classes taken whole gives
 
 with each inner partial sum built term by term: O(k2 * d * k2^2)
 big-int steps for all the w_i of one lift.
+
+Reduce and lift never touch the brute-force ``oracles``.  Only the
+verification helpers ``decomposed_blowup_count`` and
+``reference_blowup_count`` count core covers with them, and import
+them when called.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from dataclasses import dataclass
 from itertools import chain, compress, product
 from math import comb
 
-from . import oracles
 from .framework import (
     Compression,
     CompressionResult,
@@ -408,6 +412,8 @@ def lift_vertex_cover(ctx: LiftContext, reduced_count: int) -> int:
 def decomposed_blowup_count(core: Graph, copies: int, padding: int, budget: int) -> int:
     """Covers of size at most copies*budget of the padded blowup of
     ``core``, assembled as sum_i y_i * w_i with oracle y_i."""
+    from . import oracles
+
     return sum(oracles.count_vertex_covers_of_size(core, i)
                * blowup_cover_multiplicity(i, copies, padding, budget, core.n)
                for i in range(min(budget, core.n) + 1))
@@ -423,6 +429,8 @@ def reference_blowup_count(reduced: CountingInstance) -> int:
     suite.  The zero branch's constant instance goes to the oracle; an
     empty core has no copies and one cover at any budget.
     """
+    from . import oracles
+
     g3 = reduced.graph
     if not isinstance(g3, PaddedBlowup):
         return oracles.count_vertex_covers(g3, reduced.k)

@@ -1,14 +1,18 @@
+import argparse
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from countkernel import oracles, vc_kernel
-from countkernel.cli import main
+from countkernel import framework, oracles, vc_kernel, verification
+from countkernel.cli import build_parser, main
 from countkernel.compositions import ExactMetadata
 from countkernel.framework import CountingInstance
 from countkernel.graphs import (
@@ -510,3 +514,64 @@ def test_size_guard_exits_4(tmp_path):
     big = Graph.empty(64)
     path = write(tmp_path, "big.gr", serialize_graph(big))
     assert main(["oracle", "vc", "--graph", path, "--k", "32"]) == 4
+
+
+# Runs the argument lists in argv[1] (a JSON list of lists) through
+# cli.main, then the ones in argv[2]; prints the exit codes and the
+# countkernel modules loaded after each half.
+FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+from countkernel import cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "countkernel")
+
+codes, footprints = [], []
+for steps in map(json.loads, sys.argv[1:]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes += [cli.main(argv) for argv in steps]
+    footprints.append(loaded())
+print(json.dumps({"codes": codes, "footprints": footprints}))
+"""
+
+
+def test_a_kernel_step_loads_only_the_kernel_path(tmp_path):
+    edge = write(tmp_path, "edge.gr", "p 2 1\ne 1 2\n")
+    star = write(tmp_path, "star.gr", STAR_TEXT)
+    path = write(tmp_path, "p.gr", PATH_ST_TEXT)
+    t = {name: str(tmp_path / name) for name in
+         ("vc.gr", "vc.json", "minvc.gr", "minvc.json", "exact.gr", "meta.json", "oct.gr")}
+    kernel_steps = [
+        ["kernel", "vc", "reduce", "--graph", edge, "--k", "1",
+         "--out", t["vc.gr"], "--context", t["vc.json"]],
+        ["kernel", "vc", "lift", "--context", t["vc.json"], "--count", "2"],
+        ["kernel", "minvc", "reduce", "--graph", star,
+         "--out", t["minvc.gr"], "--context", t["minvc.json"]],
+        ["kernel", "minvc", "lift", "--context", t["minvc.json"], "--count", "2"],
+    ]
+    cut_steps = [
+        ["compose", "exact", "--inputs", f"{path},{path}", "--out", t["exact.gr"],
+         "--meta", t["meta.json"]],
+        ["extract", "--meta", t["meta.json"], "--count", "544"],
+        ["ppt", "mincut-oct", "--graph", path, "--out", t["oct.gr"]],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT, json.dumps(kernel_steps), json.dumps(cut_steps)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["codes"] == [0] * (len(kernel_steps) + len(cut_steps))
+    kernel, cut = result["footprints"]
+    assert kernel == ["countkernel", "countkernel.cli", "countkernel.framework",
+                      "countkernel.graphs", "countkernel.vc_kernel"]
+    assert "countkernel.compositions" in cut
+    assert "countkernel.verification" not in cut
+
+
+def test_the_cli_reads_verify_suites_and_the_size_error_without_importing_their_owners():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
+    assert list(suite.choices) == [*verification.SUITES, "all"]
+    assert oracles.OracleSizeError is framework.OracleSizeError

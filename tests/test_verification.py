@@ -38,6 +38,20 @@ def one_more_padding_vertex(real):
     return reduce
 
 
+def budget_as_solution_size(real):
+    """The transformation with its output's parameter declared the plain
+    budget instead of k minus the matching number."""
+    def ppt():
+        compression = real()
+
+        def reduce(inst):
+            result = compression.reduce(inst)
+            reduced = dataclasses.replace(result.reduced, param_kind="solution-size")
+            return dataclasses.replace(result, reduced=reduced)
+        return dataclasses.replace(compression, reduce=reduce)
+    return ppt
+
+
 def plus_one_each(real):
     return lambda meta, count: [q + 1 for q in real(meta, count)]
 
@@ -92,6 +106,9 @@ PLANTED = [
     pytest.param(lambda: V.sweep_minimal_vc(graphs=150, nmax=6, kmax=2, seed=0),
                  "minimal_vertex_cover_kernel", lift_one_more_on_repeats,
                  "lift=1 direct=0 (n=5, m=10, k=0)", id="C05-minvc-lift-on-repeats"),
+    pytest.param(lambda: V.sweep_ppt_vc(corpus_size=20, nmax=5, kmax=2, seed=0),
+                 "oct_to_vc_ppt", budget_as_solution_size, "derived parameter != k",
+                 id="C08-ppt-vc-parameter-kind"),
     pytest.param(lambda: V.sweep_exact(tuples=1, seed=0), "extract_counts",
                  plus_one_each, "pinned example extraction != [2, 2]", id="C09-exact"),
     pytest.param(lambda: V.sweep_exact_td(tuples=4, nmax=6, seed=0),
