@@ -1,10 +1,14 @@
 """Exponential-time ground-truth counters.
 
-Everything here is deliberately dumb: exact enumeration (with cheap
-pruning only), correctness over speed.  These oracles define ground
-truth for the kernels, the compositions, and the parameter
-transformations, so none of them may share a clever identity with the
-code they check.
+Everything here is deliberately dumb: exact enumeration, correctness
+over speed.  These oracles define ground truth for the kernels, the
+compositions, and the parameter transformations, so none of them may
+share a clever identity with the code they check.  Each enumerating
+oracle lists every candidate set and checks each one in full against
+its definition; only the check is fast, done on whole-graph bit masks
+(a mask per edge, or a vertex's neighbors as one integer) instead of
+a Python loop per edge.  Nothing is memoized between candidates or
+calls.
 
 Enumerations refuse inputs whose candidate space exceeds
 ``SUBSET_LIMIT`` rather than hanging; treewidth is capped at 12
@@ -52,23 +56,30 @@ def _subset_masks(n: int, sizes: range):
 
 
 def _is_bipartite_masked(adj: list[int], n: int, removed: int) -> bool:
-    color = [-1] * n
-    for root in range(n):
-        if removed >> root & 1 or color[root] != -1:
-            continue
-        color[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            nbrs = adj[u] & ~removed
-            while nbrs:
-                v = (nbrs & -nbrs).bit_length() - 1
-                nbrs &= nbrs - 1
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    return False
+    """Whether the graph minus ``removed`` is 2-colorable.
+
+    Each component is 2-colored one BFS layer at a time on vertex
+    masks, a layer taking the color opposite to the one before.  Every
+    edge joins one layer to itself or to the next, so an edge joins two
+    vertices of one color iff some layer's neighborhood meets that
+    layer's own color class.
+    """
+    unseen = ((1 << n) - 1) & ~removed
+    while unseen:
+        layer = unseen & -unseen
+        unseen ^= layer
+        same, other = layer, 0  # the layer's color class and the other one
+        while layer:
+            nbrs = 0
+            while layer:
+                low = layer & -layer
+                nbrs |= adj[low.bit_length() - 1]
+                layer ^= low
+            if nbrs & same:
+                return False
+            layer = nbrs & unseen
+            unseen ^= layer
+            same, other = other | layer, same
     return True
 
 
@@ -96,23 +107,25 @@ def _is_connected_masked(adj: list[int], n: int, removed: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def count_vertex_covers(g: Graph, k: int) -> int:
-    """Number of vertex covers of size at most k."""
+    """Number of vertex covers of size at most k: candidate vertex sets
+    that meet every edge's two-bit mask."""
     if k < 0:
         return 0
     _guard(_subset_budget(g.n, k), "count_vertex_covers")
     edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
-    return sum(1 for mask in _subset_masks(g.n, range(min(k, g.n) + 1))
-               if all(mask & em for em in edge_masks))
+    return sum(all(map(mask.__and__, edge_masks))
+               for mask in _subset_masks(g.n, range(min(k, g.n) + 1)))
 
 
 def count_vertex_covers_of_size(g: Graph, size: int) -> int:
-    """Number of vertex covers of size exactly ``size``."""
+    """Number of vertex covers of size exactly ``size``, checked as in
+    ``count_vertex_covers``."""
     if size < 0 or size > g.n:
         return 0
     _guard(comb(g.n, size), "count_vertex_covers_of_size")
     edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
-    return sum(1 for mask in _subset_masks(g.n, range(size, size + 1))
-               if all(mask & em for em in edge_masks))
+    return sum(all(map(mask.__and__, edge_masks))
+               for mask in _subset_masks(g.n, range(size, size + 1)))
 
 
 def count_minimal_vertex_covers(g: Graph, k: int) -> int:
@@ -120,16 +133,17 @@ def count_minimal_vertex_covers(g: Graph, k: int) -> int:
 
     A cover is minimal when no proper subset covers; equivalently every
     chosen vertex keeps a neighbor outside the cover, that is, every
-    vertex's closed neighborhood leaves the cover.
+    vertex's closed neighborhood leaves the cover.  A candidate is
+    checked against every edge's mask and then every vertex's closed
+    neighborhood mask.
     """
     if k < 0:
         return 0
     _guard(_subset_budget(g.n, k), "count_minimal_vertex_covers")
     edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
     closed = [(1 << v) | nbrs for v, nbrs in enumerate(_adjacency_masks(g))]
-    return sum(1 for mask in _subset_masks(g.n, range(min(k, g.n) + 1))
-               if all(mask & em for em in edge_masks)
-               and all(c & ~mask for c in closed))
+    return sum(all(map(mask.__and__, edge_masks)) and all(map((~mask).__and__, closed))
+               for mask in _subset_masks(g.n, range(min(k, g.n) + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,44 +226,35 @@ def count_min_st_cuts(g: Graph, st: TerminalPair) -> tuple[int, int]:
     """Count of edge sets of exactly minimum-cut size that separate s,t.
 
     Returns ``(count, cut_size)``; the empty cut gives count 1 when the
-    terminals are already separated.  Every counted subset is verified
-    to separate by an explicit connectivity re-check.
+    terminals are already separated.  Every edge set of that size is
+    checked by an explicit connectivity re-check: the adjacency masks
+    lose the set's edges, and s's reach grows one frontier at a time
+    until it holds t or stops growing.
     """
     st.check_in(g)
     k = min_cut_size(g, st)
     if k == 0:
         return 1, 0
     edges = g.sorted_edges()
-    m = len(edges)
-    _guard(comb(m, k), "count_min_st_cuts")
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for idx, (u, v) in enumerate(edges):
-        adj[u].append((v, idx))
-        adj[v].append((u, idx))
-    removed = bytearray(m)
-    seen = bytearray(g.n)
+    _guard(comb(len(edges), k), "count_min_st_cuts")
+    adj = _adjacency_masks(g)
+    s_bit, t_bit = 1 << st.s, 1 << st.t
     count = 0
-    for cut in combinations(range(m), k):
-        for idx in cut:
-            removed[idx] = 1
-        for i in range(g.n):
-            seen[i] = 0
-        seen[st.s] = 1
-        stack = [st.s]
-        reached = False
-        while stack:
-            u = stack.pop()
-            if u == st.t:
-                reached = True
-                break
-            for v, idx in adj[u]:
-                if not removed[idx] and not seen[v]:
-                    seen[v] = 1
-                    stack.append(v)
-        if not reached:
-            count += 1
-        for idx in cut:
-            removed[idx] = 0
+    for cut in combinations(edges, k):
+        kept = adj.copy()
+        for u, v in cut:
+            kept[u] ^= 1 << v
+            kept[v] ^= 1 << u
+        reach = frontier = s_bit
+        while frontier and not reach & t_bit:
+            nbrs = 0
+            while frontier:
+                low = frontier & -frontier
+                nbrs |= kept[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nbrs & ~reach
+            reach |= frontier
+        count += not reach & t_bit
     return count, k
 
 
@@ -300,20 +305,31 @@ def lp_vc_value(g: Graph) -> Fraction:
         adj_left[u].append(v)
         adj_left[v].append(u)
     match_right = [-1] * g.n
-
-    def augment(u: int, visited: list[bool]) -> bool:
-        for v in adj_left[u]:
-            if not visited[v]:
-                visited[v] = True
-                if match_right[v] == -1 or augment(match_right[v], visited):
-                    match_right[v] = u
-                    return True
-        return False
-
     matched = 0
-    for u in range(g.n):
-        if augment(u, [False] * g.n):
-            matched += 1
+    for root in range(g.n):
+        # Depth-first search for an augmenting path, on an explicit stack:
+        # lefts[i] reached right vertex path[i], whose partner is lefts[i + 1].
+        visited = [False] * g.n
+        lefts, path, todo = [root], [], [iter(adj_left[root])]
+        while todo:
+            for v in todo[-1]:
+                if not visited[v]:
+                    break
+            else:
+                todo.pop()
+                lefts.pop()
+                if path:
+                    path.pop()
+                continue
+            visited[v] = True
+            path.append(v)
+            if match_right[v] == -1:
+                for u, w in zip(lefts, path):
+                    match_right[w] = u
+                matched += 1
+                break
+            lefts.append(match_right[v])
+            todo.append(iter(adj_left[match_right[v]]))
     return Fraction(matched, 2)
 
 

@@ -16,11 +16,12 @@ brute-forced instead.
 The corpora repeat instances, so every sweep asks its oracles through
 ``_shared`` tables that it makes when it starts and drops when it ends:
 each oracle runs once per distinct instance of the sweep.  A table
-holds only the oracle's answers, keyed by graph, terminals and budget;
-the round trips' table keys a graph by its n and edge set, which is
-all its equality reads, so it keeps no reduced ``Graph`` alive.  Every
-reduce, lift and composition still runs on every instance, and a size
-refusal is not stored.  The oracles stay the dumb arbiter and
+holds only the oracle's answers, keyed by graph, terminals and budget.
+The round trips', the niceness and the matching and LP tables key a
+graph by a flat tuple of its n and edge set, which is all its equality
+reads, so they keep no reduced, gadget or doubled ``Graph`` alive.
+Every reduce, lift and composition still runs on every instance, and a
+size refusal is not stored.  The oracles stay the dumb arbiter and
 cache nothing themselves.
 """
 
@@ -108,6 +109,12 @@ def _shared(oracle, key=lambda *args: args):
         return answers[k]
 
     return ask
+
+
+def _flat_key(g: Graph, *rest) -> tuple:
+    """A table key for ``g`` and the oracle's other arguments: n and the
+    edge set stand in for the graph, so the key holds no ``Graph``."""
+    return (g.n, g.edges, *rest)
 
 
 def _round_trips(compression, instances, extra_checks=lambda inst, trip: ()):
@@ -391,7 +398,7 @@ def sweep_sum(tuples: int = 500, nmax: int = 6, seed: int = 0) -> SweepReport:
 def sweep_ppt_oct(instances: int = 300, seed: int = 0) -> SweepReport:
     """Cut counts survive the transversal gadget, and outputs are nice."""
 
-    is_nice = _shared(oracles.is_nice_oct_instance)
+    is_nice = _shared(oracles.is_nice_oct_instance, _flat_key)
 
     def nice(inst, trip):
         reduced = trip.result.reduced
@@ -405,7 +412,7 @@ def sweep_ppt_oct(instances: int = 300, seed: int = 0) -> SweepReport:
 
 def nice_oct_corpus(count: int, nmax: int, kmax: int, seed: int,
                     ) -> list[CountingInstance]:
-    is_nice = _shared(oracles.is_nice_oct_instance)
+    is_nice = _shared(oracles.is_nice_oct_instance, _flat_key)
     rng = random.Random(seed)
     corpus = [CountingInstance(Graph.empty(1), None, 0)]
     while len(corpus) < count:
@@ -421,7 +428,8 @@ def sweep_ppt_vc(corpus_size: int = 200, nmax: int = 6, kmax: int = 3,
                  seed: int = 0) -> SweepReport:
     """Doubling a nice instance exactly doubles the count and pins the
     matching number and LP value at n."""
-    matching, lp_value = _shared(oracles.max_matching_size), _shared(oracles.lp_vc_value)
+    matching = _shared(oracles.max_matching_size, _flat_key)
+    lp_value = _shared(oracles.lp_vc_value, _flat_key)
 
     def doubled(inst, trip):
         reduced, n = trip.result.reduced, inst.graph.n

@@ -73,6 +73,13 @@ def test_oracle_lpvc_and_tw(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_oracle_lpvc_on_a_long_path(tmp_path, capsys):
+    path = Graph.from_edges(3000, [(v, v + 1) for v in range(2999)])
+    graph = write(tmp_path, "path.gr", serialize_graph(path))
+    assert main(["oracle", "lpvc", "--graph", graph]) == 0
+    assert capsys.readouterr().out.strip() == "1500"
+
+
 def test_oracle_tw_on_the_3x4_grid(tmp_path, capsys):
     grid = write(tmp_path, "grid.gr", serialize_graph(grid_3x4()))
     assert main(["oracle", "tw", "--graph", grid]) == 0

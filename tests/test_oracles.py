@@ -1,15 +1,21 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from countkernel import oracles
 from countkernel.graphs import Graph, TerminalPair, TreeDecomposition, validate_tree_decomposition
 from countkernel.oracles import (
     TREEWIDTH_LIMIT,
     OracleSizeError,
     _adjacency_masks,
+    _guard,
+    _is_connected_masked,
+    _subset_budget,
+    _subset_masks,
     count_min_st_cuts,
     count_minimal_vertex_covers,
     count_odd_cycle_transversals,
@@ -395,3 +401,278 @@ def test_enumerating_oracles_match_set_definitions_on_all_small_graphs():
                     s in transversal for s in within)
                 assert is_nice_oct_instance(g, k) == all(
                     leaves_connected[s] for s in within if s in transversal)
+
+
+# The set of minimum s-t cuts by its definition: every edge set whose
+# removal separates s from t, at the least size any such set has.
+
+def _labels(n, edges):
+    """Component label of each vertex, by union-find over ``edges``."""
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    return [find(v) for v in range(n)]
+
+
+def test_count_min_st_cuts_matches_the_set_definition_on_all_small_graphs():
+    for n in range(2, 6):
+        for g in all_graphs(n):
+            edges = g.sorted_edges()
+            removals = [(frozenset(cut), _labels(n, [e for e in edges if e not in cut]))
+                        for size in range(len(edges) + 1) for cut in combinations(edges, size)]
+            for s, t in combinations(range(n), 2):
+                separating = [cut for cut, label in removals if label[s] != label[t]]
+                least = min(map(len, separating))
+                want = (sum(len(cut) == least for cut in separating), least)
+                assert count_min_st_cuts(g, TerminalPair(s, t)) == want, (g, s, t)
+                assert count_min_st_cuts(g, TerminalPair(t, s)) == want, (g, t, s)
+
+
+# The candidate checks as they were before the whole-graph bit masks: a
+# loop per edge in every check.  The oracles must give the same answers.
+
+def reference_is_bipartite_masked(adj: list[int], n: int, removed: int) -> bool:
+    color = [-1] * n
+    for root in range(n):
+        if removed >> root & 1 or color[root] != -1:
+            continue
+        color[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            nbrs = adj[u] & ~removed
+            while nbrs:
+                v = (nbrs & -nbrs).bit_length() - 1
+                nbrs &= nbrs - 1
+                if color[v] == -1:
+                    color[v] = 1 - color[u]
+                    stack.append(v)
+                elif color[v] == color[u]:
+                    return False
+    return True
+
+
+def reference_count_vertex_covers(g: Graph, k: int) -> int:
+    if k < 0:
+        return 0
+    _guard(_subset_budget(g.n, k), "count_vertex_covers")
+    edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
+    return sum(1 for mask in _subset_masks(g.n, range(min(k, g.n) + 1))
+               if all(mask & em for em in edge_masks))
+
+
+def reference_count_vertex_covers_of_size(g: Graph, size: int) -> int:
+    if size < 0 or size > g.n:
+        return 0
+    _guard(comb(g.n, size), "count_vertex_covers_of_size")
+    edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
+    return sum(1 for mask in _subset_masks(g.n, range(size, size + 1))
+               if all(mask & em for em in edge_masks))
+
+
+def reference_count_minimal_vertex_covers(g: Graph, k: int) -> int:
+    if k < 0:
+        return 0
+    _guard(_subset_budget(g.n, k), "count_minimal_vertex_covers")
+    edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
+    closed = [(1 << v) | nbrs for v, nbrs in enumerate(_adjacency_masks(g))]
+    return sum(1 for mask in _subset_masks(g.n, range(min(k, g.n) + 1))
+               if all(mask & em for em in edge_masks)
+               and all(c & ~mask for c in closed))
+
+
+def reference_count_odd_cycle_transversals(g: Graph, k: int) -> int:
+    if k < 0:
+        return 0
+    _guard(_subset_budget(g.n, k), "count_odd_cycle_transversals")
+    adj = _adjacency_masks(g)
+    return sum(1 for removed in _subset_masks(g.n, range(min(k, g.n) + 1))
+               if reference_is_bipartite_masked(adj, g.n, removed))
+
+
+def reference_is_nice_oct_instance(g: Graph, k: int) -> bool:
+    if k < 0:
+        return True
+    _guard(_subset_budget(g.n, k), "is_nice_oct_instance")
+    adj = _adjacency_masks(g)
+    everything = (1 << g.n) - 1
+    for removed in _subset_masks(g.n, range(min(k, g.n) + 1)):
+        if reference_is_bipartite_masked(adj, g.n, removed):
+            if removed == everything or not _is_connected_masked(adj, g.n, removed):
+                return False
+    return True
+
+
+def reference_count_min_st_cuts(g: Graph, st: TerminalPair) -> tuple[int, int]:
+    st.check_in(g)
+    k = min_cut_size(g, st)
+    if k == 0:
+        return 1, 0
+    edges = g.sorted_edges()
+    m = len(edges)
+    _guard(comb(m, k), "count_min_st_cuts")
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for idx, (u, v) in enumerate(edges):
+        adj[u].append((v, idx))
+        adj[v].append((u, idx))
+    removed = bytearray(m)
+    seen = bytearray(g.n)
+    count = 0
+    for cut in combinations(range(m), k):
+        for idx in cut:
+            removed[idx] = 1
+        for i in range(g.n):
+            seen[i] = 0
+        seen[st.s] = 1
+        stack = [st.s]
+        reached = False
+        while stack:
+            u = stack.pop()
+            if u == st.t:
+                reached = True
+                break
+            for v, idx in adj[u]:
+                if not removed[idx] and not seen[v]:
+                    seen[v] = 1
+                    stack.append(v)
+        if not reached:
+            count += 1
+        for idx in cut:
+            removed[idx] = 0
+    return count, k
+
+
+def reference_lp_vc_value(g: Graph) -> Fraction:
+    """The recursive augmenting-path search, which a path of a few
+    thousand vertices takes past the interpreter's recursion limit."""
+    adj_left: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj_left[u].append(v)
+        adj_left[v].append(u)
+    match_right = [-1] * g.n
+
+    def augment(u: int, visited: list[bool]) -> bool:
+        for v in adj_left[u]:
+            if not visited[v]:
+                visited[v] = True
+                if match_right[v] == -1 or augment(match_right[v], visited):
+                    match_right[v] = u
+                    return True
+        return False
+
+    matched = 0
+    for u in range(g.n):
+        if augment(u, [False] * g.n):
+            matched += 1
+    return Fraction(matched, 2)
+
+
+BUDGETED = [
+    (count_vertex_covers, reference_count_vertex_covers),
+    (count_vertex_covers_of_size, reference_count_vertex_covers_of_size),
+    (count_minimal_vertex_covers, reference_count_minimal_vertex_covers),
+    (count_odd_cycle_transversals, reference_count_odd_cycle_transversals),
+    (is_nice_oct_instance, reference_is_nice_oct_instance),
+]
+CUT_CANDIDATE_LIMIT = 20_000
+
+
+def _same_answers(g: Graph, budgets) -> None:
+    for oracle, reference in BUDGETED:
+        for k in budgets:
+            assert oracle(g, k) == reference(g, k), (oracle.__name__, g, k)
+
+
+def _same_cut_answers(g: Graph, pairs) -> None:
+    for s, t in pairs:
+        st = TerminalPair(s, t)
+        if comb(g.m, min_cut_size(g, st)) <= CUT_CANDIDATE_LIMIT:
+            assert count_min_st_cuts(g, st) == reference_count_min_st_cuts(g, st), (g, s, t)
+
+
+def six_vertex_graphs():
+    """Every graph on six vertices up to relabelling, most of them many
+    times: each graph on five vertices, one per relabelling class, with a
+    sixth vertex joined to each of the 32 subsets of the five."""
+    classes = {}
+    for g in all_graphs(5):
+        key = min(tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in g.edges))
+                  for p in permutations(range(5)))
+        classes.setdefault(key, g)
+    return [Graph.from_edges(6, [*edges, *((v, 5) for v in range(5) if bits >> v & 1)])
+            for edges in classes for bits in range(32)]
+
+
+def test_bit_mask_checks_match_the_references_on_every_graph_of_at_most_six_vertices():
+    graphs = [g for n in range(6) for g in all_graphs(n)] + six_vertex_graphs()
+    for g in graphs:
+        _same_answers(g, range(-1, g.n + 2))
+        _same_cut_answers(g, combinations(range(g.n), 2))
+
+
+def test_bit_mask_checks_match_the_references_on_a_seeded_corpus():
+    rng = random.Random(2024)
+    for _ in range(150):
+        n = rng.randint(6, 9)
+        g = random_graph(n, rng.choice((0.15, 0.3, 0.5, 0.7, 0.9)), rng.randrange(1 << 30))
+        _same_answers(g, range(n + 1))
+        _same_cut_answers(g, [rng.sample(range(n), 2) for _ in range(3)])
+        assert lp_vc_value(g) == reference_lp_vc_value(g), g
+
+
+@st.composite
+def graphs_with_budgets(draw):
+    n = draw(st.integers(1, 8))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph.from_edges(n, edges), draw(st.integers(0, n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(graphs_with_budgets())
+def test_bit_mask_checks_match_the_references_property(case):
+    g, k = case
+    _same_answers(g, [k])
+    if g.n >= 2:
+        _same_cut_answers(g, [(0, g.n - 1)])
+    assert lp_vc_value(g) == reference_lp_vc_value(g)
+
+
+def _answer_or_refusal(fn, *args):
+    try:
+        return fn(*args)
+    except OracleSizeError:
+        return "refused"
+
+
+def test_size_refusals_match_the_references(monkeypatch):
+    monkeypatch.setattr(oracles, "SUBSET_LIMIT", 40)
+    outcomes = set()
+    for g in small_graphs(40):
+        calls = [(oracle, reference, (g, k))
+                 for oracle, reference in BUDGETED for k in range(g.n + 1)]
+        if g.n >= 2:
+            calls.append((count_min_st_cuts, reference_count_min_st_cuts,
+                          (g, TerminalPair(0, g.n - 1))))
+        for oracle, reference, args in calls:
+            answer = _answer_or_refusal(oracle, *args)
+            assert answer == _answer_or_refusal(reference, *args), (oracle.__name__, args)
+            outcomes.add(answer == "refused")
+    assert outcomes == {True, False}
+
+
+def test_lp_value_matches_the_recursive_search_on_the_small_corpora():
+    graphs = [g for n in range(6) for g in all_graphs(n)] + small_graphs(200, nmax=10)
+    for g in graphs:
+        assert lp_vc_value(g) == reference_lp_vc_value(g), g
+
+
+def test_lp_value_of_a_long_path_needs_no_deep_stack():
+    path = Graph.from_edges(3000, [(v, v + 1) for v in range(2999)])
+    assert lp_vc_value(path) == 1500
