@@ -43,13 +43,18 @@ class CliUsageError(Exception):
 @dataclass
 class RunReport:
     """One run's machine- and human-readable record; both renderings
-    are produced from the same fields."""
+    are produced from the same fields.  ``seconds`` is the time from the
+    report's creation, when its subcommand starts, to its ``_emit``."""
 
     subcommand: str
     inputs: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
-    seconds: float = 0.0
+    seconds: float = field(default=0.0, init=False)
+    started: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.started = time.monotonic()
 
     def to_jsonable(self) -> dict:
         return {
@@ -69,6 +74,7 @@ class RunReport:
 
 
 def _emit(args, report: RunReport) -> None:
+    report.seconds = time.monotonic() - report.started
     if getattr(args, "json", False):
         print(json.dumps(report.to_jsonable(), sort_keys=True))
     else:
@@ -127,9 +133,9 @@ def _decimal(count: int) -> str:
 def cmd_oracle(args) -> int:
     from . import oracles
 
+    report = RunReport("oracle", inputs={"graph": args.graph, "which": args.which})
     parsed = _load(args.graph)
     g = parsed.graph
-    report = RunReport("oracle", inputs={"graph": args.graph, "which": args.which})
     if args.which in ("vc", "minvc", "oct"):
         k = _budget(args, parsed)
         counters = {
@@ -198,8 +204,8 @@ def _load_cut_instances(paths: str):
 def cmd_compose(args) -> int:
     from . import compositions
 
-    instances = _load_cut_instances(args.inputs)
     report = RunReport(f"compose {args.how}", inputs={"inputs": args.inputs})
+    instances = _load_cut_instances(args.inputs)
     if args.how == "sum":
         composed = compositions.sum_compose(instances)
         Path(args.out).write_text(
@@ -230,9 +236,9 @@ def cmd_compose(args) -> int:
 def cmd_extract(args) -> int:
     from . import compositions
 
+    report = RunReport("extract", inputs={"meta": args.meta, "count": args.count})
     meta = compositions.ExactMetadata.from_json(Path(args.meta).read_text(encoding="utf-8"))
     counts = compositions.extract_counts(meta, _count(args.count))
-    report = RunReport("extract", inputs={"meta": args.meta, "count": args.count})
     values = [_decimal(c) for c in counts]
     report.outputs.update(values=values, primary=values)
     _emit(args, report)
@@ -242,8 +248,8 @@ def cmd_extract(args) -> int:
 def cmd_ppt(args) -> int:
     from . import compositions
 
-    parsed = _load(args.graph)
     report = RunReport(f"ppt {args.which}", inputs={"graph": args.graph})
+    parsed = _load(args.graph)
     if args.which == "mincut-oct":
         if parsed.terminals is None:
             raise ValueError(f"{args.graph}: mincut-oct needs a t record")
@@ -266,17 +272,15 @@ def cmd_ppt(args) -> int:
 def cmd_verify(args) -> int:
     from . import verification
 
-    start = time.monotonic()
-    reports = verification.run_suite(args.suite, nmax=args.nmax, kmax=args.kmax,
-                                     seed=args.seed, trials=args.trials)
     run = RunReport(f"verify {args.suite}",
                     inputs={"nmax": args.nmax, "kmax": args.kmax,
                             "seed": args.seed, "trials": args.trials})
+    reports = verification.run_suite(args.suite, nmax=args.nmax, kmax=args.kmax,
+                                     seed=args.seed, trials=args.trials)
     for rep in reports:
         run.checks.append({"name": rep.name, "passed": rep.passed,
                            "detail": f"{rep.checked} checks in {rep.seconds:.1f}s"
                                      + (f"; {rep.failures[0]}" if rep.failures else "")})
-    run.seconds = time.monotonic() - start
     ok = all(rep.passed for rep in reports)
     run.outputs["passed"] = ok
     _emit(args, run)
@@ -286,6 +290,8 @@ def cmd_verify(args) -> int:
 def cmd_gen(args) -> int:
     from . import oracles
 
+    report = RunReport("gen gnp",
+                       inputs={"n": args.n, "p": args.p, "seed": args.seed})
     g = oracles.random_graph(args.n, args.p, args.seed)
     terminals = None
     if args.terminals:
@@ -293,8 +299,6 @@ def cmd_gen(args) -> int:
         terminals = TerminalPair(s, t)
         terminals.check_in(g)
     Path(args.out).write_text(serialize_graph(g, terminals, k=args.k), encoding="utf-8")
-    report = RunReport("gen gnp",
-                       inputs={"n": args.n, "p": args.p, "seed": args.seed})
     summary = f"wrote n={g.n} m={g.m} to {args.out}"
     report.outputs.update(out=args.out, m=g.m, primary=[summary])
     _emit(args, report)

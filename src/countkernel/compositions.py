@@ -43,7 +43,6 @@ from .graphs import (
     connected_components,
     false_twin_blowup,
     induced_subgraph,
-    ordered,
     subdivide_all_edges,
     validate_tree_decomposition,
 )
@@ -164,9 +163,8 @@ def mincut_to_oct_ppt() -> Compression:
 def two_copy_matching_graph(g: Graph) -> Graph:
     """Two disjoint copies of g plus the perfect matching between them.
 
-    Built from ``g.columns()`` as endpoint columns, so a parsed ``g``
-    never builds its edge set: the copies of g's distinct edges and the
-    matching edges v-(v+n) are distinct pairs.
+    The copies of g's distinct edges and the matching edges v-(v+n)
+    are distinct pairs, appended to g's endpoint columns.
     """
     n = g.n
     us, vs = g.columns()
@@ -339,6 +337,8 @@ def exact_compose(instances: list[CutInstance],
     ell >= 2^(max edge count) the inputs are solved outright by oracle
     and recorded (trivial branch).  The returned witness decomposition
     is validated here at width at most max(2, max input width + 1).
+    Every path vertex is new, so the path edges are appended to the
+    chain's endpoint columns as they are.
     """
     k = _common_cut_size(instances)
     ell = len(instances)
@@ -362,7 +362,7 @@ def exact_compose(instances: list[CutInstance],
                  for (g, _), supplied in zip(instances, decompositions)]
 
     chain, terminals, maps = chain_identify(instances)
-    edges = set(chain.edges)
+    us, vs = (list(column) for column in chain.columns())
     next_vertex = chain.n
     long_paths: list[list[tuple[int, int, int]]] = []
     short_paths: list[list[int]] = []
@@ -375,19 +375,19 @@ def exact_compose(instances: list[CutInstance],
         for _ in range(m * (i - 1)):
             x, y, z = next_vertex, next_vertex + 1, next_vertex + 2
             next_vertex += 3
-            path = [ordered(s_i, x), ordered(x, y), ordered(y, z), ordered(z, t_i)]
+            us += [s_i, x, y, z]
+            vs += [x, y, z, t_i]
             longs.append((x, y, z))
-            edges.update(path)
         for _ in range(m * (ell - 1) - m * (i - 1)):
             x = next_vertex
             next_vertex += 1
-            path = [ordered(s_i, x), ordered(x, t_i)]
+            us += [s_i, x]
+            vs += [x, t_i]
             shorts.append(x)
-            edges.update(path)
         long_paths.append(longs)
         short_paths.append(shorts)
 
-    graph = Graph(next_vertex, frozenset(edges))
+    graph = Graph._from_columns(next_vertex, us, vs)
     meta = ExactMetadata("gadget", ell, m, k, exponents)
     witness = _witness_decomposition(instances, input_tds, maps, long_paths, short_paths)
 

@@ -13,9 +13,9 @@ both contexts nested.
 compressions, so the CLI can pipeline them across processes; contexts
 round-trip through JSON with counts as decimal strings.
 
-Only the verification helpers ``parameter_value`` and ``oracle_count``
-reach the brute-force ``oracles``, and they import them when called,
-so loading this module does not load them.
+Only the verification helper ``oracle_count`` reaches the brute-force
+``oracles``, and it imports them when called, so loading this module
+does not load them.
 """
 
 from __future__ import annotations
@@ -74,10 +74,9 @@ class CountingInstance:
     """A graph instance of one of the counting problems.
 
     ``k`` is the solution-size budget where the problem has one;
-    derived parameters (minimum cut size, treewidth, k minus matching)
-    are recomputed from the instance via ``parameter_value``.  The
-    graph is a ``Graph``, or the #VC kernel's ``PaddedBlowup``, which
-    builds its edges only when an oracle asks for them.
+    ``param_kind`` names the parameter it bounds.  The graph is a
+    ``Graph``, or the #VC kernel's ``PaddedBlowup``, which builds its
+    edges only when an oracle asks for them.
     """
 
     graph: Graph | PaddedBlowup
@@ -97,23 +96,6 @@ class CountingInstance:
                 raise ValueError(f"{self.param_kind} instances need a budget k")
         if self.param_kind == "min-cut-size" and self.terminals is None:
             raise ValueError("min-cut-size instances need terminals")
-
-
-def parameter_value(inst: CountingInstance):
-    """The instance's parameter under its declared kind."""
-    from . import oracles
-
-    if inst.param_kind == "solution-size":
-        return inst.k
-    if inst.param_kind == "min-cut-size":
-        return oracles.min_cut_size(inst.graph, inst.terminals)
-    if inst.param_kind == "treewidth":
-        return oracles.exact_treewidth(inst.graph)[0]
-    if inst.param_kind == "k-minus-matching":
-        return inst.k - oracles.max_matching_size(inst.graph)
-    if inst.param_kind == "k-minus-lp":
-        return inst.k - oracles.lp_vc_value(inst.graph)
-    raise ValueError(inst.param_kind)
 
 
 def oracle_count(problem: str, inst: CountingInstance) -> int:

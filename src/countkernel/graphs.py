@@ -4,14 +4,13 @@ transformations shared by the kernels and the cut compositions.
 Vertices are dense 0-based indices.  The text file format is 1-based
 (see ``parse_graph``).  ``parse_graph`` reads a file once, a chunk at
 a time: each run of ``e`` lines in bulk, every other line by the
-record rules, and each edge checked once.  It keeps the edges as two
-endpoint columns, and ``Graph.edges`` is built from them only when
-something reads it: the #VC kernel's reduce never does (see
-``Graph``).  The gadget builders return column-backed graphs too, and
-``serialize_graph`` writes either form from one sort of integer keys.
-All types are immutable values; every transformation returns a new
-graph together with explicit provenance maps, so callers never rely on
-index arithmetic.
+record rules, and each edge checked once.  A ``Graph`` holds its edges
+as two endpoint columns, and ``Graph.edges`` is built from them only
+when something reads it: the #VC kernel's reduce never does (see
+``Graph``).  The builders append columns, and ``serialize_graph``
+writes them from one sort of integer keys.  All types are immutable
+values; every transformation returns a new graph together with
+explicit provenance maps, so callers never rely on index arithmetic.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from math import inf
-from operator import eq
+from operator import eq, ge
 from typing import Iterable, Mapping, NoReturn, Sequence
 
 Edge = tuple[int, int]
@@ -45,40 +44,28 @@ def ordered(u: int, v: int) -> Edge:
 
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1.
+    """Simple undirected graph on vertices 0..n-1; immutable.
 
     Invariants enforced at construction: no self-loops, every endpoint
-    below ``n``, no duplicate edges.  The set form cannot represent a
-    duplicate; in the column form, the parse checks for them and the
-    builders make their pairs distinct by construction.  A graph is
-    immutable.
-
-    A graph holds its edges in one of two forms behind one API.
-    ``Graph(n, edges)`` holds the set, and derives the two endpoint
-    columns (``columns``) from it when they are asked for.
-    ``parse_graph``, the degree rule, the isolated-vertex strip and the
-    gadget builders (``subdivide_all_edges``, ``false_twin_blowup``,
-    the mincut-to-OCT gadget and the OCT-to-VC doubling) build graphs
-    that hold only the columns, and ``edges`` builds the set of ordered
-    pairs from them on its first read, O(m), and caches it.  The #VC
-    reduce, the OCT-to-VC doubling and ``serialize_graph`` read a
-    column-backed graph's columns only, so they never build a parsed
-    host's edge set.  ``m`` is O(1) in both forms.  ``==``, ``hash``
-    and ``repr`` read ``edges``, so the two forms of one graph are equal
-    and hash alike.
+    below ``n``, no duplicate edges.  The edges are held as two endpoint
+    columns (``columns``), whose range and self-loops every constructor
+    checks once, in bulk (``_check``).  ``Graph(n, edges)`` takes a set
+    of ordered pairs u < v and keeps it as ``edges``; ``from_edges``
+    orders and merges its pairs first.  The parse and the builders hand
+    over distinct pairs as columns only, and ``edges``, which ``==``,
+    ``hash``, ``repr`` and the oracles read, is built from them on its
+    first read, O(m), and cached.  ``adjacency``, ``sorted_edges``, the
+    reduces, the builders and ``serialize_graph`` read the columns, so
+    they never build a parsed host's edge set.
     """
 
     def __init__(self, n: int, edges: frozenset[Edge]):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        us = [u for u, _ in edges]
+        vs = [v for _, v in edges]
+        self._check(n, us, vs, ge)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_columns", (us, vs))
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "_columns", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: Graph is immutable")
@@ -86,13 +73,26 @@ class Graph:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: Graph is immutable")
 
+    @staticmethod
+    def _check(n: int, us: list[int], vs: list[int], misordered) -> None:
+        """Raise ``ValueError`` for a negative n, or at the first edge
+        out of range or ``misordered``: ``eq`` finds self-loops, ``ge``
+        also pairs not ordered u < v.  Only a failing graph is searched."""
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        if us and (min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n
+                   or any(map(misordered, us, vs))):
+            u, v = next((u, v) for u, v in zip(us, vs)
+                        if misordered(u, v) or not (0 <= u < n and 0 <= v < n))
+            raise ValueError(f"self-loop at vertex {u}" if u == v
+                             else f"edge ({u},{v}) out of range for n={n}")
+
     @classmethod
     def _checked(cls, n: int, columns: tuple[list[int], list[int]]) -> "Graph":
-        """A graph whose edges the caller has already checked: distinct
-        pairs below a nonnegative n, given as endpoint columns in either
-        orientation.  ``parse_graph``, which checks a file's edges once
-        as it reads them, the degree rule and the strip, which renumber
-        checked edges, and ``_from_columns`` call it."""
+        """A graph on endpoint columns, in either orientation, that the
+        caller has checked: distinct pairs below a nonnegative n.  The
+        parse, the degree rule and the strip call it, as does
+        ``_from_columns`` after its check."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "_columns", columns)
@@ -100,15 +100,9 @@ class Graph:
 
     @classmethod
     def _from_columns(cls, n: int, us: list[int], vs: list[int]) -> "Graph":
-        """The graph on the edges ``us[i]``-``vs[i]``, which the caller
-        builds distinct.  Range and self-loops are checked here in bulk
-        over the columns, as ``Graph(n, edges)`` checks them per edge."""
-        if us and (min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n
-                   or any(map(eq, us, vs))):
-            u, v = next((u, v) for u, v in zip(us, vs)
-                        if u == v or not (0 <= u < n and 0 <= v < n))
-            raise ValueError(f"self-loop at vertex {u}" if u == v
-                             else f"edge ({u},{v}) out of range for n={n}")
+        """The graph on the edges ``us[i]``-``vs[i]``, in either
+        orientation, which the caller builds distinct."""
+        cls._check(n, us, vs, eq)
         return cls._checked(n, (us, vs))
 
     @classmethod
@@ -121,28 +115,18 @@ class Graph:
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
-        # Only a column-backed graph gets here; the set form holds its edges.
         us, vs = self._columns
         return frozenset([(u, v) if u < v else (v, u) for u, v in zip(us, vs)])
 
     def columns(self) -> tuple[list[int], list[int]]:
         """The edges as two endpoint lists: the i-th edge joins ``us[i]``
-        and ``vs[i]``, in either order.  A column-backed graph returns
-        the lists it holds, which the caller must not change; a graph
-        built from a set derives them from ``edges``, O(m), on each
-        call."""
-        if self._columns is not None:
-            return self._columns
-        return [u for u, _ in self.edges], [v for _, v in self.edges]
-
-    def _pairs(self) -> Iterable[Edge]:
-        """The edges as (u, v) pairs in either orientation, read from
-        whichever form the graph holds."""
-        return zip(*self._columns) if self._columns is not None else self.edges
+        and ``vs[i]``, in either order.  They are the lists the graph
+        holds, which the caller must not change."""
+        return self._columns
 
     @property
     def m(self) -> int:
-        return len(self._columns[0]) if self._columns is not None else len(self.edges)
+        return len(self._columns[0])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -158,7 +142,7 @@ class Graph:
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
+        for u, v in zip(*self._columns):
             adj[u].append(v)
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
@@ -170,7 +154,7 @@ class Graph:
         return ordered(u, v) in self.edges
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        return list(_sorted_pairs(self, 0))
 
     def isolated_vertices(self) -> list[int]:
         return [v for v in range(self.n) if not self.adjacency[v]]
@@ -462,16 +446,19 @@ def serialize_graph(g: Graph, terminals: TerminalPair | None = None,
     each line of ``comment``, then ``p <n> <m>``, then one
     ``e <u> <v>`` per edge with 1-based endpoints u < v, in increasing
     (u, v) order, then ``t <s> <t>`` if ``terminals`` is given and
-    ``k <value>`` if ``k`` is, each line ending in a newline.
+    ``k <value>`` if ``k`` is, each line ending in a newline.  A
+    negative ``k``, which ``parse_graph`` refuses, raises ``ValueError``.
 
-    A ``Graph``'s edges are read in either form without building the
-    other: one ``sorted`` list of integer keys gives them in order, and
-    one ``%`` over an ``e %d %d`` template formats them all.  Any other
+    A ``Graph``'s edges are read from its columns, so its edge set is
+    not built: one ``sorted`` list of integer keys gives them in order,
+    and one ``%`` over an ``e %d %d`` template formats them all.  Any other
     ``g`` has ``n``, ``m`` and ``rows()``: each vertex u with a higher
     neighbour, in increasing u, with the 1-based decimal labels of those
     neighbours in increasing order.  The #VC kernel's ``PaddedBlowup``
     writes its rows from its core and never builds its edge set.
     """
+    if k is not None and k < 0:
+        raise ValueError(f"parameter k = {k} must be nonnegative")
     lines = [f"c {part}" for part in comment.splitlines()] if comment else []
     lines.append(f"p {g.n} {g.m}")
     if isinstance(g, Graph):
@@ -495,7 +482,8 @@ def _sorted_pairs(g: Graph, first: int) -> Iterable[Edge]:
     order: the ``divmod`` pairs of one sorted list of integer keys."""
     base = g.n + first
     shift = first * (base + 1)
-    keys = [u * base + v + shift if u < v else v * base + u + shift for u, v in g._pairs()]
+    keys = [u * base + v + shift if u < v else v * base + u + shift
+            for u, v in zip(*g.columns())]
     keys.sort()
     return map(divmod, keys, repeat(base))
 
@@ -545,7 +533,7 @@ def false_twin_blowup(g: Graph, targets: Iterable[int],
         next_index += width
     us: list[int] = []
     vs: list[int] = []
-    for u, v in g._pairs():
+    for u, v in zip(*g.columns()):
         if u in target_set and v in target_set:
             raise BlowupError(f"targets {u} and {v} are adjacent")
         cu, cv = copy_of[u], copy_of[v]
@@ -559,14 +547,17 @@ def chain_identify(instances: Sequence[tuple[Graph, TerminalPair]],
     """Glue instances into a chain by identifying t_i with s_{i+1}.
 
     Returns the chained graph, the terminal pair (s of the first input,
-    t of the last), and one vertex map per input.
+    t of the last), and one vertex map per input.  Each input shares at
+    most one vertex with the chain before it, so its relabelled edges
+    are new, and they are appended to the endpoint columns as they are.
     """
     if not instances:
         raise ValueError("need at least one instance")
     for g, st in instances:
         st.check_in(g)
     maps: list[dict[int, int]] = []
-    edges: set[Edge] = set()
+    us: list[int] = []
+    vs: list[int] = []
     next_index = 0
     prev_t_image: int | None = None
     for g, st in instances:
@@ -577,57 +568,19 @@ def chain_identify(instances: Sequence[tuple[Graph, TerminalPair]],
             if v not in vmap:
                 vmap[v] = next_index
                 next_index += 1
-        for u, v in g.edges:
-            edges.add(ordered(vmap[u], vmap[v]))
+        gu, gv = g.columns()
+        us += map(vmap.__getitem__, gu)
+        vs += map(vmap.__getitem__, gv)
         maps.append(vmap)
         prev_t_image = vmap[st.t]
     s = maps[0][instances[0][1].s]
     t = maps[-1][instances[-1][1].t]
-    return Graph(next_index, frozenset(edges)), TerminalPair(s, t), maps
+    return Graph._from_columns(next_index, us, vs), TerminalPair(s, t), maps
 
 
 # ---------------------------------------------------------------------------
 # Structure checks
 # ---------------------------------------------------------------------------
-
-def is_bipartite(g: Graph) -> tuple[bool, tuple]:
-    """2-colorability test with an independently checkable witness.
-
-    Returns ``(True, ("coloring", colors))`` with one color per vertex,
-    or ``(False, ("odd_closed_walk", walk))`` where ``walk`` is a closed
-    walk with an odd number of edges.
-    """
-    color = [-1] * g.n
-    parent = [-1] * g.n
-    adj = g.adjacency
-    for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            u = queue.pop()
-            for v in adj[u]:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    parent[v] = u
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    walk = _odd_walk(u, v, parent)
-                    return False, ("odd_closed_walk", tuple(walk))
-    return True, ("coloring", tuple(color))
-
-
-def _odd_walk(u: int, v: int, parent: list[int]) -> list[int]:
-    # Join the two tree paths to the root; parity of the colors makes the
-    # resulting closed walk odd.
-    up, vp = [u], [v]
-    while parent[up[-1]] != -1:
-        up.append(parent[up[-1]])
-    while parent[vp[-1]] != -1:
-        vp.append(parent[vp[-1]])
-    return list(reversed(up)) + vp
-
 
 def connected_components(g: Graph, removed: frozenset[int] = frozenset()) -> list[set[int]]:
     seen: set[int] = set(removed)
@@ -654,9 +607,8 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, in
     """Subgraph induced by ``keep``; returns the map old index -> new index."""
     kept = sorted(set(keep))
     vmap = {v: i for i, v in enumerate(kept)}
-    edges = frozenset(ordered(vmap[u], vmap[v])
-                      for u, v in g.edges if u in vmap and v in vmap)
-    return Graph(len(kept), edges), vmap
+    pairs = [(vmap[u], vmap[v]) for u, v in zip(*g.columns()) if u in vmap and v in vmap]
+    return Graph._from_columns(len(kept), [u for u, _ in pairs], [v for _, v in pairs]), vmap
 
 
 def validate_tree_decomposition(g: Graph, td: TreeDecomposition) -> TdCheck:

@@ -454,9 +454,11 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
     rng = random.Random(seed)
-    edges = set()
+    us: list[int] = []
+    vs: list[int] = []
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < p:
-                edges.add((u, v))
-    return Graph(n, frozenset(edges))
+                us.append(u)
+                vs.append(v)
+    return Graph._from_columns(n, us, vs)

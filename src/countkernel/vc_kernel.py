@@ -59,7 +59,7 @@ from __future__ import annotations
 from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, product
+from itertools import compress, repeat
 from math import comb
 
 from .framework import (
@@ -109,10 +109,8 @@ def buss_reduce(g: Graph, k: int) -> tuple[Graph, int] | None:
     at least one vertex, so there are at most k + 1 rounds, and two
     when the first round's deletions settle the rule.  A surviving
     vertex v is renumbered v - (deleted vertices below v), found by
-    bisection in the sorted deleted list, and the result holds the
-    renumbered columns, so its ``m`` is known without building its edge
-    set.  When the first round deletes nothing the result is ``(g, k)``
-    itself, with no edge rebuilt.
+    bisection in the sorted deleted list.  When the first round deletes
+    nothing the result is ``(g, k)`` itself, with no edge rebuilt.
     """
     if k < 0:
         return None
@@ -143,9 +141,8 @@ def strip_isolated(g1: Graph, k1: int) -> tuple[Graph, int, int]:
 
     Ranks the endpoints of the edge columns in increasing order and
     renumbers both columns by the ranks: O(m log m), with no adjacency
-    or edge set built and nothing sized by ``g1.n``.  The core holds the
-    renumbered columns, so its ``m`` is known without building its edge
-    set.  When every vertex is an endpoint the core is ``g1`` itself.
+    or edge set built and nothing sized by ``g1.n``.  When every vertex
+    is an endpoint the core is ``g1`` itself.
     """
     us, vs = g1.columns()
     endpoints = {*us, *vs}
@@ -163,19 +160,22 @@ def padded_blowup_graph(core: Graph, copies: int, padding: int) -> Graph:
 
     Vertex v of the core becomes copies v*copies .. (v+1)*copies - 1.
     Each core edge (u, v) contributes the product of the two copy
-    ranges; u < v puts every copy of u below every copy of v, so the
-    pairs come out ordered and distinct edges give disjoint products.
-    Parameters are free here so the decomposition identity can be
-    brute-force checked at tiny scale.  The kernel never calls this on
-    its own path: it keeps the blowup implicit (``PaddedBlowup``), and
-    only ``PaddedBlowup.materialize`` builds these edges.
+    ranges, appended to the endpoint columns; distinct edges give
+    disjoint products.  Parameters are free here so the decomposition
+    identity can be brute-force checked at tiny scale.  The kernel never
+    calls this on its own path: it keeps the blowup implicit
+    (``PaddedBlowup``), and only ``PaddedBlowup.materialize`` builds
+    these edges.
     """
     if copies < 0 or padding < 0:
         raise ValueError("copies and padding must be nonnegative")
-    edges = frozenset(chain.from_iterable(
-        product(range(u * copies, u * copies + copies), range(v * copies, v * copies + copies))
-        for u, v in core.edges))
-    return Graph(core.n * copies + padding, edges)
+    us: list[int] = []
+    vs: list[int] = []
+    for u, v in zip(*core.columns()):
+        for a in range(u * copies, u * copies + copies):
+            us += repeat(a, copies)
+            vs += range(v * copies, v * copies + copies)
+    return Graph._from_columns(core.n * copies + padding, us, vs)
 
 
 @dataclass(frozen=True)
@@ -222,8 +222,8 @@ class PaddedBlowup:
         """
         d = self.copies
         higher: list[list[int]] = [[] for _ in range(self.core.n)]
-        for u, v in self.core.edges:
-            higher[u].append(v)
+        for u, v in zip(*self.core.columns()):
+            higher[min(u, v)].append(max(u, v))
         for u, vs in enumerate(higher):
             if vs:
                 labels = [str(c) for v in sorted(vs) for c in range(v * d + 1, v * d + d + 1)]

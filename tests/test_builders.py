@@ -1,22 +1,28 @@
-"""The gadget builders and the writer against the set-based code they
+"""The graph builders and the writer against the set-based code they
 replaced.
 
-``subdivide_all_edges``, ``false_twin_blowup``, the mincut-to-OCT gadget
-and the OCT-to-VC doubling build endpoint columns, and ``serialize_graph``
+Every builder (``subdivide_all_edges``, ``false_twin_blowup``,
+``chain_identify``, ``induced_subgraph``, the mincut-to-OCT gadget, the
+OCT-to-VC doubling, ``exact_compose``, ``padded_blowup_graph`` and
+``random_graph``) appends endpoint columns, and ``serialize_graph``
 writes a ``Graph`` from one sort of integer keys.  The ``reference_*``
 functions below are the earlier versions, which built a set of ordered
-pairs edge by edge and wrote it row by row.  On seeded corpora, in both
-of a graph's forms, the new code must give equal graphs, equal maps, one
-column entry per edge, the same refusals and the same bytes.
+pairs edge by edge and wrote it row by row.  On seeded corpora, for each
+input as built and as parsed back, the new code must give equal graphs
+that hash alike, equal maps, one column entry per edge, the same
+refusals and the same bytes.
 """
 
 import random
 from collections import defaultdict
+from itertools import chain, product
 
 import pytest
 
 from countkernel.compositions import (
     MINCUT_TO_OCT,
+    exact_compose,
+    group_by_min_cut,
     mincut_to_oct_reduce,
     oct_to_vc_reduce,
     two_copy_matching_graph,
@@ -26,6 +32,7 @@ from countkernel.graphs import (
     BlowupError,
     Graph,
     TerminalPair,
+    chain_identify,
     connected_components,
     false_twin_blowup,
     induced_subgraph,
@@ -35,6 +42,7 @@ from countkernel.graphs import (
     subdivide_all_edges,
 )
 from countkernel.oracles import min_cut_size, random_graph
+from countkernel.vc_kernel import padded_blowup_graph
 from countkernel.verification import cut_instance_pool, graph_corpus
 
 from test_vc_kernel import both_forms
@@ -108,6 +116,97 @@ def reference_two_copy_matching_graph(g):
     for v in range(g.n):
         edges.add(ordered(v, v + g.n))
     return Graph(2 * g.n, frozenset(edges))
+
+
+def reference_chain_identify(instances):
+    if not instances:
+        raise ValueError("need at least one instance")
+    for g, st in instances:
+        st.check_in(g)
+    maps = []
+    edges = set()
+    next_index = 0
+    prev_t_image = None
+    for g, st in instances:
+        vmap = {}
+        if prev_t_image is not None:
+            vmap[st.s] = prev_t_image
+        for v in range(g.n):
+            if v not in vmap:
+                vmap[v] = next_index
+                next_index += 1
+        for u, v in g.edges:
+            edges.add(ordered(vmap[u], vmap[v]))
+        maps.append(vmap)
+        prev_t_image = vmap[st.t]
+    s = maps[0][instances[0][1].s]
+    t = maps[-1][instances[-1][1].t]
+    return Graph(next_index, frozenset(edges)), TerminalPair(s, t), maps
+
+
+def reference_induced_subgraph(g, keep):
+    kept = sorted(set(keep))
+    vmap = {v: i for i, v in enumerate(kept)}
+    edges = frozenset(ordered(vmap[u], vmap[v])
+                      for u, v in g.edges if u in vmap and v in vmap)
+    return Graph(len(kept), edges), vmap
+
+
+def reference_exact_compose_graph(instances):
+    """The gadget branch's graph and terminals: the chain plus, for copy
+    i of ell, m*(i-1) terminal paths with three internal vertices and
+    m*(ell-1) - m*(i-1) with one, m twice the largest edge count."""
+    ell = len(instances)
+    m = 2 * max(g.m for g, _ in instances)
+    chained, terminals, maps = reference_chain_identify(instances)
+    edges = set(chained.edges)
+    next_vertex = chained.n
+    for i in range(1, ell + 1):
+        st_i = instances[i - 1][1]
+        s_i, t_i = maps[i - 1][st_i.s], maps[i - 1][st_i.t]
+        for _ in range(m * (i - 1)):
+            x, y, z = next_vertex, next_vertex + 1, next_vertex + 2
+            next_vertex += 3
+            edges.update([ordered(s_i, x), ordered(x, y), ordered(y, z), ordered(z, t_i)])
+        for _ in range(m * (ell - 1) - m * (i - 1)):
+            x = next_vertex
+            next_vertex += 1
+            edges.update([ordered(s_i, x), ordered(x, t_i)])
+    return Graph(next_vertex, frozenset(edges)), terminals
+
+
+def reference_padded_blowup_graph(core, copies, padding):
+    if copies < 0 or padding < 0:
+        raise ValueError("copies and padding must be nonnegative")
+    edges = frozenset(chain.from_iterable(
+        product(range(u * copies, u * copies + copies), range(v * copies, v * copies + copies))
+        for u, v in core.edges))
+    return Graph(core.n * copies + padding, edges)
+
+
+def reference_random_graph(n, p, seed):
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("edge probability must be in [0, 1]")
+    rng = random.Random(seed)
+    edges = set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                edges.add((u, v))
+    return Graph(n, frozenset(edges))
+
+
+def reference_graph_refusal(n, edges):
+    """The message the per-edge check of ``Graph(n, edges)`` raised for
+    the first bad edge in the set's order, or None."""
+    if n < 0:
+        return "vertex count must be nonnegative"
+    for u, v in edges:
+        if u == v:
+            return f"self-loop at vertex {u}"
+        if not (0 <= u < v < n):
+            return f"edge ({u},{v}) out of range for n={n}"
+    return None
 
 
 def reference_rows(g):
@@ -287,3 +386,162 @@ def test_oct_to_vc_on_a_parsed_graph_never_builds_an_edge_set():
         assert "edges" not in built.__dict__
         assert "adjacency" not in built.__dict__
     assert text == reference_row_writer(reference_two_copy_matching_graph(g), k=406)
+
+
+def same_graph_and_hash(got, want):
+    same_graph(got, want)
+    assert hash(got) == hash(want)
+
+
+def test_chain_identify_matches_reference():
+    rng = random.Random(61)
+    pool = cut_instance_pool(120, 8, 61)
+    for _ in range(60):
+        instances = rng.sample(pool, rng.randint(1, 4))
+        want, want_st, want_maps = reference_chain_identify(instances)
+        for forms in zip(*(both_forms(g) for g, _ in instances)):
+            got, got_st, got_maps = chain_identify(
+                [(form, st) for form, (_, st) in zip(forms, instances)])
+            same_graph_and_hash(got, want)
+            assert got_st == want_st and got_maps == want_maps
+            assert serialize_graph(got, got_st) == reference_row_writer(want, want_st)
+
+
+def test_chain_identify_refuses_as_the_reference():
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    for instances, error in (([], "need at least one instance"),
+                             ([(g, TerminalPair(0, 3))], "out of range")):
+        for build in (reference_chain_identify, chain_identify):
+            with pytest.raises(ValueError, match=error):
+                build(instances)
+
+
+def test_induced_subgraph_matches_reference():
+    rng = random.Random(67)
+    for g in corpus():
+        keeps = [rng.sample(range(g.n), rng.randint(0, g.n)) for _ in range(3)]
+        keeps += [sorted(c) for c in connected_components(g)]
+        for keep in keeps:
+            want, want_map = reference_induced_subgraph(g, keep)
+            for form in both_forms(g):
+                got, got_map = induced_subgraph(form, keep)
+                same_graph_and_hash(got, want)
+                assert got_map == want_map
+                assert serialize_graph(got) == reference_row_writer(want)
+
+
+def test_exact_compose_matches_reference():
+    rng = random.Random(71)
+    pool = cut_instance_pool(150, 8, 71)
+    classes = [members for members in group_by_min_cut(pool).values() if len(members) >= 2]
+    composed = 0
+    for _ in range(24):
+        members = rng.choice(classes)
+        instances = [pool[i] for i in rng.sample(members, min(len(members), rng.randint(1, 3)))]
+        if len(instances) >= 2 ** max(g.m for g, _ in instances):
+            continue  # the trivial branch records answers and builds no gadget
+        want, want_st = reference_exact_compose_graph(instances)
+        for forms in zip(*(both_forms(g) for g, _ in instances)):
+            got = exact_compose([(form, st) for form, (_, st) in zip(forms, instances)])
+            same_graph_and_hash(got.graph, want)
+            assert got.terminals == want_st
+            assert serialize_graph(got.graph, got.terminals) == reference_row_writer(want, want_st)
+        composed += 1
+    assert composed >= 15
+
+
+@pytest.mark.parametrize("copies, padding", [(0, 0), (0, 3), (1, 0), (2, 1), (3, 4)])
+def test_padded_blowup_graph_matches_reference(copies, padding):
+    for g in corpus()[::3]:
+        want = reference_padded_blowup_graph(g, copies, padding)
+        for form in both_forms(g):
+            got = padded_blowup_graph(form, copies, padding)
+            same_graph_and_hash(got, want)
+            assert serialize_graph(got, k=copies) == reference_row_writer(want, k=copies)
+    for copies, padding in ((-1, 0), (1, -1)):
+        for build in (reference_padded_blowup_graph, padded_blowup_graph):
+            with pytest.raises(ValueError, match="copies and padding must be nonnegative"):
+                build(Graph.empty(2), copies, padding)
+
+
+def test_random_graph_matches_reference():
+    rng = random.Random(73)
+    for n in (0, 1, 2, 5, 17, 60):
+        for p in (0.0, 0.03, 0.3, 1.0):
+            seed = rng.randrange(10**6)
+            want = reference_random_graph(n, p, seed)
+            got = random_graph(n, p, seed)
+            same_graph_and_hash(got, want)
+            assert serialize_graph(got) == reference_row_writer(want)
+    for n, p, error in ((3, 1.5, "edge probability"), (3, -0.1, "edge probability"),
+                        (-1, 0.5, "vertex count must be nonnegative")):
+        for build in (reference_random_graph, random_graph):
+            with pytest.raises(ValueError, match=error):
+                build(n, p, 1)
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (4, {(2, 2)}, "self-loop at vertex 2"),
+    (4, {(2, 1)}, r"edge \(2,1\) out of range for n=4"),
+    (4, {(1, 4)}, r"edge \(1,4\) out of range for n=4"),
+    (4, {(-1, 2)}, r"edge \(-1,2\) out of range for n=4"),
+    (-1, set(), "vertex count must be nonnegative"),
+], ids=["self-loop", "reversed", "past-n", "negative-endpoint", "negative-n"])
+def test_graph_refusals_and_messages(n, edges, message):
+    assert reference_graph_refusal(n, frozenset(edges)) == message.replace("\\", "")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Graph(n, frozenset(edges))
+
+
+@pytest.mark.parametrize("n, us, vs, message", [
+    (4, [0, 3], [1, 3], "self-loop at vertex 3"),
+    (4, [0, 2], [1, 4], r"edge \(2,4\) out of range for n=4"),
+    (4, [0, 4], [1, 2], r"edge \(4,2\) out of range for n=4"),
+    (4, [0, 2], [1, -1], r"edge \(2,-1\) out of range for n=4"),
+    (4, [0, -1], [1, 2], r"edge \(-1,2\) out of range for n=4"),
+    (-1, [], [], "vertex count must be nonnegative"),
+], ids=["self-loop", "second-past-n", "first-past-n", "second-negative", "first-negative",
+        "negative-n"])
+def test_column_constructor_refuses_a_bad_endpoint_in_either_column(n, us, vs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Graph._from_columns(n, us, vs)
+    assert Graph._from_columns(4, [3, 0], [1, 2]) == Graph.from_edges(4, [(1, 3), (0, 2)])
+
+
+def test_graph_refuses_the_first_bad_edge_as_the_per_edge_check():
+    rng = random.Random(79)
+
+    def bad_edge(n):
+        """A self-loop, a reversed pair, an endpoint at or past n, or a
+        negative endpoint."""
+        u = rng.randrange(n)
+        return rng.choice([(u, u), (u + 1, u), (u, n + rng.randrange(3)),
+                           (-1 - rng.randrange(3), u)])
+
+    refused = 0
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3}
+        edges = frozenset(edges | {bad_edge(n) for _ in range(rng.randint(0, 3))})
+        want = reference_graph_refusal(n, edges)
+        if want is None:
+            assert Graph(n, edges).edges is edges
+            continue
+        with pytest.raises(ValueError) as refusal:
+            Graph(n, edges)
+        assert str(refusal.value) == want
+        refused += 1
+    assert refused >= 200
+
+
+def test_mincut_to_oct_on_a_parsed_graph_never_builds_an_edge_set():
+    n = 400
+    g = random_graph(n, 0.02, 83)
+    parsed = parse_graph(serialize_graph(g, TerminalPair(0, n - 1))).graph
+    result = mincut_to_oct_reduce(CountingInstance(parsed, TerminalPair(0, n - 1), None,
+                                                   "min-cut-size"))
+    assert parsed.m > 1000 and result.context.expect(MINCUT_TO_OCT)["branch"] == "normal"
+    assert "edges" not in parsed.__dict__
+    want, k = reference_mincut_to_oct_graph(g, TerminalPair(0, n - 1))
+    same_graph(result.reduced.graph, want)
+    assert result.reduced.k == k

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from countkernel import framework, oracles, vc_kernel, verification
+from countkernel import cli, framework, oracles, vc_kernel, verification
 from countkernel.cli import build_parser, main
 from countkernel.compositions import ExactMetadata
 from countkernel.framework import CountingInstance
@@ -27,6 +27,7 @@ from countkernel.vc_kernel import lift_vertex_cover, reduce_vertex_cover
 
 from test_builders import (
     reference_mincut_to_oct_graph,
+    reference_random_graph,
     reference_row_writer,
     reference_two_copy_matching_graph,
 )
@@ -332,6 +333,44 @@ def test_gen_is_deterministic(tmp_path, capsys):
     assert first.read_text() == second.read_text()
     parsed = parse_graph(first.read_text())
     assert parsed.terminals == TerminalPair(0, 5)
+
+
+@pytest.mark.parametrize("n, p, seed, terminals, k", [
+    (0, 0.5, 1, None, None),
+    (7, 0.0, 2, (0, 6), 0),
+    (30, 0.2, 3, None, 4),
+    (120, 0.05, 4, (5, 100), None),
+    (40, 1.0, 5, (1, 0), 12),
+])
+def test_gen_writes_the_reference_generators_bytes(tmp_path, capsys, n, p, seed, terminals, k):
+    out = tmp_path / "g.gr"
+    argv = ["gen", "gnp", "--n", str(n), "--p", str(p), "--seed", str(seed), "--out", str(out)]
+    argv += ["--terminals", *map(str, terminals)] if terminals else []
+    argv += ["--k", str(k)] if k is not None else []
+    assert main(argv) == 0
+    st = TerminalPair(*terminals) if terminals else None
+    assert out.read_text() == reference_row_writer(reference_random_graph(n, p, seed), st, k)
+
+
+def test_gen_refuses_a_negative_k_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "g.gr"
+    assert main(["gen", "gnp", "--n", "5", "--p", "0.5", "--seed", "1",
+                 "--out", str(out), "--k", "-1"]) == 3
+    assert "k = -1 must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        serialize_graph(Graph.empty(1), k=-1)
+
+
+def test_json_reports_time_the_subcommand_from_start_to_report(tmp_path, capsys, monkeypatch):
+    graph = write(tmp_path, "star.gr", STAR_TEXT)
+    for argv in (["oracle", "vc", "--graph", graph],
+                 ["kernel", "vc", "reduce", "--graph", graph, "--out", str(tmp_path / "r.gr"),
+                  "--context", str(tmp_path / "ctx.json")]):
+        ticks = iter([100.0, 102.5])
+        monkeypatch.setattr(cli.time, "monotonic", lambda: next(ticks))
+        assert main([*argv, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["seconds"] == 2.5
 
 
 def test_ppt_pipeline_writes_the_reference_builders_bytes(tmp_path, capsys):

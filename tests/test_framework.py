@@ -17,7 +17,6 @@ from countkernel.framework import (
     default_registry,
     identity_compression,
     oracle_count,
-    parameter_value,
     run_compression,
     verify_compression,
 )
@@ -238,20 +237,6 @@ def test_oracle_count_dispatch_and_errors():
                         CountingInstance(K3, TerminalPair(0, 1), None, "min-cut-size")) == 2
     with pytest.raises(ValueError):
         oracle_count("no-such-problem", CountingInstance(K3, None, 1))
-
-
-def test_parameter_value_kinds():
-    assert parameter_value(CountingInstance(K3, None, 2)) == 2
-    cut_inst = CountingInstance(K3, TerminalPair(0, 1), None, "min-cut-size")
-    assert parameter_value(cut_inst) == 2
-    tw_inst = CountingInstance(K3, None, None, "treewidth")
-    assert parameter_value(tw_inst) == 2
-    m_inst = CountingInstance(K3, None, 2, "k-minus-matching")
-    assert parameter_value(m_inst) == 1
-    from fractions import Fraction
-
-    lp_inst = CountingInstance(K3, None, 2, "k-minus-lp")
-    assert parameter_value(lp_inst) == Fraction(1, 2)
 
 
 def test_instance_validation():

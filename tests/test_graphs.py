@@ -15,7 +15,6 @@ from countkernel.graphs import (
     TreeDecomposition,
     chain_identify,
     false_twin_blowup,
-    is_bipartite,
     ordered,
     parse_graph,
     serialize_graph,
@@ -23,7 +22,7 @@ from countkernel.graphs import (
     validate_tree_decomposition,
 )
 from countkernel.compositions import exact_compose, group_by_min_cut
-from countkernel.oracles import random_graph
+from countkernel.oracles import count_odd_cycle_transversals, random_graph
 from countkernel.verification import cut_instance_pool, graph_corpus
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -438,8 +437,7 @@ def test_subdivide_triangle_gives_six_cycle():
     assert out.n == 6 and out.m == 6
     assert set(edge_map) == set(K3.edges)
     assert all(out.degree(v) == 2 for v in range(out.n))
-    ok, witness = is_bipartite(out)
-    assert ok
+    assert count_odd_cycle_transversals(out, 0) == 1
 
 
 def test_subdivide_single_edge_and_empty():
@@ -455,7 +453,7 @@ def test_subdivision_always_bipartite():
         g = random_graph(rng.randint(1, 7), rng.choice((0.3, 0.6, 0.9)), rng.randrange(10**6))
         out, _ = subdivide_all_edges(g)
         assert out.n == g.n + g.m and out.m == 2 * g.m
-        assert is_bipartite(out)[0]
+        assert count_odd_cycle_transversals(out, 0) == 1
 
 
 def test_blowup_star_leaves():
@@ -528,36 +526,6 @@ def test_chain_counts_property():
         chained, _, _ = chain_identify(parts)
         assert chained.n == sum(g.n for g, _ in parts) - (len(parts) - 1)
         assert chained.m == sum(g.m for g, _ in parts)
-
-
-def _assert_odd_closed_walk(g, walk):
-    assert walk[0] == walk[-1]
-    assert (len(walk) - 1) % 2 == 1  # odd number of edges
-    for a, b in zip(walk, walk[1:]):
-        assert g.has_edge(a, b)
-
-
-def test_bipartite_witnesses_verifiable():
-    ok, (kind, colors) = is_bipartite(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
-    assert ok and kind == "coloring"
-    ok, witness = is_bipartite(K3)
-    assert not ok
-    kind, walk = witness
-    assert kind == "odd_closed_walk"
-    _assert_odd_closed_walk(K3, walk)
-    assert is_bipartite(Graph.empty(4))[0]
-
-
-def test_bipartite_witness_on_random_graphs():
-    rng = random.Random(5)
-    for _ in range(60):
-        g = random_graph(rng.randint(1, 8), rng.choice((0.2, 0.5, 0.8)), rng.randrange(10**6))
-        ok, (kind, data) = is_bipartite(g)
-        if ok:
-            for u, v in g.edges:
-                assert data[u] != data[v]
-        else:
-            _assert_odd_closed_walk(g, data)
 
 
 def _td(nodes, links, bags):

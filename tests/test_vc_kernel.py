@@ -470,12 +470,14 @@ def parsed_form(g):
 
 
 def both_forms(g):
-    """``g`` as built from its edge set and as parsed into columns."""
+    """``g`` as its builder made it and as parsed back from a shuffled
+    file: two routes to one graph, whose columns differ in order and
+    orientation and of which only the first may hold its edge set."""
     return g, parsed_form(g)
 
 
 def assert_forms_match_reference(g, ks):
-    """``assert_matches_reference`` at each k on both forms of ``g``,
+    """``assert_matches_reference`` at each k on ``both_forms(g)``,
     which must be equal and hash alike."""
     for form in both_forms(g):
         for k in ks:
