@@ -19,7 +19,6 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .framework import (
@@ -40,20 +39,17 @@ class CliUsageError(Exception):
     pass
 
 
-@dataclass
 class RunReport:
     """One run's machine- and human-readable record; both renderings
     are produced from the same fields.  ``seconds`` is the time from the
     report's creation, when its subcommand starts, to its ``_emit``."""
 
-    subcommand: str
-    inputs: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-    seconds: float = field(default=0.0, init=False)
-    started: float = field(init=False, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, subcommand: str, inputs: dict | None = None):
+        self.subcommand = subcommand
+        self.inputs = {} if inputs is None else inputs
+        self.outputs: dict = {}
+        self.checks: list = []
+        self.seconds = 0.0
         self.started = time.monotonic()
 
     def to_jsonable(self) -> dict:

@@ -19,7 +19,6 @@ matching number by exactly k.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import comb
 
 from . import oracles
@@ -36,6 +35,7 @@ from .framework import (
     exceeds_subset_count,
 )
 from .graphs import (
+    FrozenRecord,
     Graph,
     TerminalPair,
     TreeDecomposition,
@@ -70,11 +70,11 @@ def _common_cut_size(instances: list[CutInstance]) -> int:
     return sizes.pop()
 
 
-@dataclass(frozen=True, eq=False)
-class SumComposition:
-    graph: Graph
-    terminals: TerminalPair
-    cut_size: int
+class SumComposition(FrozenRecord):
+    __slots__ = ("graph", "terminals", "cut_size")
+
+    def __init__(self, graph: Graph, terminals: TerminalPair, cut_size: int):
+        super().__init__(graph, terminals, cut_size)
 
 
 def sum_compose(instances: list[CutInstance]) -> SumComposition:
@@ -222,8 +222,7 @@ def oct_to_vc_ppt() -> Compression:
 _METADATA_KEYS = ("branch", "ell", "m", "k", "exponents")
 
 
-@dataclass(frozen=True, eq=False)
-class ExactMetadata:
+class ExactMetadata(FrozenRecord):
     """Bookkeeping that lets one composed count encode all input counts.
 
     ``exponents[i]`` is the power of two multiplying input i's count in
@@ -231,12 +230,11 @@ class ExactMetadata:
     recorded directly instead.
     """
 
-    branch: str
-    ell: int
-    m: int
-    cut_size: int
-    exponents: tuple[int, ...]
-    recorded_answers: tuple[int, ...] | None = None
+    __slots__ = ("branch", "ell", "m", "cut_size", "exponents", "recorded_answers")
+
+    def __init__(self, branch: str, ell: int, m: int, cut_size: int,
+                 exponents: tuple[int, ...], recorded_answers: tuple[int, ...] | None = None):
+        super().__init__(branch, ell, m, cut_size, exponents, recorded_answers)
 
     def to_json(self) -> str:
         doc = {
@@ -303,12 +301,12 @@ class ExactMetadata:
         return cls(branch, ell, m, k, tuple(exponents), answers)
 
 
-@dataclass(frozen=True, eq=False)
-class ExactComposition:
-    graph: Graph
-    terminals: TerminalPair
-    metadata: ExactMetadata
-    witness: TreeDecomposition
+class ExactComposition(FrozenRecord):
+    __slots__ = ("graph", "terminals", "metadata", "witness")
+
+    def __init__(self, graph: Graph, terminals: TerminalPair, metadata: ExactMetadata,
+                 witness: TreeDecomposition):
+        super().__init__(graph, terminals, metadata, witness)
 
 
 def _input_decomposition(g: Graph, supplied: TreeDecomposition | None) -> TreeDecomposition:

@@ -21,8 +21,7 @@ does not load them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .graphs import Graph, TerminalPair
 
@@ -69,8 +68,14 @@ class OracleSizeError(Exception):
     """Enumeration space too large for a brute-force oracle."""
 
 
-@dataclass(frozen=True)
-class CountingInstance:
+class _InstanceFields(NamedTuple):
+    graph: Graph | PaddedBlowup
+    terminals: TerminalPair | None
+    k: int | None
+    param_kind: str
+
+
+class CountingInstance(_InstanceFields):
     """A graph instance of one of the counting problems.
 
     ``k`` is the solution-size budget where the problem has one;
@@ -79,23 +84,22 @@ class CountingInstance:
     edges only when an oracle asks for them.
     """
 
-    graph: Graph | PaddedBlowup
-    terminals: TerminalPair | None = None
-    k: int | None = None
-    param_kind: str = "solution-size"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.param_kind not in PARAM_KINDS:
-            raise ValueError(f"unknown parameter kind {self.param_kind!r}")
-        if self.terminals is not None:
-            self.terminals.check_in(self.graph)
-        if self.k is not None and self.k < 0:
+    def __new__(cls, graph: Graph | PaddedBlowup, terminals: TerminalPair | None = None,
+                k: int | None = None, param_kind: str = "solution-size"):
+        if param_kind not in PARAM_KINDS:
+            raise ValueError(f"unknown parameter kind {param_kind!r}")
+        if terminals is not None:
+            terminals.check_in(graph)
+        if k is not None and k < 0:
             raise ValueError("parameter budget must be nonnegative")
-        if self.param_kind in ("solution-size", "k-minus-matching", "k-minus-lp"):
-            if self.k is None:
-                raise ValueError(f"{self.param_kind} instances need a budget k")
-        if self.param_kind == "min-cut-size" and self.terminals is None:
+        if param_kind in ("solution-size", "k-minus-matching", "k-minus-lp"):
+            if k is None:
+                raise ValueError(f"{param_kind} instances need a budget k")
+        if param_kind == "min-cut-size" and terminals is None:
             raise ValueError("min-cut-size instances need terminals")
+        return super().__new__(cls, graph, terminals, k, param_kind)
 
 
 def oracle_count(problem: str, inst: CountingInstance) -> int:
@@ -137,8 +141,7 @@ def oracle_count(problem: str, inst: CountingInstance) -> int:
 CONTEXT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class LiftContext:
+class LiftContext(NamedTuple):
     """Everything a lift step needs from its matching reduce run.
 
     The payload is a flat JSON object; numeric fields are stored as
@@ -226,14 +229,12 @@ def exceeds_subset_count(count: int, n: int, k: int) -> bool:
     return count > total
 
 
-@dataclass(frozen=True)
-class CompressionResult:
+class CompressionResult(NamedTuple):
     reduced: CountingInstance
     context: LiftContext
 
 
-@dataclass(frozen=True)
-class Compression:
+class Compression(NamedTuple):
     """A named (reduce, lift) pair between two counting problems.
 
     Parameter transformations are compressions without a size bound.
@@ -309,8 +310,7 @@ def compose_ppt_compression(ppt: Compression, c: Compression) -> Compression:
                        size_bound=None, reference_reduced_count=c.reference_reduced_count)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     direct_count: int
     result: CompressionResult
     reduced_count: int

@@ -16,12 +16,11 @@ explicit provenance maps, so callers never rely on index arithmetic.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from math import inf
 from operator import eq, ge
-from typing import Iterable, Mapping, NoReturn, Sequence
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 Edge = tuple[int, int]
 
@@ -160,26 +159,29 @@ class Graph:
         return [v for v in range(self.n) if not self.adjacency[v]]
 
 
-@dataclass(frozen=True)
-class TerminalPair:
-    """Two distinct terminal vertices of an owning graph."""
-
+class _TerminalFields(NamedTuple):
     s: int
     t: int
 
-    def __post_init__(self):
-        if self.s == self.t:
+
+class TerminalPair(_TerminalFields):
+    """Two distinct terminal vertices of an owning graph."""
+
+    __slots__ = ()
+
+    def __new__(cls, s: int, t: int):
+        if s == t:
             raise ValueError("terminals must be distinct")
-        if self.s < 0 or self.t < 0:
+        if s < 0 or t < 0:
             raise ValueError("terminals must be nonnegative indices")
+        return super().__new__(cls, s, t)
 
     def check_in(self, g: Graph) -> None:
         if self.s >= g.n or self.t >= g.n:
             raise ValueError(f"terminals ({self.s},{self.t}) out of range for n={g.n}")
 
 
-@dataclass(frozen=True)
-class ParsedGraph:
+class ParsedGraph(NamedTuple):
     """Result of parsing a graph file: graph plus optional records."""
 
     graph: Graph
@@ -187,8 +189,33 @@ class ParsedGraph:
     k: int | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class TreeDecomposition:
+class FrozenRecord:
+    """Base of the immutable records that compare and hash by identity.
+    A subclass names its fields in ``__slots__`` and passes their values
+    to ``FrozenRecord.__init__`` in that order; assigning to or deleting
+    a field later raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not setattr
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class TreeDecomposition(FrozenRecord):
     """Tree of bags over the vertices of a decomposed graph.
 
     ``links`` are unordered pairs of node ids; ``bags`` maps every node
@@ -197,9 +224,10 @@ class TreeDecomposition:
     ``validate_tree_decomposition``, never assumed.
     """
 
-    nodes: tuple
-    links: frozenset[frozenset]
-    bags: Mapping
+    __slots__ = ("nodes", "links", "bags")
+
+    def __init__(self, nodes: tuple, links: frozenset[frozenset], bags: Mapping):
+        super().__init__(nodes, links, bags)
 
     @property
     def width(self) -> int:
@@ -214,8 +242,7 @@ class TreeDecomposition:
         }
 
 
-@dataclass(frozen=True)
-class TdCheck:
+class TdCheck(NamedTuple):
     """Outcome of validating a tree decomposition."""
 
     ok: bool
@@ -447,7 +474,8 @@ def serialize_graph(g: Graph, terminals: TerminalPair | None = None,
     ``e <u> <v>`` per edge with 1-based endpoints u < v, in increasing
     (u, v) order, then ``t <s> <t>`` if ``terminals`` is given and
     ``k <value>`` if ``k`` is, each line ending in a newline.  A
-    negative ``k``, which ``parse_graph`` refuses, raises ``ValueError``.
+    negative ``k`` or a terminal outside 0..n-1, which ``parse_graph``
+    refuses, raises ``ValueError`` before anything is written.
 
     A ``Graph``'s edges are read from its columns, so its edge set is
     not built: one ``sorted`` list of integer keys gives them in order,
@@ -459,6 +487,8 @@ def serialize_graph(g: Graph, terminals: TerminalPair | None = None,
     """
     if k is not None and k < 0:
         raise ValueError(f"parameter k = {k} must be nonnegative")
+    if terminals is not None:
+        terminals.check_in(g)
     lines = [f"c {part}" for part in comment.splitlines()] if comment else []
     lines.append(f"p {g.n} {g.m}")
     if isinstance(g, Graph):

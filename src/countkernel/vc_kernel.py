@@ -58,9 +58,9 @@ from __future__ import annotations
 
 from bisect import bisect
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress, repeat
 from math import comb
+from typing import NamedTuple
 
 from .framework import (
     Compression,
@@ -178,8 +178,13 @@ def padded_blowup_graph(core: Graph, copies: int, padding: int) -> Graph:
     return Graph._from_columns(core.n * copies + padding, us, vs)
 
 
-@dataclass(frozen=True)
-class PaddedBlowup:
+class _BlowupFields(NamedTuple):
+    core: Graph
+    copies: int
+    padding: int
+
+
+class PaddedBlowup(_BlowupFields):
     """The padded blowup of a core, held as the core, ``copies`` and
     ``padding`` instead of its copies*copies*core.m edges.
 
@@ -191,17 +196,16 @@ class PaddedBlowup:
     describe in range and in order, so nothing is checked per edge.
     """
 
-    core: Graph
-    copies: int
-    padding: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.core, Graph):
+    def __new__(cls, core: Graph, copies: int, padding: int):
+        if not isinstance(core, Graph):
             raise TypeError("the core of a padded blowup must be a Graph")
-        if self.copies < 0 or self.padding < 0:
+        if copies < 0 or padding < 0:
             raise ValueError("copies and padding must be nonnegative")
-        if self.core.isolated_vertices():
+        if core.isolated_vertices():
             raise ValueError("core graph must have no isolated vertices")
+        return super().__new__(cls, core, copies, padding)
 
     @property
     def n(self) -> int:

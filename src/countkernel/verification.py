@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations, product
 from math import comb
@@ -68,14 +67,16 @@ from .vc_kernel import (
 ENUMERATION_BUDGET = 1 << 20
 
 
-@dataclass
 class SweepReport:
-    name: str
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
-    seconds: float = 0.0
+    """One sweep's check count, first failures' messages and time."""
 
     MAX_FAILURES = 12
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checked = 0
+        self.failures: list[str] = []
+        self.seconds = 0.0
 
     @property
     def passed(self) -> bool:

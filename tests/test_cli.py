@@ -577,7 +577,8 @@ for steps in map(json.loads, sys.argv[1:]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes += [cli.main(argv) for argv in steps]
     footprints.append(loaded())
-print(json.dumps({"codes": codes, "footprints": footprints}))
+slow = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+print(json.dumps({"codes": codes, "footprints": footprints, "slow": slow}))
 """
 
 
@@ -586,7 +587,8 @@ def test_a_kernel_step_loads_only_the_kernel_path(tmp_path):
     star = write(tmp_path, "star.gr", STAR_TEXT)
     path = write(tmp_path, "p.gr", PATH_ST_TEXT)
     t = {name: str(tmp_path / name) for name in
-         ("vc.gr", "vc.json", "minvc.gr", "minvc.json", "exact.gr", "meta.json", "oct.gr")}
+         ("vc.gr", "vc.json", "minvc.gr", "minvc.json", "exact.gr", "meta.json", "oct.gr",
+          "gen.gr")}
     kernel_steps = [
         ["kernel", "vc", "reduce", "--graph", edge, "--k", "1",
          "--out", t["vc.gr"], "--context", t["vc.json"]],
@@ -601,18 +603,26 @@ def test_a_kernel_step_loads_only_the_kernel_path(tmp_path):
         ["extract", "--meta", t["meta.json"], "--count", "544"],
         ["ppt", "mincut-oct", "--graph", path, "--out", t["oct.gr"]],
     ]
+    other_steps = [
+        ["gen", "gnp", "--n", "5", "--p", "0.5", "--seed", "1", "--out", t["gen.gr"]],
+        ["oracle", "vc", "--graph", edge, "--k", "1"],
+        ["verify", "minvc-kernel", "--trials", "5", "--nmax", "4", "--kmax", "2"],
+    ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT_SCRIPT, json.dumps(kernel_steps), json.dumps(cut_steps)],
+        [sys.executable, "-c", FOOTPRINT_SCRIPT,
+         *map(json.dumps, (kernel_steps, cut_steps, other_steps))],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
-    assert result["codes"] == [0] * (len(kernel_steps) + len(cut_steps))
-    kernel, cut = result["footprints"]
+    assert result["codes"] == [0] * (len(kernel_steps) + len(cut_steps) + len(other_steps))
+    kernel, cut, _ = result["footprints"]
     assert kernel == ["countkernel", "countkernel.cli", "countkernel.framework",
                       "countkernel.graphs", "countkernel.vc_kernel"]
     assert "countkernel.compositions" in cut
     assert "countkernel.verification" not in cut
+    # Record types are NamedTuples or slotted classes: no step pays to load these.
+    assert result["slow"] == []
 
 
 def test_the_cli_reads_verify_suites_and_the_size_error_without_importing_their_owners():

@@ -23,6 +23,7 @@ from countkernel.graphs import (
 )
 from countkernel.compositions import exact_compose, group_by_min_cut
 from countkernel.oracles import count_odd_cycle_transversals, random_graph
+from countkernel.vc_kernel import PaddedBlowup
 from countkernel.verification import cut_instance_pool, graph_corpus
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -88,6 +89,18 @@ def test_serialize_round_trip():
     assert parsed.graph == PATH3
     assert parsed.terminals == TerminalPair(0, 2)
     assert parsed.k == 1
+
+
+def test_serialize_refuses_terminals_out_of_range_before_writing():
+    """The parser would refuse ``t 1 6`` on a 2-vertex graph, so the
+    writer refuses the terminals first, for a ``Graph`` and for the
+    row-writing ``PaddedBlowup`` alike."""
+    for g in (Graph.empty(2), PaddedBlowup(Graph.from_edges(2, [(0, 1)]), 1, 0)):
+        for s, t in ((0, 5), (2, 0), (1, 2)):
+            message = f"terminals ({s},{t}) out of range for n=2"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                serialize_graph(g, TerminalPair(s, t), k=1, comment="c")
+        assert parse_graph(serialize_graph(g, TerminalPair(1, 0))).terminals == TerminalPair(1, 0)
 
 
 def reference_serialize_graph(g, terminals=None, k=None, comment=None):

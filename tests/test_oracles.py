@@ -672,3 +672,14 @@ def test_lp_value_matches_the_recursive_search_on_the_small_corpora():
     graphs = [g for n in range(6) for g in all_graphs(n)] + small_graphs(200, nmax=10)
     for g in graphs:
         assert lp_vc_value(g) == reference_lp_vc_value(g), g
+
+
+def test_subset_masks_match_an_itertools_reference_for_every_small_n_and_size_range():
+    """The candidates, in order: by size, then in ``combinations`` order,
+    each as the sum of its vertices' bits."""
+    for n in range(9):
+        for lo in range(n + 2):
+            for hi in range(lo, n + 3):
+                reference = [sum(1 << v for v in subset)
+                             for size in range(lo, hi) for subset in combinations(range(n), size)]
+                assert list(_subset_masks(n, range(lo, hi))) == reference, (n, lo, hi)

@@ -8,8 +8,6 @@ sweep that reused a round trip, and not only the oracle's answer,
 would miss them.
 """
 
-import dataclasses
-
 import pytest
 
 from countkernel import verification as V
@@ -33,8 +31,8 @@ def one_more_padding_vertex(real):
         if not isinstance(g, PaddedBlowup):
             return result
         padded = PaddedBlowup(g.core, g.copies, g.padding + 1)
-        reduced = dataclasses.replace(result.reduced, graph=padded)
-        return dataclasses.replace(result, reduced=reduced)
+        reduced = result.reduced._replace(graph=padded)
+        return result._replace(reduced=reduced)
     return reduce
 
 
@@ -46,9 +44,9 @@ def budget_as_solution_size(real):
 
         def reduce(inst):
             result = compression.reduce(inst)
-            reduced = dataclasses.replace(result.reduced, param_kind="solution-size")
-            return dataclasses.replace(result, reduced=reduced)
-        return dataclasses.replace(compression, reduce=reduce)
+            reduced = result.reduced._replace(param_kind="solution-size")
+            return result._replace(reduced=reduced)
+        return compression._replace(reduce=reduce)
     return ppt
 
 
@@ -57,7 +55,7 @@ def plus_one_each(real):
 
 
 def invalid(real):
-    return lambda g, td: dataclasses.replace(real(g, td), ok=False, violation="planted")
+    return lambda g, td: real(g, td)._replace(ok=False, violation="planted")
 
 
 def lift_one_more_on_repeats(real):
@@ -76,7 +74,7 @@ def lift_one_more_on_repeats(real):
         def lift(ctx, count):
             return compression.lift(ctx, count) + repeat
 
-        return dataclasses.replace(compression, reduce=reduce, lift=lift)
+        return compression._replace(reduce=reduce, lift=lift)
     return kernel
 
 
