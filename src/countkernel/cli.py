@@ -205,11 +205,11 @@ def cmd_compose(args) -> int:
     if args.how == "sum":
         composed = compositions.sum_compose(instances)
         Path(args.out).write_text(
-            serialize_graph(composed.graph, composed.terminals, k=composed.cut_size),
+            serialize_graph(composed.graph, composed.terminals, k=composed.k),
             encoding="utf-8")
         summary = (f"composed n={composed.graph.n} m={composed.graph.m} "
-                   f"cut_size={composed.cut_size}")
-        report.outputs.update(out=args.out, cut_size=composed.cut_size, primary=[summary])
+                   f"cut_size={composed.k}")
+        report.outputs.update(out=args.out, cut_size=composed.k, primary=[summary])
     else:
         composition = compositions.exact_compose(instances)
         Path(args.out).write_text(
@@ -393,8 +393,11 @@ def main(argv=None) -> int:
             parser.error("kernel reduce needs --graph and --out")
         if args.action == "lift" and args.count is None:
             parser.error("kernel lift needs --count")
-    if args.command == "compose" and args.how == "exact" and not args.meta:
-        parser.error("compose exact needs --meta")
+    if args.command == "compose":
+        if args.how == "exact" and not args.meta:
+            parser.error("compose exact needs --meta")
+        if args.how == "sum" and (args.meta or args.td):
+            parser.error("compose sum takes neither --meta nor --td")
     try:
         return args.func(args)
     except OracleSizeError as exc:

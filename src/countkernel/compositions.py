@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from math import comb
+from typing import NamedTuple
 
 from . import oracles
 from .framework import (
@@ -35,7 +36,6 @@ from .framework import (
     exceeds_subset_count,
 )
 from .graphs import (
-    FrozenRecord,
     Graph,
     TerminalPair,
     TreeDecomposition,
@@ -70,25 +70,19 @@ def _common_cut_size(instances: list[CutInstance]) -> int:
     return sizes.pop()
 
 
-class SumComposition(FrozenRecord):
-    __slots__ = ("graph", "terminals", "cut_size")
-
-    def __init__(self, graph: Graph, terminals: TerminalPair, cut_size: int):
-        super().__init__(graph, terminals, cut_size)
-
-
-def sum_compose(instances: list[CutInstance]) -> SumComposition:
+def sum_compose(instances: list[CutInstance]) -> CountingInstance:
     """Chain equal-cut-size instances; composed count = sum of counts.
 
-    Rejects a common cut size of 0 for two or more inputs: the empty
-    cut would be shared by every copy and the sum identity fails (each
-    such input has count exactly 1 anyway).
+    Returns a ``min-cut-size`` ``CountingInstance`` whose ``k`` is the
+    common cut size.  Rejects a common cut size of 0 for two or more
+    inputs: the empty cut would be shared by every copy and the sum
+    identity fails (each such input has count exactly 1 anyway).
     """
     k = _common_cut_size(instances)
     if k == 0 and len(instances) > 1:
         raise CompositionError("cut size 0 is not summable across copies")
     graph, terminals, _ = chain_identify(instances)
-    return SumComposition(graph, terminals, k)
+    return CountingInstance(graph, terminals, k, "min-cut-size")
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +216,7 @@ def oct_to_vc_ppt() -> Compression:
 _METADATA_KEYS = ("branch", "ell", "m", "k", "exponents")
 
 
-class ExactMetadata(FrozenRecord):
+class ExactMetadata(NamedTuple):
     """Bookkeeping that lets one composed count encode all input counts.
 
     ``exponents[i]`` is the power of two multiplying input i's count in
@@ -230,11 +224,12 @@ class ExactMetadata(FrozenRecord):
     recorded directly instead.
     """
 
-    __slots__ = ("branch", "ell", "m", "cut_size", "exponents", "recorded_answers")
-
-    def __init__(self, branch: str, ell: int, m: int, cut_size: int,
-                 exponents: tuple[int, ...], recorded_answers: tuple[int, ...] | None = None):
-        super().__init__(branch, ell, m, cut_size, exponents, recorded_answers)
+    branch: str
+    ell: int
+    m: int
+    cut_size: int
+    exponents: tuple[int, ...]
+    recorded_answers: tuple[int, ...] | None = None
 
     def to_json(self) -> str:
         doc = {
@@ -301,12 +296,11 @@ class ExactMetadata(FrozenRecord):
         return cls(branch, ell, m, k, tuple(exponents), answers)
 
 
-class ExactComposition(FrozenRecord):
-    __slots__ = ("graph", "terminals", "metadata", "witness")
-
-    def __init__(self, graph: Graph, terminals: TerminalPair, metadata: ExactMetadata,
-                 witness: TreeDecomposition):
-        super().__init__(graph, terminals, metadata, witness)
+class ExactComposition(NamedTuple):
+    graph: Graph
+    terminals: TerminalPair
+    metadata: ExactMetadata
+    witness: TreeDecomposition
 
 
 def _input_decomposition(g: Graph, supplied: TreeDecomposition | None) -> TreeDecomposition:

@@ -31,9 +31,7 @@ if TYPE_CHECKING:
 PARAM_KINDS = (
     "solution-size",
     "min-cut-size",
-    "treewidth",
     "k-minus-matching",
-    "k-minus-lp",
 )
 
 PROBLEMS = (
@@ -94,9 +92,8 @@ class CountingInstance(_InstanceFields):
             terminals.check_in(graph)
         if k is not None and k < 0:
             raise ValueError("parameter budget must be nonnegative")
-        if param_kind in ("solution-size", "k-minus-matching", "k-minus-lp"):
-            if k is None:
-                raise ValueError(f"{param_kind} instances need a budget k")
+        if param_kind in ("solution-size", "k-minus-matching") and k is None:
+            raise ValueError(f"{param_kind} instances need a budget k")
         if param_kind == "min-cut-size" and terminals is None:
             raise ValueError("min-cut-size instances need terminals")
         return super().__new__(cls, graph, terminals, k, param_kind)

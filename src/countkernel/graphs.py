@@ -189,33 +189,7 @@ class ParsedGraph(NamedTuple):
     k: int | None = None
 
 
-class FrozenRecord:
-    """Base of the immutable records that compare and hash by identity.
-    A subclass names its fields in ``__slots__`` and passes their values
-    to ``FrozenRecord.__init__`` in that order; assigning to or deleting
-    a field later raises ``AttributeError``."""
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__, not setattr
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class TreeDecomposition(FrozenRecord):
+class TreeDecomposition(NamedTuple):
     """Tree of bags over the vertices of a decomposed graph.
 
     ``links`` are unordered pairs of node ids; ``bags`` maps every node
@@ -224,10 +198,9 @@ class TreeDecomposition(FrozenRecord):
     ``validate_tree_decomposition``, never assumed.
     """
 
-    __slots__ = ("nodes", "links", "bags")
-
-    def __init__(self, nodes: tuple, links: frozenset[frozenset], bags: Mapping):
-        super().__init__(nodes, links, bags)
+    nodes: tuple
+    links: frozenset[frozenset]
+    bags: Mapping
 
     @property
     def width(self) -> int:

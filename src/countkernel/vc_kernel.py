@@ -359,14 +359,21 @@ def _decode_context(ctx: LiftContext, name: str) -> dict[str, int] | None:
     """The payload's fields as integers, or None on the zero branch.
 
     Both branches carry every field of the owning kernel as a
-    nonnegative decimal string; anything else raises ProtocolError.
+    nonnegative decimal string; anything else raises ProtocolError.  A
+    normal core has at most k2^2 edges and no isolated vertex, so a
+    normal context with n1 < n2 or n2 > 2*k2^2 raises it too.
     """
     payload = ctx.expect(name)
     branch = payload.get("branch")
     if branch not in ("normal", "zero"):
         raise ProtocolError(f"{name} context branch {branch!r} is not 'normal' or 'zero'")
     fields = decimal_fields(payload, name, _CONTEXT_FIELDS[name])
-    return fields if branch == "normal" else None
+    if branch == "zero":
+        return None
+    n1, n2, k2 = fields["n1"], fields["n2"], fields["k2"]
+    if n1 < n2 or n2 > 2 * k2 * k2:
+        raise ProtocolError(f"inconsistent {name} context {fields}")
+    return fields
 
 
 def lift_vertex_cover(ctx: LiftContext, reduced_count: int) -> int:
@@ -387,8 +394,7 @@ def lift_vertex_cover(ctx: LiftContext, reduced_count: int) -> int:
     if fields is None:
         return 0
     n1, n2, k2, d, t, k3 = (fields[f] for f in _CONTEXT_FIELDS[VC_KERNEL])
-    # A normal core has at most k2^2 edges and no isolated vertex.
-    if (d, t, k3) != blowup_parameters(n2, k2) or n1 < n2 or n2 > 2 * k2 * k2:
+    if (d, t, k3) != blowup_parameters(n2, k2):
         raise ProtocolError(f"inconsistent {VC_KERNEL} context {fields}")
     if reduced_count < 0:
         raise IntegrityError("counts are nonnegative")

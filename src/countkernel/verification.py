@@ -32,6 +32,7 @@ import time
 from fractions import Fraction
 from itertools import accumulate, combinations, product
 from math import comb
+from typing import NamedTuple
 
 from . import oracles
 from .compositions import (
@@ -67,16 +68,17 @@ from .vc_kernel import (
 ENUMERATION_BUDGET = 1 << 20
 
 
-class SweepReport:
+# A report keeps the messages of at most this many failures.
+MAX_FAILURES = 12
+
+
+class SweepReport(NamedTuple):
     """One sweep's check count, first failures' messages and time."""
 
-    MAX_FAILURES = 12
-
-    def __init__(self, name: str):
-        self.name = name
-        self.checked = 0
-        self.failures: list[str] = []
-        self.seconds = 0.0
+    name: str
+    checked: int
+    failures: tuple[str, ...]
+    seconds: float
 
     @property
     def passed(self) -> bool:
@@ -87,13 +89,12 @@ def _sweep(name: str, checks) -> SweepReport:
     """Count a stream of (ok, message) checks into one report, keeping
     the first failures' messages; the time includes drawing the stream."""
     start = time.monotonic()
-    report = SweepReport(name)
+    checked, failures = 0, []
     for ok, message in checks:
-        report.checked += 1
-        if not ok and len(report.failures) < report.MAX_FAILURES:
-            report.failures.append(message)
-    report.seconds = time.monotonic() - start
-    return report
+        checked += 1
+        if not ok and len(failures) < MAX_FAILURES:
+            failures.append(message)
+    return SweepReport(name, checked, tuple(failures), time.monotonic() - start)
 
 
 def _shared(oracle, key=lambda *args: args):
@@ -383,14 +384,14 @@ def sweep_sum(tuples: int = 500, nmax: int = 6, seed: int = 0) -> SweepReport:
         pool = cut_instance_pool(max(60, tuples // 4), nmax, seed + 1)
         for parts in _equal_cut_tuples(pool, rng, tuples, max_len=4):
             composed = sum_compose(parts)
-            if comb(composed.graph.m, composed.cut_size) > ENUMERATION_BUDGET:
+            if comb(composed.graph.m, composed.k) > ENUMERATION_BUDGET:
                 continue
             count, size = count_cuts(composed.graph, composed.terminals)
             expected = sum(count_cuts(g, st)[0] for g, st in parts)
-            yield (count == expected and size == composed.cut_size,
+            yield (count == expected and size == composed.k,
                    f"composed {count} (cut {size}) != sum {expected} "
-                   f"(cut {composed.cut_size}, ell={len(parts)})")
-            yield (composed.cut_size <= max(g.m for g, _ in parts),
+                   f"(cut {composed.k}, ell={len(parts)})")
+            yield (composed.k <= max(g.m for g, _ in parts),
                    "parameter exceeds the largest input edge count")
 
     return _sweep("sum composition", checks())

@@ -191,6 +191,15 @@ def test_kernel_lift_malformed_context_exits_3(tmp_path, capsys, which, corrupt)
     assert "context" in capsys.readouterr().err
 
 
+def test_kernel_minvc_lift_refuses_a_context_no_reduce_emits(tmp_path, capsys):
+    # n1 < n2 and n2 > 2*k2^2: no core of at most k2^2 edges has 500 vertices.
+    payload = {"branch": "normal", "n1": "1", "n2": "500", "k2": "2"}
+    context = write(tmp_path, "ctx.json", json.dumps(
+        {"compression": "minimal-vertex-cover-kernel", "payload": payload, "version": 1}))
+    assert main(["kernel", "minvc", "lift", "--context", context, "--count", "5"]) == 3
+    assert "inconsistent minimal-vertex-cover-kernel context" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
 def test_kernel_lift_refuses_a_version_that_is_not_the_int_1(tmp_path, capsys, version):
     graph = write(tmp_path, "k3.gr", K3_TEXT)
@@ -228,6 +237,18 @@ def test_compose_sum_unequal_sizes_exits_3(tmp_path, capsys):
                "p 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\nt 1 4\n")
     assert main(["compose", "sum", "--inputs", f"{a},{k4}",
                  "--out", str(tmp_path / "x.gr")]) == 3
+
+
+@pytest.mark.parametrize("option", ["--meta", "--td"])
+def test_compose_sum_refuses_the_exact_only_options(tmp_path, capsys, option):
+    a = write(tmp_path, "a.gr", PATH_ST_TEXT)
+    out = tmp_path / "sum.gr"
+    with pytest.raises(SystemExit) as err:
+        main(["compose", "sum", "--inputs", f"{a},{a}", "--out", str(out),
+              option, str(tmp_path / "extra.json")])
+    assert err.value.code == 2
+    assert "compose sum takes neither --meta nor --td" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "extra.json").exists()
 
 
 def test_compose_exact_extract_pipeline(tmp_path, capsys):

@@ -97,7 +97,7 @@ def test_sum_identity_random_tuples():
         composed = sum_compose(parts)
         count, _ = count_min_st_cuts(composed.graph, composed.terminals)
         assert count == sum(count_min_st_cuts(g, st)[0] for g, st in parts)
-        assert composed.cut_size <= max(g.m for g, _ in parts)
+        assert composed.k <= max(g.m for g, _ in parts)
         done += 1
 
 

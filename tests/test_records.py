@@ -1,6 +1,6 @@
-"""The record types: value records are ``NamedTuple``s, three of which
-validate on construction; the records declared by identity are slotted
-``FrozenRecord`` classes.  Every one is immutable."""
+"""The record types are ``NamedTuple``s, three of which validate on
+construction.  Every one is immutable, compares and hashes by its
+fields, and copies and pickles to an equal record."""
 
 import copy
 import pickle
@@ -11,9 +11,7 @@ import pytest
 from countkernel.compositions import (
     ExactComposition,
     ExactMetadata,
-    SumComposition,
     exact_compose,
-    sum_compose,
 )
 from countkernel.framework import (
     Compression,
@@ -34,6 +32,7 @@ from countkernel.graphs import (
     validate_tree_decomposition,
 )
 from countkernel.vc_kernel import PaddedBlowup
+from countkernel.verification import SweepReport
 
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 EDGE = Graph.from_edges(2, [(0, 1)])
@@ -55,7 +54,7 @@ def test_terminal_pair_refusals_keep_their_types_and_messages():
     ({"k": -1}, "parameter budget must be nonnegative"),
     ({}, "solution-size instances need a budget k"),
     ({"param_kind": "k-minus-matching"}, "k-minus-matching instances need a budget k"),
-    ({"param_kind": "k-minus-lp"}, "k-minus-lp instances need a budget k"),
+    ({"k": 1, "param_kind": "k-minus-lp"}, "unknown parameter kind 'k-minus-lp'"),
     ({"param_kind": "min-cut-size"}, "min-cut-size instances need terminals"),
 ])
 def test_counting_instance_refusals_keep_their_types_and_messages(kwargs, message):
@@ -92,15 +91,6 @@ def _exact():
     return exact_compose([(PATH3, TerminalPair(0, 2))] * 2)
 
 
-def _identity_records():
-    """Two separately built, field-for-field equal records of each type
-    that compares by identity."""
-    sums = [sum_compose([(PATH3, TerminalPair(0, 2))] * 2) for _ in range(2)]
-    metas = [ExactMetadata("gadget", 2, 4, 1, (4, 8)) for _ in range(2)]
-    exacts = [_exact() for _ in range(2)]
-    return [(_td(), _td()), tuple(sums), tuple(metas), tuple(exacts)]
-
-
 def _value_records():
     """Two separately built, equal records of each value type."""
     ident = identity_compression("vertex-cover")
@@ -119,19 +109,23 @@ def _value_records():
          CompressionResult(CountingInstance(PATH3, k=2), LiftContext("x", {}))),
         (Compression("c", "a", "b", len, max), Compression("c", "a", "b", len, max, None)),
         (verify_compression(ident, inst), verify_compression(ident, inst)),
+        (_td(), _td()),
+        (ExactMetadata("gadget", 2, 4, 1, (4, 8)), ExactMetadata("gadget", 2, 4, 1, (4, 8), None)),
+        (_exact(), _exact()),
+        (SweepReport("s", 2, ("a",), 0.5), SweepReport("s", 2, ("a",), 0.5)),
     ]
 
 
 def test_every_record_type_is_covered():
-    types = {type(a) for a, _ in _value_records() + _identity_records()}
+    types = {type(a) for a, _ in _value_records()}
     assert types == {TerminalPair, CountingInstance, PaddedBlowup, ParsedGraph, TdCheck,
                      LiftContext, CompressionResult, Compression, VerificationReport,
-                     TreeDecomposition, SumComposition, ExactMetadata, ExactComposition}
+                     TreeDecomposition, ExactMetadata, ExactComposition, SweepReport}
 
 
 def test_assigning_or_deleting_a_field_raises_attribute_error():
-    for record, _ in _value_records() + _identity_records():
-        name = (record._fields if isinstance(record, tuple) else record.__slots__)[0]
+    for record, _ in _value_records():
+        name = record._fields[0]
         before = getattr(record, name)
         with pytest.raises(AttributeError):
             setattr(record, name, None)
@@ -142,29 +136,13 @@ def test_assigning_or_deleting_a_field_raises_attribute_error():
         assert getattr(record, name) is before
 
 
-def test_identity_records_compare_and_hash_by_identity():
-    for a, b in _identity_records():
-        assert a == a and a != b and not (a == b)
-        assert hash(a) == object.__hash__(a) and hash(b) == object.__hash__(b)
-        assert len({a, b, a}) == 2
-    td = _td()
-    assert {td: 1}[td] == 1  # a dict-valued field does not stop hashing
-
-
-def test_identity_records_copy_pickle_and_repr_by_their_fields():
+def test_records_copy_pickle_and_repr_by_their_fields():
     meta = ExactMetadata("trivial", 2, 2, 1, (2, 4), recorded_answers=(3, 5))
     assert repr(meta) == ("ExactMetadata(branch='trivial', ell=2, m=2, cut_size=1, "
                           "exponents=(2, 4), recorded_answers=(3, 5))")
-    td, composed = _td(), _exact()
-    for clone in (copy.copy(meta), pickle.loads(pickle.dumps(meta))):
-        assert type(clone) is ExactMetadata and clone is not meta and repr(clone) == repr(meta)
-    for clone in (copy.copy(td), pickle.loads(pickle.dumps(td))):
-        assert type(clone) is TreeDecomposition and clone is not td
-        assert (clone.nodes, clone.links, clone.bags) == (td.nodes, td.links, td.bags)
-    clone = pickle.loads(pickle.dumps(composed))
-    assert type(clone) is ExactComposition
-    assert (clone.graph, clone.terminals) == (composed.graph, composed.terminals)
-    assert clone.metadata.to_json() == composed.metadata.to_json()
+    for record, _ in _value_records():
+        for clone in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+            assert type(clone) is type(record) and clone == record
 
 
 def test_equal_value_records_are_equal_and_hash_alike():
@@ -172,8 +150,9 @@ def test_equal_value_records_are_equal_and_hash_alike():
         assert a is not b and a == b and not (a != b)
         try:
             hash(a)
-        except TypeError:  # a LiftContext payload is a dict, as it always was
-            assert isinstance(a, (LiftContext, CompressionResult, VerificationReport))
+        except TypeError:  # a LiftContext payload and a decomposition's bags are dicts
+            assert isinstance(a, (LiftContext, CompressionResult, VerificationReport,
+                                  TreeDecomposition, ExactComposition))
             continue
         assert hash(a) == hash(b)
     assert TerminalPair(0, 2) != TerminalPair(2, 0)

@@ -324,8 +324,10 @@ def test_minimal_lift_refuses_counts_above_the_subset_bound():
     for bad in (16, 999999, -1):
         with pytest.raises(IntegrityError):
             lift_minimal_vertex_cover(ctx, bad)
+    # an edgeless host at budget 0 leaves an empty core: one subset, of size 0
+    empty_core = {**ctx.payload, "n2": "0", "k2": "0"}
     with pytest.raises(IntegrityError):
-        lift_minimal_vertex_cover(LiftContext(ctx.compression, {**ctx.payload, "k2": "0"}), 2)
+        lift_minimal_vertex_cover(LiftContext(ctx.compression, empty_core), 2)
     # a huge context stays cheap: the bound stops growing once it passes the count
     huge = {**ctx.payload, "n1": str(10**40), "n2": str(10**40), "k2": str(10**20)}
     assert lift_minimal_vertex_cover(LiftContext(ctx.compression, huge), 10**30) == 10**30
@@ -411,6 +413,17 @@ def test_lift_rejects_impossible_coefficients():
 def test_lift_rejects_malformed_contexts(payload):
     with pytest.raises(ProtocolError):
         lift_vertex_cover(LiftContext("vertex-cover-kernel", payload), 0)
+
+
+# Normal contexts that no reduce run can emit: n1 < n2, or a core with
+# more vertices than 2*k2^2, which at most k2^2 edges cannot cover.
+@pytest.mark.parametrize("payload", [
+    {"branch": "normal", "n1": "2", "n2": "3", "k2": "2"},
+    {"branch": "normal", "n1": "9", "n2": "9", "k2": "2"},
+])
+def test_minimal_lift_rejects_inconsistent_contexts(payload):
+    with pytest.raises(ProtocolError):
+        lift_minimal_vertex_cover(LiftContext("minimal-vertex-cover-kernel", payload), 0)
 
 
 # ---------------------------------------------------------------------------
