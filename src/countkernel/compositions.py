@@ -7,7 +7,8 @@ cut choices scale each input's count by a distinct power of two, so a
 single composed count encodes all input counts; ``extract_counts``
 recovers them by repeated floor division.  The exact composition also
 emits a constructive tree-decomposition witness showing the composed
-treewidth stays within one of the inputs'.
+treewidth stays within one of the inputs'; it builds the witness's bags
+in the same pass over the copies as the paths they cover.
 
 The two transformations move counting hardness across problems:
 minimum (s,t)-cuts map to size-k odd cycle transversals of a parity
@@ -327,10 +328,15 @@ def exact_compose(instances: list[CutInstance],
     minimum composed cut picks one edge per path of one copy, giving
     composed count sum_i q_i * 2^(m*(i-1)) * 2^(m*(ell-1)).  When
     ell >= 2^(max edge count) the inputs are solved outright by oracle
-    and recorded (trivial branch).  The returned witness decomposition
-    is validated here at width at most max(2, max input width + 1).
-    Every path vertex is new, so the path edges are appended to the
-    chain's endpoint columns as they are.
+    and recorded (trivial branch).  Every path vertex is new, so the
+    path edges are appended to the chain's endpoint columns as they are.
+
+    The witness decomposition is built in the same pass.  Per copy: the
+    input decomposition, relabelled, with the chained t_i added to every
+    bag; one 3-vertex bag per short path and a path of three bags per
+    long path, each hung off the copy's first node holding s_i (its
+    anchor); the anchors of consecutive copies are linked.  It is
+    validated here at width at most max(2, max input width + 1).
     """
     k = _common_cut_size(instances)
     ell = len(instances)
@@ -356,33 +362,40 @@ def exact_compose(instances: list[CutInstance],
     chain, terminals, maps = chain_identify(instances)
     us, vs = (list(column) for column in chain.columns())
     next_vertex = chain.n
-    long_paths: list[list[tuple[int, int, int]]] = []
-    short_paths: list[list[int]] = []
-    for i in range(1, ell + 1):
-        g_i, st_i = instances[i - 1]
-        s_i = maps[i - 1][st_i.s]
-        t_i = maps[i - 1][st_i.t]
-        longs: list[tuple[int, int, int]] = []
-        shorts: list[int] = []
-        for _ in range(m * (i - 1)):
-            x, y, z = next_vertex, next_vertex + 1, next_vertex + 2
-            next_vertex += 3
-            us += [s_i, x, y, z]
-            vs += [x, y, z, t_i]
-            longs.append((x, y, z))
-        for _ in range(m * (ell - 1) - m * (i - 1)):
-            x = next_vertex
-            next_vertex += 1
+    bags: dict = {}  # in witness node order
+    links: set[frozenset] = set()
+    anchor = None
+    for i, ((_, st), vmap, td) in enumerate(zip(instances, maps, input_tds, strict=True), 1):
+        s_i, t_i = vmap[st.s], vmap[st.t]
+        for node in td.nodes:
+            bags[("g", i, node)] = frozenset(vmap[v] for v in td.bags[node]) | {t_i}
+        links.update(frozenset(("g", i, node) for node in link) for link in td.links)
+        previous, anchor = anchor, next(("g", i, node) for node in td.nodes
+                                        if st.s in td.bags[node])
+        if previous is not None:
+            links.add(frozenset({previous, anchor}))
+        # The long paths' vertices are numbered first, the short paths' after.
+        longs = range(next_vertex, next_vertex + 3 * m * (i - 1), 3)
+        shorts = range(longs.stop, longs.stop + m * (ell - i))
+        next_vertex = shorts.stop
+        for j, x in enumerate(shorts):
             us += [s_i, x]
             vs += [x, t_i]
-            shorts.append(x)
-        long_paths.append(longs)
-        short_paths.append(shorts)
+            bags[("a", i, j)] = frozenset({s_i, x, t_i})
+            links.add(frozenset({anchor, ("a", i, j)}))
+        for j, x in enumerate(longs):
+            y, z = x + 1, x + 2
+            us += [s_i, x, y, z]
+            vs += [x, y, z, t_i]
+            a, b, c = ("A", i, j), ("B", i, j), ("C", i, j)
+            bags[a] = frozenset({s_i, x, t_i})
+            bags[b] = frozenset({x, y, t_i})
+            bags[c] = frozenset({y, z, t_i})
+            links.update((frozenset({anchor, a}), frozenset({a, b}), frozenset({b, c})))
 
     graph = Graph._from_columns(next_vertex, us, vs)
     meta = ExactMetadata("gadget", ell, m, k, exponents)
-    witness = _witness_decomposition(instances, input_tds, maps, long_paths, short_paths)
-
+    witness = TreeDecomposition(nodes=tuple(bags), links=frozenset(links), bags=bags)
     check = validate_tree_decomposition(graph, witness)
     if not check.ok:
         raise RuntimeError(f"witness decomposition invalid: {check.violation}")
@@ -390,53 +403,6 @@ def exact_compose(instances: list[CutInstance],
     if check.width > bound:
         raise RuntimeError(f"witness width {check.width} exceeds bound {bound}")
     return ExactComposition(graph, terminals, meta, witness)
-
-
-def _witness_decomposition(instances, input_tds, maps, long_paths, short_paths,
-                           ) -> TreeDecomposition:
-    """Constructive decomposition of the composed graph.
-
-    Per copy: relabel the input decomposition, add the chained t_i to
-    every bag, hang one 3-vertex bag per short path off a node holding
-    s_i, and a 3-bag path per long path; then string the copies
-    together at those anchor nodes.
-    """
-    nodes: list = []
-    links: set[frozenset] = set()
-    bags: dict = {}
-    anchors: list = []
-    ell = len(instances)
-    for i in range(1, ell + 1):
-        g_i, st_i = instances[i - 1]
-        vmap = maps[i - 1]
-        s_i, t_i = vmap[st_i.s], vmap[st_i.t]
-        td = input_tds[i - 1]
-        rename = {node: ("g", i, node) for node in td.nodes}
-        for node in td.nodes:
-            nodes.append(rename[node])
-            bags[rename[node]] = frozenset(vmap[v] for v in td.bags[node]) | {t_i}
-        for link in td.links:
-            a, b = list(link)
-            links.add(frozenset({rename[a], rename[b]}))
-        anchor = next(rename[node] for node in td.nodes if s_i in bags[rename[node]])
-        anchors.append(anchor)
-        for j, x in enumerate(short_paths[i - 1]):
-            a = ("a", i, j)
-            nodes.append(a)
-            bags[a] = frozenset({s_i, x, t_i})
-            links.add(frozenset({anchor, a}))
-        for j, (x, y, z) in enumerate(long_paths[i - 1]):
-            a, b, c = ("A", i, j), ("B", i, j), ("C", i, j)
-            nodes.extend([a, b, c])
-            bags[a] = frozenset({s_i, x, t_i})
-            bags[b] = frozenset({x, y, t_i})
-            bags[c] = frozenset({y, z, t_i})
-            links.add(frozenset({anchor, a}))
-            links.add(frozenset({a, b}))
-            links.add(frozenset({b, c}))
-    for i in range(1, ell):
-        links.add(frozenset({anchors[i - 1], anchors[i]}))
-    return TreeDecomposition(nodes=tuple(nodes), links=frozenset(links), bags=bags)
 
 
 def extract_counts(meta: ExactMetadata, composed_count: int) -> list[int]:

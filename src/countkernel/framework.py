@@ -104,19 +104,16 @@ def oracle_count(problem: str, inst: CountingInstance) -> int:
 
     An implicit graph is materialized first, so a tiny blowup is
     enumerated like any other graph.  For the oracles that enumerate
-    the subsets of at most k vertices, the size guard runs on n and k
-    before that, so a large blowup is refused without building its
-    edges.
+    the subsets of at most k vertices, their size guard
+    (``oracles.guard_subsets``) runs on n and k before that, so a large
+    blowup is refused without building its edges.
     """
     from . import oracles
 
     g = inst.graph
     if not isinstance(g, Graph):
-        if problem in SUBSET_PROBLEMS and not exceeds_subset_count(
-                oracles.SUBSET_LIMIT + 1, g.n, inst.k):
-            raise OracleSizeError(
-                f"{problem}: more than {oracles.SUBSET_LIMIT} candidate subsets "
-                f"of at most {inst.k} of {g.n} vertices")
+        if problem in SUBSET_PROBLEMS:
+            oracles.guard_subsets(g.n, inst.k, problem)
         g = g.materialize()
     if problem == "vertex-cover":
         return oracles.count_vertex_covers(g, inst.k)

@@ -585,8 +585,8 @@ def chain_identify(instances: Sequence[tuple[Graph, TerminalPair]],
 # Structure checks
 # ---------------------------------------------------------------------------
 
-def connected_components(g: Graph, removed: frozenset[int] = frozenset()) -> list[set[int]]:
-    seen: set[int] = set(removed)
+def connected_components(g: Graph) -> list[set[int]]:
+    seen: set[int] = set()
     comps = []
     adj = g.adjacency
     for start in range(g.n):

@@ -23,7 +23,7 @@ from itertools import chain, combinations
 from math import comb
 
 # Defined in framework, so that the CLI catches it without importing this module.
-from .framework import OracleSizeError
+from .framework import OracleSizeError, exceeds_subset_count
 from .graphs import Graph, TerminalPair, TreeDecomposition
 
 SUBSET_LIMIT = 1 << 26
@@ -38,8 +38,13 @@ def _adjacency_masks(g: Graph) -> list[int]:
     return masks
 
 
-def _subset_budget(n: int, k: int) -> int:
-    return sum(comb(n, j) for j in range(min(n, k) + 1))
+def guard_subsets(n: int, k: int, what: str) -> None:
+    """Refuse to enumerate the subsets of at most k of n vertices if
+    there are more than ``SUBSET_LIMIT``.  The count stops once it
+    passes the limit, so a huge n or k is refused at once."""
+    if not exceeds_subset_count(SUBSET_LIMIT + 1, n, k):
+        raise OracleSizeError(
+            f"{what}: more than {SUBSET_LIMIT} candidate subsets of at most {k} of {n} vertices")
 
 
 def _guard(candidates: int, what: str) -> None:
@@ -110,7 +115,7 @@ def count_vertex_covers(g: Graph, k: int) -> int:
     that meet every edge's two-bit mask."""
     if k < 0:
         return 0
-    _guard(_subset_budget(g.n, k), "count_vertex_covers")
+    guard_subsets(g.n, k, "count_vertex_covers")
     edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
     return sum(all(map(mask.__and__, edge_masks))
                for mask in _subset_masks(g.n, range(min(k, g.n) + 1)))
@@ -138,7 +143,7 @@ def count_minimal_vertex_covers(g: Graph, k: int) -> int:
     """
     if k < 0:
         return 0
-    _guard(_subset_budget(g.n, k), "count_minimal_vertex_covers")
+    guard_subsets(g.n, k, "count_minimal_vertex_covers")
     edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
     closed = [(1 << v) | nbrs for v, nbrs in enumerate(_adjacency_masks(g))]
     return sum(all(map(mask.__and__, edge_masks)) and all(map((~mask).__and__, closed))
@@ -153,7 +158,7 @@ def count_odd_cycle_transversals(g: Graph, k: int) -> int:
     """Number of sets S, |S| <= k, whose removal leaves a bipartite graph."""
     if k < 0:
         return 0
-    _guard(_subset_budget(g.n, k), "count_odd_cycle_transversals")
+    guard_subsets(g.n, k, "count_odd_cycle_transversals")
     adj = _adjacency_masks(g)
     return sum(1 for removed in _subset_masks(g.n, range(min(k, g.n) + 1))
                if _is_bipartite_masked(adj, g.n, removed))
@@ -169,7 +174,7 @@ def is_nice_oct_instance(g: Graph, k: int) -> bool:
     """
     if k < 0:
         return True
-    _guard(_subset_budget(g.n, k), "is_nice_oct_instance")
+    guard_subsets(g.n, k, "is_nice_oct_instance")
     adj = _adjacency_masks(g)
     everything = (1 << g.n) - 1
     for removed in _subset_masks(g.n, range(min(k, g.n) + 1)):

@@ -388,7 +388,8 @@ def lift_vertex_cover(ctx: LiftContext, reduced_count: int) -> int:
     that range, or a nonzero residue after the extraction loop, means
     the supplied count was not the reduced instance's true count.  Each
     y_i then takes the sum_{j <= k2 - i} C(n1 - n2, j) choices of
-    isolated vertices, from partial sums built once, term by term.
+    isolated vertices, from partial sums built once, term by term, and
+    only up to j = n1 - n2, past which every term is 0.
     """
     fields = _decode_context(ctx, VC_KERNEL)
     if fields is None:
@@ -398,9 +399,10 @@ def lift_vertex_cover(ctx: LiftContext, reduced_count: int) -> int:
         raise ProtocolError(f"inconsistent {VC_KERNEL} context {fields}")
     if reduced_count < 0:
         raise IntegrityError("counts are nonnegative")
-    term, choices = 1, [1]  # choices[s] = sum_{j <= s} C(n1 - n2, j)
-    for j in range(k2):
-        term = term * (n1 - n2 - j) // (j + 1)
+    isolated = n1 - n2
+    term, choices = 1, [1]  # choices[s] = sum_{j <= s} C(isolated, j)
+    for j in range(min(k2, isolated)):
+        term = term * (isolated - j) // (j + 1)
         choices.append(choices[-1] + term)
     remaining = reduced_count
     total = 0
@@ -412,7 +414,7 @@ def lift_vertex_cover(ctx: LiftContext, reduced_count: int) -> int:
                 f"lift extracted a {y.bit_length()}-bit number of core covers of size {i} "
                 f"from a {n2}-vertex core; corrupted count")
         remaining -= y * w
-        total += y * choices[k2 - i]
+        total += y * choices[min(k2 - i, isolated)]
     if remaining:
         raise IntegrityError(
             f"lift left a residue of {remaining.bit_length()} bits; corrupted count")

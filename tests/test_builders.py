@@ -10,7 +10,9 @@ functions below are the earlier versions, which built a set of ordered
 pairs edge by edge and wrote it row by row.  On seeded corpora, for each
 input as built and as parsed back, the new code must give equal graphs
 that hash alike, equal maps, one column entry per edge, the same
-refusals and the same bytes.
+refusals and the same bytes.  ``reference_exact_witness`` is the
+two-pass witness builder that ``exact_compose`` folded into its one
+pass; its witness must serialize alike and have the same width.
 """
 
 import random
@@ -21,6 +23,7 @@ import pytest
 
 from countkernel.compositions import (
     MINCUT_TO_OCT,
+    _input_decomposition,
     exact_compose,
     group_by_min_cut,
     mincut_to_oct_reduce,
@@ -32,6 +35,7 @@ from countkernel.graphs import (
     BlowupError,
     Graph,
     TerminalPair,
+    TreeDecomposition,
     chain_identify,
     connected_components,
     false_twin_blowup,
@@ -41,7 +45,7 @@ from countkernel.graphs import (
     serialize_graph,
     subdivide_all_edges,
 )
-from countkernel.oracles import min_cut_size, random_graph
+from countkernel.oracles import TREEWIDTH_LIMIT, exact_treewidth, min_cut_size, random_graph
 from countkernel.vc_kernel import padded_blowup_graph
 from countkernel.verification import cut_instance_pool, graph_corpus
 
@@ -173,6 +177,63 @@ def reference_exact_compose_graph(instances):
             next_vertex += 1
             edges.update([ordered(s_i, x), ordered(x, t_i)])
     return Graph(next_vertex, frozenset(edges)), terminals
+
+
+def reference_exact_witness(instances, decompositions=None):
+    """The gadget branch's witness as the two-pass builder made it.
+
+    The first pass numbers each copy's long-path vertices, then its
+    short-path vertices, into two lists.  The second walks the copies
+    again: the input decomposition relabelled with t_i in every bag, one
+    bag per short path and three per long path hung off the copy's first
+    node holding s_i, and the anchors of consecutive copies linked.
+    """
+    ell = len(instances)
+    m = 2 * max(g.m for g, _ in instances)
+    input_tds = [_input_decomposition(g, supplied)
+                 for (g, _), supplied in zip(instances, decompositions or [None] * ell)]
+    chained, _, maps = reference_chain_identify(instances)
+    next_vertex = chained.n
+    long_paths, short_paths = [], []
+    for i in range(1, ell + 1):
+        longs, shorts = [], []
+        for _ in range(m * (i - 1)):
+            longs.append((next_vertex, next_vertex + 1, next_vertex + 2))
+            next_vertex += 3
+        for _ in range(m * (ell - 1) - m * (i - 1)):
+            shorts.append(next_vertex)
+            next_vertex += 1
+        long_paths.append(longs)
+        short_paths.append(shorts)
+
+    nodes, links, bags, anchors = [], set(), {}, []
+    for i in range(1, ell + 1):
+        st_i, vmap, td = instances[i - 1][1], maps[i - 1], input_tds[i - 1]
+        s_i, t_i = vmap[st_i.s], vmap[st_i.t]
+        rename = {node: ("g", i, node) for node in td.nodes}
+        for node in td.nodes:
+            nodes.append(rename[node])
+            bags[rename[node]] = frozenset(vmap[v] for v in td.bags[node]) | {t_i}
+        for link in td.links:
+            a, b = list(link)
+            links.add(frozenset({rename[a], rename[b]}))
+        anchor = next(rename[node] for node in td.nodes if s_i in bags[rename[node]])
+        anchors.append(anchor)
+        for j, x in enumerate(short_paths[i - 1]):
+            a = ("a", i, j)
+            nodes.append(a)
+            bags[a] = frozenset({s_i, x, t_i})
+            links.add(frozenset({anchor, a}))
+        for j, (x, y, z) in enumerate(long_paths[i - 1]):
+            a, b, c = ("A", i, j), ("B", i, j), ("C", i, j)
+            nodes.extend([a, b, c])
+            bags[a] = frozenset({s_i, x, t_i})
+            bags[b] = frozenset({x, y, t_i})
+            bags[c] = frozenset({y, z, t_i})
+            links.update([frozenset({anchor, a}), frozenset({a, b}), frozenset({b, c})])
+    for i in range(1, ell):
+        links.add(frozenset({anchors[i - 1], anchors[i]}))
+    return TreeDecomposition(nodes=tuple(nodes), links=frozenset(links), bags=bags)
 
 
 def reference_padded_blowup_graph(core, copies, padding):
@@ -430,24 +491,88 @@ def test_induced_subgraph_matches_reference():
                 assert serialize_graph(got) == reference_row_writer(want)
 
 
-def test_exact_compose_matches_reference():
-    rng = random.Random(71)
-    pool = cut_instance_pool(150, 8, 71)
+def gadget_tuples(pool, rng, draws, most=3):
+    """Up to ``draws`` random tuples of 1..``most`` equal-cut-size pool
+    instances, skipping those the trivial branch would take: it records
+    answers and builds no gadget."""
     classes = [members for members in group_by_min_cut(pool).values() if len(members) >= 2]
-    composed = 0
-    for _ in range(24):
+    for _ in range(draws):
         members = rng.choice(classes)
-        instances = [pool[i] for i in rng.sample(members, min(len(members), rng.randint(1, 3)))]
-        if len(instances) >= 2 ** max(g.m for g, _ in instances):
-            continue  # the trivial branch records answers and builds no gadget
+        instances = [pool[i] for i in rng.sample(members, min(len(members), rng.randint(1, most)))]
+        if len(instances) < 2 ** max(g.m for g, _ in instances):
+            yield instances
+
+
+def parsed_tuples(instances):
+    """``instances`` as built, then with every graph parsed back."""
+    for forms in zip(*(both_forms(g) for g, _ in instances)):
+        yield [(form, st) for form, (_, st) in zip(forms, instances)]
+
+
+def test_exact_compose_matches_reference():
+    composed = 0
+    for instances in gadget_tuples(cut_instance_pool(150, 8, 71), random.Random(71), 24):
         want, want_st = reference_exact_compose_graph(instances)
-        for forms in zip(*(both_forms(g) for g, _ in instances)):
-            got = exact_compose([(form, st) for form, (_, st) in zip(forms, instances)])
+        for forms in parsed_tuples(instances):
+            got = exact_compose(forms)
             same_graph_and_hash(got.graph, want)
             assert got.terminals == want_st
             assert serialize_graph(got.graph, got.terminals) == reference_row_writer(want, want_st)
         composed += 1
     assert composed >= 15
+
+
+def same_witness(instances, decompositions=None):
+    got = exact_compose(instances, decompositions).witness
+    want = reference_exact_witness(instances, decompositions)
+    assert got.to_jsonable() == want.to_jsonable()
+    assert got.width == want.width
+
+
+def test_exact_witness_matches_reference():
+    composed = 0
+    for instances in gadget_tuples(cut_instance_pool(150, 8, 71), random.Random(71), 40, 4):
+        for forms in parsed_tuples(instances):
+            same_witness(forms)
+        composed += 1
+    assert composed >= 25
+
+
+def renamed_decomposition(g, rng):
+    """An exact decomposition of ``g`` with new node ids in a new order."""
+    td = exact_treewidth(g)[1]
+    order = rng.sample(td.nodes, len(td.nodes))
+    name = {node: f"v{j}" for j, node in enumerate(order)}
+    return TreeDecomposition(nodes=tuple(name[node] for node in order),
+                             links=frozenset(frozenset(map(name.get, link)) for link in td.links),
+                             bags={name[node]: sorted(td.bags[node]) for node in order})
+
+
+def test_exact_witness_matches_reference_on_supplied_decompositions():
+    rng = random.Random(79)
+    composed = 0
+    for instances in gadget_tuples(cut_instance_pool(150, 8, 79), rng, 30, 4):
+        supplied = [rng.choice((None, renamed_decomposition(g, rng), TreeDecomposition(
+            nodes=(0,), links=frozenset(), bags={0: range(g.n)}))) for g, _ in instances]
+        for forms in parsed_tuples(instances):
+            same_witness(forms, supplied)
+        composed += 1
+    assert composed >= 20
+
+
+def test_exact_witness_matches_reference_past_the_treewidth_limit():
+    # graphs on 13..16 vertices get the single-bag decomposition
+    rng = random.Random(83)
+    pool = cut_instance_pool(60, 16, 83, probabilities=(0.15, 0.25),
+                             keep=lambda g: g.n > TREEWIDTH_LIMIT)
+    pool += cut_instance_pool(60, 8, 83)
+    composed = 0
+    for instances in gadget_tuples(pool, rng, 30):
+        if any(g.n > TREEWIDTH_LIMIT for g, _ in instances):
+            for forms in parsed_tuples(instances):
+                same_witness(forms)
+            composed += 1
+    assert composed >= 10
 
 
 @pytest.mark.parametrize("copies, padding", [(0, 0), (0, 3), (1, 0), (2, 1), (3, 4)])

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from math import comb
 from pathlib import Path
@@ -116,6 +117,18 @@ def test_kernel_reduce_lift_round_trip_matches_in_process(tmp_path, capsys):
     written = parse_graph((tmp_path / "reduced.gr").read_text())
     assert written.graph == in_process.reduced.graph.materialize()
     assert written.k == in_process.reduced.k
+
+
+def test_kernel_lift_of_a_one_vertex_host_is_instant_at_a_huge_k(tmp_path, capsys):
+    # n1 - n2 = 1 isolated vertex: the partial sums stop at one term,
+    # not at k2 = 10^12
+    graph = write(tmp_path, "one.gr", "p 1 0\n")
+    context = str(tmp_path / "ctx.json")
+    assert main(["kernel", "vc", "reduce", "--graph", graph, "--k", str(10 ** 12),
+                 "--out", str(tmp_path / "r.gr"), "--context", context]) == 0
+    capsys.readouterr()
+    assert main(["kernel", "vc", "lift", "--context", context, "--count", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
 
 
 def test_kernel_minvc(tmp_path, capsys):
@@ -581,6 +594,14 @@ def test_size_guard_exits_4(tmp_path):
     big = Graph.empty(64)
     path = write(tmp_path, "big.gr", serialize_graph(big))
     assert main(["oracle", "vc", "--graph", path, "--k", "32"]) == 4
+
+
+def test_size_guard_exits_4_at_once_on_a_huge_n_and_k(tmp_path, capsys):
+    path = write(tmp_path, "big.gr", serialize_graph(Graph.empty(20000)))
+    started = time.perf_counter()
+    assert main(["oracle", "vc", "--graph", path, "--k", "20000"]) == 4
+    assert time.perf_counter() - started < 2.0
+    assert "more than 67108864 candidate subsets" in capsys.readouterr().err
 
 
 # Runs the argument lists in argv[1] (a JSON list of lists) through

@@ -362,6 +362,8 @@ def test_exact_compose_with_supplied_decompositions():
                                bags={"u": frozenset({0, 1})})
     with pytest.raises(ValueError):
         exact_compose([PATH, PATH], decompositions=[broken, broken])
+    with pytest.raises(ValueError, match="shorter"):  # one decomposition for two inputs
+        exact_compose([PATH, PATH], decompositions=[path_td])
 
 
 def test_exact_metadata_json_round_trip():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -14,7 +15,6 @@ from countkernel.oracles import (
     _adjacency_masks,
     _guard,
     _is_connected_masked,
-    _subset_budget,
     _subset_masks,
     count_min_st_cuts,
     count_minimal_vertex_covers,
@@ -22,6 +22,7 @@ from countkernel.oracles import (
     count_vertex_covers,
     count_vertex_covers_of_size,
     exact_treewidth,
+    guard_subsets,
     is_nice_oct_instance,
     lp_vc_value,
     max_matching_size,
@@ -336,6 +337,16 @@ def test_oracle_size_guards():
         max_matching_size(Graph.empty(27))
 
 
+@pytest.mark.parametrize("oracle", [count_vertex_covers, count_minimal_vertex_covers,
+                                    count_odd_cycle_transversals, is_nice_oct_instance])
+def test_subset_guard_refuses_a_huge_n_and_k_at_once(oracle):
+    # 2^20000 candidates: the guard stops counting them past the limit
+    started = time.perf_counter()
+    with pytest.raises(OracleSizeError, match=f"more than {oracles.SUBSET_LIMIT} candidate"):
+        oracle(Graph.empty(20000), 20000)
+    assert time.perf_counter() - started < 1.0
+
+
 # Set-based definitions, independent of the oracles' bit masks.
 
 def _covers(g, chosen):
@@ -462,7 +473,7 @@ def reference_is_bipartite_masked(adj: list[int], n: int, removed: int) -> bool:
 def reference_count_vertex_covers(g: Graph, k: int) -> int:
     if k < 0:
         return 0
-    _guard(_subset_budget(g.n, k), "count_vertex_covers")
+    guard_subsets(g.n, k, "count_vertex_covers")
     edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
     return sum(1 for mask in _subset_masks(g.n, range(min(k, g.n) + 1))
                if all(mask & em for em in edge_masks))
@@ -480,7 +491,7 @@ def reference_count_vertex_covers_of_size(g: Graph, size: int) -> int:
 def reference_count_minimal_vertex_covers(g: Graph, k: int) -> int:
     if k < 0:
         return 0
-    _guard(_subset_budget(g.n, k), "count_minimal_vertex_covers")
+    guard_subsets(g.n, k, "count_minimal_vertex_covers")
     edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
     closed = [(1 << v) | nbrs for v, nbrs in enumerate(_adjacency_masks(g))]
     return sum(1 for mask in _subset_masks(g.n, range(min(k, g.n) + 1))
@@ -491,7 +502,7 @@ def reference_count_minimal_vertex_covers(g: Graph, k: int) -> int:
 def reference_count_odd_cycle_transversals(g: Graph, k: int) -> int:
     if k < 0:
         return 0
-    _guard(_subset_budget(g.n, k), "count_odd_cycle_transversals")
+    guard_subsets(g.n, k, "count_odd_cycle_transversals")
     adj = _adjacency_masks(g)
     return sum(1 for removed in _subset_masks(g.n, range(min(k, g.n) + 1))
                if reference_is_bipartite_masked(adj, g.n, removed))
@@ -500,7 +511,7 @@ def reference_count_odd_cycle_transversals(g: Graph, k: int) -> int:
 def reference_is_nice_oct_instance(g: Graph, k: int) -> bool:
     if k < 0:
         return True
-    _guard(_subset_budget(g.n, k), "is_nice_oct_instance")
+    guard_subsets(g.n, k, "is_nice_oct_instance")
     adj = _adjacency_masks(g)
     everything = (1 << g.n) - 1
     for removed in _subset_masks(g.n, range(min(k, g.n) + 1)):
