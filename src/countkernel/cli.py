@@ -82,10 +82,12 @@ def _load(path: str) -> ParsedGraph:
     return parse_graph(Path(path).read_text(encoding="utf-8"))
 
 
-def _budget(args, parsed: ParsedGraph, required: bool = True) -> int | None:
+def _budget(args, parsed: ParsedGraph) -> int:
     k = args.k if args.k is not None else parsed.k
-    if k is None and required:
+    if k is None:
         raise CliUsageError("a budget is required: pass --k or put a k record in the file")
+    if k < 0:
+        raise ValueError(f"k = {k} must be nonnegative")
     return k
 
 
@@ -393,6 +395,8 @@ def main(argv=None) -> int:
             parser.error("kernel reduce needs --graph and --out")
         if args.action == "lift" and args.count is None:
             parser.error("kernel lift needs --count")
+    if args.command == "verify" and args.trials is not None and args.trials < 0:
+        parser.error("verify --trials must be nonnegative")
     if args.command == "compose":
         if args.how == "exact" and not args.meta:
             parser.error("compose exact needs --meta")

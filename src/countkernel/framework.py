@@ -206,21 +206,25 @@ def decimal_fields(payload: dict, owner: str, names) -> dict[str, int]:
     return fields
 
 
+def binomial_prefix_sums(n: int, k: int):
+    """Yield sum_{j<=s} C(n, j) for s = 0..min(k, n), each from the one
+    before by one term, C(n, s) = C(n, s-1) * (n-s+1) / s."""
+    term = total = 1
+    for s in range(1, min(k, n) + 2):
+        yield total
+        term = term * (n - s + 1) // s
+        total += term
+
+
 def exceeds_subset_count(count: int, n: int, k: int) -> bool:
     """Whether count > sum_{i<=k} C(n, i), the number of subsets of at
     most k of n elements.
 
-    The sum is built term by term and stops once it reaches the count;
-    its first n/3 terms at least double, so a huge n or k costs about
-    three times the count's bit length.
+    The prefix sums stop once they reach the count; their first n/3
+    terms at least double, so a huge n or k costs about three times the
+    count's bit length.
     """
-    term = total = 1
-    for i in range(min(k, n)):
-        if total >= count:
-            return False
-        term = term * (n - i) // (i + 1)
-        total += term
-    return count > total
+    return all(total < count for total in binomial_prefix_sums(n, k))
 
 
 class CompressionResult(NamedTuple):

@@ -42,11 +42,11 @@ class (that would cover a core vertex outside the cover).  Dropping
 the whole-class limit leaves the r-subsets, r <= spend, of d*l + t
 vertices; inclusion-exclusion over the j classes taken whole gives
 
-    w_i = sum_{j >= 0, d*j <= spend} (-1)^j C(l, j)
-          * sum_{r <= spend - d*j} C(d*(l - j) + t, r),
+    w_i = sum_{j >= 0, d*j <= spend} (-1)^j C(l, j) * S(i + j),
+    S(s) = sum_{r <= d*(k2 - s)} C(d*(n2 - s) + t, r),
 
-with each inner partial sum built term by term: O(k2 * d * k2^2)
-big-int steps for all the w_i of one lift.
+with each S(s) built once, term by term: O(d * k2^2) big-int steps
+for all the w_i of one lift.
 
 Reduce and lift never touch the brute-force ``oracles``.  Only the
 verification helpers ``decomposed_blowup_count`` and
@@ -69,6 +69,7 @@ from .framework import (
     IntegrityError,
     LiftContext,
     ProtocolError,
+    binomial_prefix_sums,
     decimal_fields,
     exceeds_subset_count,
 )
@@ -260,11 +261,12 @@ def build_padded_blowup(g2: Graph, k2: int) -> tuple[PaddedBlowup, int, int, int
 # Extension multiplicities
 # ---------------------------------------------------------------------------
 
-def blowup_cover_multiplicity(i: int, copies: int, padding: int,
-                              budget: int, core_size: int) -> int:
-    """Extensions per core cover of size exactly i in the padded blowup.
+def blowup_cover_multiplicity(copies: int, padding: int, budget: int,
+                              core_size: int) -> list[int]:
+    """[w_0 .. w_min(budget, core_size)], w_i the extensions per core
+    cover of size exactly i in the padded blowup.
 
-    Counts the vectors (a*, a_1..a_l), l = core_size - i, with
+    w_i counts the vectors (a*, a_1..a_l), l = core_size - i, with
     a* + sum a_j <= spend = copies*(budget - i), a* <= padding and each
     a_j <= copies-1, weighted by C(padding, a*) * prod C(copies, a_j):
     the ways to take at most ``spend`` vertices from the l uncovered
@@ -273,37 +275,24 @@ def blowup_cover_multiplicity(i: int, copies: int, padding: int,
     Without the whole-class limit the weighted count is the number of
     r-subsets, r <= spend, of copies*l + padding vertices.  By
     inclusion-exclusion over the set of classes taken whole, j fixed
-    whole classes leave sum_{r <= spend - copies*j} C(copies*(l-j) +
-    padding, r) choices, so
+    whole classes leave S(i + j) = sum_{r <= copies*(budget - i - j)}
+    C(copies*(core_size - i - j) + padding, r) choices, and
+    w_i = sum_{j >= 0, copies*j <= spend} (-1)^j C(l, j) * S(i + j).
 
-        w_i = sum_{j >= 0, copies*j <= spend} (-1)^j C(l, j)
-              * sum_{r <= spend - copies*j} C(copies*(l-j) + padding, r).
-
-    Each inner partial sum is built term by term, so with copies >= 1
-    one w_i costs O(budget * spend) big-int steps and a lift
-    O(k2 * copies * k2^2).
-    Accepts arbitrary parameters, not only reduce-produced ones, so the
-    identity is testable at brute-forceable scale.
+    S(s) depends on s alone, so each is built once; s runs to
+    min(budget, core_size), or to core_size when copies = 0 (each S(s)
+    is then 1).  With copies >= 1 the list costs O(copies * budget^2)
+    big-int steps.  Accepts arbitrary nonnegative parameters, not only
+    reduce-produced ones, so the identity is testable at
+    brute-forceable scale.
     """
-    if i < 0 or i > budget or i > core_size:
-        raise ValueError(f"size {i} outside 0..min(budget={budget}, core={core_size})")
-    if copies < 0 or padding < 0:
-        raise ValueError("copies and padding must be nonnegative")
-    classes = core_size - i
-    spend = copies * (budget - i)
-    total = 0
-    for j in range(classes + 1):
-        left = spend - copies * j
-        if left < 0:
-            break
-        pool = copies * (classes - j) + padding
-        choices = 0
-        term = 1  # C(pool, r)
-        for r in range(min(left, pool) + 1):
-            choices += term
-            term = term * (pool - r) // (r + 1)
-        total += (-1) ** j * comb(classes, j) * choices
-    return total
+    if min(copies, padding, budget, core_size) < 0:
+        raise ValueError("copies, padding, budget and core size must be nonnegative")
+    # The sums only grow, so the largest is the last, the full S(s).
+    partial = [max(binomial_prefix_sums(copies * (core_size - s) + padding, copies * (budget - s)))
+               for s in range(core_size + 1) if copies * (budget - s) >= 0]
+    return [sum((-1) ** j * comb(core_size - i, j) * inner for j, inner in enumerate(partial[i:]))
+            for i in range(min(budget, core_size) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +370,17 @@ def lift_vertex_cover(ctx: LiftContext, reduced_count: int) -> int:
 
     The context's d, t and k3 must be ``blowup_parameters(n2, k2)``.
     Sizes above the core order are skipped: no core cover can use more
-    than n2 vertices, and the multiplicity is undefined there.  Each
+    than n2 vertices, and the multiplicity is undefined there.  Floor
+    division recovers y_i only if w_i > sum_{j>i} C(n2, j) * w_j, its
+    tail, so the lift checks that for every i before it divides.  Each
     extracted y_i must be a possible number of size-i core covers: at
     most C(n2, i), and y_0 = 0 on a non-empty core (it has no isolated
     vertex, so the empty set covers nothing).  A coefficient outside
     that range, or a nonzero residue after the extraction loop, means
     the supplied count was not the reduced instance's true count.  Each
     y_i then takes the sum_{j <= k2 - i} C(n1 - n2, j) choices of
-    isolated vertices, from partial sums built once, term by term, and
-    only up to j = n1 - n2, past which every term is 0.
+    isolated vertices, from ``binomial_prefix_sums``, which stops at
+    j = n1 - n2, past which every term is 0.
     """
     fields = _decode_context(ctx, VC_KERNEL)
     if fields is None:
@@ -399,15 +390,17 @@ def lift_vertex_cover(ctx: LiftContext, reduced_count: int) -> int:
         raise ProtocolError(f"inconsistent {VC_KERNEL} context {fields}")
     if reduced_count < 0:
         raise IntegrityError("counts are nonnegative")
+    ws = blowup_cover_multiplicity(d, t, k2, n2)
+    tail = 0
+    for i in reversed(range(len(ws))):
+        if ws[i] <= tail:
+            raise IntegrityError(f"w_{i} does not dominate its tail at (n2={n2}, k2={k2})")
+        tail += comb(n2, i) * ws[i]
     isolated = n1 - n2
-    term, choices = 1, [1]  # choices[s] = sum_{j <= s} C(isolated, j)
-    for j in range(min(k2, isolated)):
-        term = term * (isolated - j) // (j + 1)
-        choices.append(choices[-1] + term)
+    choices = list(binomial_prefix_sums(isolated, k2))
     remaining = reduced_count
     total = 0
-    for i in range(min(k2, n2) + 1):
-        w = blowup_cover_multiplicity(i, d, t, k2, n2)
+    for i, w in enumerate(ws):
         y = remaining // w
         if y > comb(n2, i) or (i == 0 and n2 and y):
             raise IntegrityError(
@@ -426,9 +419,8 @@ def decomposed_blowup_count(core: Graph, copies: int, padding: int, budget: int)
     ``core``, assembled as sum_i y_i * w_i with oracle y_i."""
     from . import oracles
 
-    return sum(oracles.count_vertex_covers_of_size(core, i)
-               * blowup_cover_multiplicity(i, copies, padding, budget, core.n)
-               for i in range(min(budget, core.n) + 1))
+    return sum(oracles.count_vertex_covers_of_size(core, i) * w
+               for i, w in enumerate(blowup_cover_multiplicity(copies, padding, budget, core.n)))
 
 
 def reference_blowup_count(reduced: CountingInstance) -> int:

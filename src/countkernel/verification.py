@@ -244,7 +244,7 @@ def sweep_dominance(kmax: int = 6) -> SweepReport:
     def checks():
         for n2, k2 in reduce_produced_parameters(kmax):
             d, t, _ = blowup_parameters(n2, k2)
-            ws = [blowup_cover_multiplicity(i, d, t, k2, n2) for i in range(min(k2, n2) + 1)]
+            ws = blowup_cover_multiplicity(d, t, k2, n2)
             for i in range(len(ws)):
                 tail = sum(comb(n2, j) * ws[j] for j in range(i + 1, len(ws)))
                 yield (ws[i] > tail, f"w_{i} of {ws[i].bit_length()} bits <= tail of "
@@ -310,8 +310,7 @@ def sweep_multiplicity_dp(limit: int = 6) -> SweepReport:
 
     def checks():
         for copies, padding, budget, core in product(range(limit + 1), repeat=4):
-            for i in range(min(budget, core) + 1):
-                closed = blowup_cover_multiplicity(i, copies, padding, budget, core)
+            for i, closed in enumerate(blowup_cover_multiplicity(copies, padding, budget, core)):
                 dp = multiplicity_by_dp(i, copies, padding, budget, core)
                 direct = multiplicity_by_enumeration(i, copies, padding, budget, core)
                 yield (closed == dp == direct,

@@ -101,6 +101,13 @@ def test_oracle_requires_budget(tmp_path, capsys):
     assert main(["oracle", "vc", "--graph", graph]) == 2
 
 
+@pytest.mark.parametrize("which", ["vc", "minvc", "oct"])
+def test_oracle_refuses_a_negative_k(tmp_path, capsys, which):
+    graph = write(tmp_path, "k3.gr", K3_TEXT)
+    assert main(["oracle", which, "--graph", graph, "--k", "-1"]) == 3
+    assert "k = -1 must be nonnegative" in capsys.readouterr().err
+
+
 def test_kernel_reduce_lift_round_trip_matches_in_process(tmp_path, capsys):
     graph = write(tmp_path, "edge.gr", "p 2 1\ne 1 2\n")
     out = str(tmp_path / "reduced.gr")
@@ -432,6 +439,13 @@ def test_verify_suite_exit_codes(tmp_path, capsys):
     assert main(["verify", "ppt-vc", "--trials", "12", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_refuses_a_negative_trials_count(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "ppt-vc", "--trials", "-1"])
+    assert err.value.code == 2
+    assert "--trials must be nonnegative" in capsys.readouterr().err
 
 
 # The checks each sweep of ``verify all --nmax 5 --kmax 3 --seed 1

@@ -10,7 +10,7 @@ from countkernel.framework import (
     ProtocolError,
     oracle_count,
 )
-from countkernel import vc_kernel
+from countkernel import vc_kernel, verification
 from countkernel.graphs import Graph, induced_subgraph, ordered, parse_graph, serialize_graph
 from countkernel.oracles import (
     count_minimal_vertex_covers,
@@ -169,13 +169,48 @@ def test_worst_case_reduce_output_matches_reference(instances):
     assert normal
 
 
+def reference_blowup_cover_multiplicity(i, copies, padding, budget, core_size):
+    """The per-i closed form: inclusion-exclusion over the j whole
+    classes, each inner partial sum rebuilt term by term for its j."""
+    classes = core_size - i
+    spend = copies * (budget - i)
+    total = 0
+    for j in range(classes + 1):
+        left = spend - copies * j
+        if left < 0:
+            break
+        pool = copies * (classes - j) + padding
+        choices = 0
+        term = 1  # C(pool, r)
+        for r in range(min(left, pool) + 1):
+            choices += term
+            term = term * (pool - r) // (r + 1)
+        total += (-1) ** j * comb(classes, j) * choices
+    return total
+
+
 def test_multiplicity_frozen_values():
     # independently recomputed by direct vector enumeration below
-    assert blowup_cover_multiplicity(1, 2, 12, 1, 2) == 1
-    assert blowup_cover_multiplicity(0, 2, 12, 1, 2) == 135
-    assert blowup_cover_multiplicity(0, 2, 3, 1, 2) == 27
+    assert blowup_cover_multiplicity(2, 12, 1, 2) == [135, 1]
+    assert blowup_cover_multiplicity(2, 3, 1, 2) == [27, 1]
     assert multiplicity_by_enumeration(0, 2, 12, 1, 2) == 135
     assert multiplicity_by_enumeration(0, 2, 3, 1, 2) == 27
+
+
+# ROADMAP's probe grid: k2 in {4, 6, 8, 10, 12} and n2 in {2, k2, k2 + 1, k2^2, 2 k2^2}.
+PROBE_GRID = [(n2, k2) for k2 in (4, 6, 8, 10, 12)
+              for n2 in (2, k2, k2 + 1, k2 * k2, 2 * k2 * k2)]
+
+
+def test_multiplicity_list_matches_the_per_i_closed_form():
+    # Every (n2, k2) that reduce emits up to k2 = 8, and the probe grid.
+    pairs = [*reduce_produced_parameters(8), *PROBE_GRID]
+    for n2, k2 in pairs:
+        d, t, _ = blowup_parameters(n2, k2)
+        assert blowup_cover_multiplicity(d, t, k2, n2) == [
+            reference_blowup_cover_multiplicity(i, d, t, k2, n2)
+            for i in range(min(k2, n2) + 1)], (n2, k2)
+    assert len(pairs) == 434
 
 
 def test_closed_form_matches_dp_on_reduce_produced_parameters():
@@ -183,30 +218,55 @@ def test_closed_form_matches_dp_on_reduce_produced_parameters():
     for n2, k2 in reduce_produced_parameters(5):
         d = n2
         t = d + d * k2 + 2 * (d * k2) ** 2
-        for i in range(min(k2, n2) + 1):
-            assert blowup_cover_multiplicity(i, d, t, k2, n2) \
-                == multiplicity_by_dp(i, d, t, k2, n2), (i, n2, k2)
+        ws = blowup_cover_multiplicity(d, t, k2, n2)
+        for i, w in enumerate(ws):
+            assert w == multiplicity_by_dp(i, d, t, k2, n2), (i, n2, k2)
             checked += 1
     assert checked == 536
 
 
 def test_dominance_at_the_papers_scale():
     # The floor-division lift is exact only if every w_i dominates the
-    # tail; k2 = 7 and 8 were out of reach of the convolution DP.  At
+    # tail; k2 = 7 and up were out of reach of the convolution DP.  From
     # k2 = 9 the multiplicities pass the 4,300 digits str() converts.
-    report = sweep_dominance(kmax=8)
+    # One run to k2 = 10 covers every pair of the runs to 8 and 9.
+    report = sweep_dominance(kmax=10)
     assert report.passed, report.failures[:3]
-    assert report.checked == 2909
-    report = sweep_dominance(kmax=9)
-    assert report.passed, report.failures[:3]
-    assert report.checked == 4492
+    assert report.checked == 6646
+
+
+def w1_replaced_by_its_tail(real):
+    """``blowup_cover_multiplicity`` with w_1 replaced by its tail
+    sum_{j>1} C(core_size, j) * w_j, wherever a size lies above 1."""
+    def planted(copies, padding, budget, core_size):
+        ws = real(copies, padding, budget, core_size)
+        if len(ws) > 2:
+            ws[1] = sum(comb(core_size, j) * ws[j] for j in range(2, len(ws)))
+        return ws
+    return planted
+
+
+def test_the_lift_and_the_dominance_sweep_refuse_a_multiplicity_equal_to_its_tail(monkeypatch):
+    two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
+    result = reduce_vertex_cover(CountingInstance(two_edges, None, 2))
+    true_count = reference_blowup_count(result.reduced)
+    assert lift_vertex_cover(result.context, true_count) == 4
+    planted = w1_replaced_by_its_tail(vc_kernel.blowup_cover_multiplicity)
+    monkeypatch.setattr(vc_kernel, "blowup_cover_multiplicity", planted)
+    monkeypatch.setattr(verification, "blowup_cover_multiplicity", planted)
+    with pytest.raises(IntegrityError, match=r"w_1 .*\(n2=4, k2=2\)"):
+        lift_vertex_cover(result.context, true_count)
+    report = sweep_dominance(kmax=2)
+    assert not report.passed
+    assert report.failures[0].startswith("w_1 of "), report.failures[0]
+    assert report.failures[0].endswith("(n2=2, k2=2)"), report.failures[0]
 
 
 def test_multiplicity_domain_errors():
-    with pytest.raises(ValueError):
-        blowup_cover_multiplicity(3, 2, 12, 2, 2)  # i > core size
-    with pytest.raises(ValueError):
-        blowup_cover_multiplicity(2, 2, 12, 1, 4)  # i > budget
+    assert blowup_cover_multiplicity(0, 0, 0, 0) == [1]
+    for negative in ((-1, 12, 2, 2), (2, -1, 2, 2), (2, 12, -1, 2), (2, 12, 2, -1)):
+        with pytest.raises(ValueError):
+            blowup_cover_multiplicity(*negative)
 
 
 def test_reduce_branch_selection():
@@ -259,7 +319,7 @@ def test_lift_reattaches_the_isolated_vertex_choices_as_binomial_sums():
                           {"branch": "normal", **{f: str(v) for f, v in fields.items()}})
         ys = [0 if i == 0 and n2 else rng.randint(0, comb(n2, i))
               for i in range(min(k2, n2) + 1)]
-        count = sum(y * blowup_cover_multiplicity(i, d, t, k2, n2) for i, y in enumerate(ys))
+        count = sum(y * w for y, w in zip(ys, blowup_cover_multiplicity(d, t, k2, n2)))
         assert lift_vertex_cover(ctx, count) == sum(
             y * sum(comb(n1 - n2, j) for j in range(k2 - i + 1)) for i, y in enumerate(ys))
 
@@ -275,9 +335,8 @@ def test_lift_rejects_corrupted_counts():
     result = reduce_vertex_cover(CountingInstance(EDGE, None, 3))
     payload = result.context.payload
     d, t, k2, n2 = (int(payload[f]) for f in ("d", "t", "k2", "n2"))
-    true_count = sum(count_vertex_covers_of_size(EDGE, i)
-                     * blowup_cover_multiplicity(i, d, t, k2, n2)
-                     for i in range(n2 + 1))
+    true_count = sum(count_vertex_covers_of_size(EDGE, i) * w
+                     for i, w in enumerate(blowup_cover_multiplicity(d, t, k2, n2)))
     assert lift_vertex_cover(result.context, true_count) == count_vertex_covers(EDGE, 3)
     with pytest.raises(IntegrityError):
         lift_vertex_cover(result.context, true_count + 1)
@@ -358,9 +417,8 @@ def test_tiny_blowup_decomposition_brute_force():
         copies, padding = 2, 3
         blown = padded_blowup_graph(core, copies, padding)
         direct = count_vertex_covers(blown, copies * k2)
-        expected = sum(count_vertex_covers_of_size(core, i)
-                       * blowup_cover_multiplicity(i, copies, padding, k2, core.n)
-                       for i in range(min(k2, core.n) + 1))
+        expected = sum(count_vertex_covers_of_size(core, i) * w
+                       for i, w in enumerate(blowup_cover_multiplicity(copies, padding, k2, core.n)))
         assert direct == expected
 
 
@@ -389,7 +447,7 @@ def test_lift_rejects_impossible_coefficients():
     result = reduce_vertex_cover(CountingInstance(two_edges, None, 2))
     payload = result.context.payload
     d, t, k2, n2 = (int(payload[f]) for f in ("d", "t", "k2", "n2"))
-    w = [blowup_cover_multiplicity(i, d, t, k2, n2) for i in range(k2 + 1)]
+    w = blowup_cover_multiplicity(d, t, k2, n2)
     true_count = sum(count_vertex_covers_of_size(two_edges, i) * w[i] for i in range(k2 + 1))
     assert lift_vertex_cover(result.context, true_count) == count_vertex_covers(two_edges, 2) == 4
     for corrupted in (true_count + w[0],       # y_0 = 1 on a non-empty core

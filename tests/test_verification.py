@@ -93,7 +93,8 @@ PLANTED = [
     pytest.param(lambda: V.sweep_map_size(seed=0, cases=8), "decomposed_blowup_count",
                  plus_one, "!= decomposition", id="C02-map-size"),
     pytest.param(lambda: V.sweep_dominance(kmax=2), "blowup_cover_multiplicity",
-                 lambda real: lambda *args: 1, "w_0 of 1 bits <= tail of 2 bits",
+                 lambda real: lambda *args: [1] * len(real(*args)),
+                 "w_0 of 1 bits <= tail of 2 bits",
                  id="C03-dominance"),
     pytest.param(lambda: V.sweep_multiplicity_dp(limit=2), "multiplicity_by_dp",
                  plus_one, "closed=1 dp=2 enum=1", id="C04-multiplicity-dp"),
