@@ -79,7 +79,9 @@ def _emit(args, report: RunReport) -> None:
 
 
 def _load(path: str) -> ParsedGraph:
-    return parse_graph(Path(path).read_text(encoding="utf-8"))
+    """Parse a graph file, which ``parse_graph`` reads a block at a time."""
+    with open(path, "rb") as file:
+        return parse_graph(file)
 
 
 def _budget(args, parsed: ParsedGraph) -> int:
@@ -395,8 +397,10 @@ def main(argv=None) -> int:
             parser.error("kernel reduce needs --graph and --out")
         if args.action == "lift" and args.count is None:
             parser.error("kernel lift needs --count")
-    if args.command == "verify" and args.trials is not None and args.trials < 0:
-        parser.error("verify --trials must be nonnegative")
+    if args.command == "verify":
+        for flag in ("nmax", "kmax", "trials"):
+            if (getattr(args, flag) or 0) < 0:
+                parser.error(f"verify --{flag} must be nonnegative")
     if args.command == "compose":
         if args.how == "exact" and not args.meta:
             parser.error("compose exact needs --meta")

@@ -159,12 +159,12 @@ def two_copy_matching_graph(g: Graph) -> Graph:
     """Two disjoint copies of g plus the perfect matching between them.
 
     The copies of g's distinct edges and the matching edges v-(v+n)
-    are distinct pairs, appended to g's endpoint columns.
+    are distinct pairs, appended to a list copy of g's endpoint columns.
     """
     n = g.n
     us, vs = g.columns()
-    return Graph._from_columns(2 * n, us + [u + n for u in us] + list(range(n)),
-                               vs + [v + n for v in vs] + list(range(n, 2 * n)))
+    return Graph._from_columns(2 * n, list(us) + [u + n for u in us] + list(range(n)),
+                               list(vs) + [v + n for v in vs] + list(range(n, 2 * n)))
 
 
 def oct_to_vc_reduce(inst: CountingInstance, verify_nice: bool = False) -> CompressionResult:

@@ -2,25 +2,28 @@
 transformations shared by the kernels and the cut compositions.
 
 Vertices are dense 0-based indices.  The text file format is 1-based
-(see ``parse_graph``).  ``parse_graph`` reads a file once, a chunk at
-a time: each run of ``e`` lines in bulk, every other line by the
-record rules, and each edge checked once.  A ``Graph`` holds its edges
-as two endpoint columns, and ``Graph.edges`` is built from them only
-when something reads it: the #VC kernel's reduce never does (see
-``Graph``).  The builders append columns, and ``serialize_graph``
-writes them from one sort of integer keys.  All types are immutable
-values; every transformation returns a new graph together with
-explicit provenance maps, so callers never rely on index arithmetic.
+(see ``parse_graph``).  ``parse_graph`` reads a file once, in blocks
+of bytes decoded one at a time and then a chunk at a time: each run of
+``e`` lines in bulk, every other line by the record rules, and each
+edge checked once, repeats included, in the chunk pass.  A ``Graph``
+holds its edges as two endpoint columns, ``array('q')`` from the parse
+and lists from the builders, and ``Graph.edges`` is built from them
+only when something reads it: the #VC kernel's reduce never does (see
+``Graph``).  ``serialize_graph`` writes the columns from one sort of
+integer keys.  All types are immutable values; every transformation
+returns a new graph together with explicit provenance maps, so callers
+never rely on index arithmetic.
 """
 
 from __future__ import annotations
 
+import json
 from bisect import bisect
 from functools import cached_property
 from itertools import chain, repeat
 from math import inf
 from operator import eq, ge
-from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 Edge = tuple[int, int]
 
@@ -51,7 +54,8 @@ class Graph:
     checks once, in bulk (``_check``).  ``Graph(n, edges)`` takes a set
     of ordered pairs u < v and keeps it as ``edges``; ``from_edges``
     orders and merges its pairs first.  The parse and the builders hand
-    over distinct pairs as columns only, and ``edges``, which ``==``,
+    over distinct pairs as columns only: the parse as two ``array('q')``
+    (16 bytes an edge), the builders as two lists.  ``edges``, which ``==``,
     ``hash``, ``repr`` and the oracles read, is built from them on its
     first read, O(m), and cached.  ``adjacency``, ``sorted_edges``, the
     reduces, the builders and ``serialize_graph`` read the columns, so
@@ -73,7 +77,7 @@ class Graph:
         raise AttributeError(f"cannot delete {name!r}: Graph is immutable")
 
     @staticmethod
-    def _check(n: int, us: list[int], vs: list[int], misordered) -> None:
+    def _check(n: int, us: Sequence[int], vs: Sequence[int], misordered) -> None:
         """Raise ``ValueError`` for a negative n, or at the first edge
         out of range or ``misordered``: ``eq`` finds self-loops, ``ge``
         also pairs not ordered u < v.  Only a failing graph is searched."""
@@ -87,7 +91,7 @@ class Graph:
                              else f"edge ({u},{v}) out of range for n={n}")
 
     @classmethod
-    def _checked(cls, n: int, columns: tuple[list[int], list[int]]) -> "Graph":
+    def _checked(cls, n: int, columns: tuple[Sequence[int], Sequence[int]]) -> "Graph":
         """A graph on endpoint columns, in either orientation, that the
         caller has checked: distinct pairs below a nonnegative n.  The
         parse, the degree rule and the strip call it, as does
@@ -117,10 +121,12 @@ class Graph:
         us, vs = self._columns
         return frozenset([(u, v) if u < v else (v, u) for u, v in zip(us, vs)])
 
-    def columns(self) -> tuple[list[int], list[int]]:
-        """The edges as two endpoint lists: the i-th edge joins ``us[i]``
-        and ``vs[i]``, in either order.  They are the lists the graph
-        holds, which the caller must not change."""
+    def columns(self) -> tuple[Sequence[int], Sequence[int]]:
+        """The edges as two endpoint columns: the i-th edge joins ``us[i]``
+        and ``vs[i]``, in either order.  They are the columns the graph
+        holds, which the caller must not change: ``array('q')`` for a
+        parsed graph, lists for a built one.  So a caller that extends
+        them copies them into lists first."""
         return self._columns
 
     @property
@@ -227,64 +233,116 @@ class TdCheck(NamedTuple):
 # File format
 # ---------------------------------------------------------------------------
 
-# ``parse_graph`` reads a text a chunk at a time, each chunk cut at the
-# first line break after this many characters (about 80,000 lines): one
-# ``split()`` of a whole 10^6-edge file costs more memory than the edges
-# it yields.
+# ``parse_graph`` reads a binary file in blocks of this many bytes, each
+# cut after its last "\n" byte, which is never part of a multibyte UTF-8
+# sequence, and decoded on its own: the file's bytes and its text are
+# never whole.  A small block keeps each bulk run's lists small: on a
+# 10^6-edge file the parse peaked at 109 MB with 64 KiB blocks, 139 MB
+# with 1 MiB blocks and 141 MB with 4 MiB blocks.
+_BLOCK = 1 << 16
+# Each text is read a chunk at a time, each chunk cut at the first line
+# break after this many characters (about 80,000 lines): one bulk decode
+# of a whole 10^6-edge file costs more memory than the edges it yields.
 _BULK_CHUNK = 1 << 20
-# The line breaks ``str.splitlines`` honours besides "\n".  A text that
-# holds any of them is read line by line, numbered as splitlines numbers.
+# The line breaks ``str.splitlines`` honours besides "\n".  From the
+# first text that holds any of them, the file is read line by line,
+# numbered as splitlines numbers.
 _OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# The largest vertex label an ``e`` record may use: the parse keeps its
+# endpoint columns as ``array('q')``.  A declared n may be any size.
+_MAX_LABEL = (1 << 63) - 1
 
 
-def parse_graph(text: str | bytes) -> ParsedGraph:
-    """Parse the graph file format.
+def parse_graph(source: str | bytes | BinaryIO) -> ParsedGraph:
+    """Parse the graph file format, from its text, its bytes or a
+    binary file object.
 
     One record per line: ``c <comment>``; ``p <n> <m>`` exactly once and
-    first; ``e <u> <v>`` with 1-based endpoints, m times; optional
-    ``t <s> <t>``; optional ``k <value>``.  Blank lines are ignored.
-    The first fault in file order raises ``ParseError`` with its 1-based
-    line number.
+    first; ``e <u> <v>`` with 1-based endpoints, m times, each at most
+    2^63 - 1; optional ``t <s> <t>``; optional ``k <value>``.  Blank
+    lines are ignored.  The first fault in file order raises
+    ``ParseError`` with its 1-based line number.
 
-    The text is read once, in chunks of ``_BULK_CHUNK`` characters cut
-    at line breaks.  In each chunk the lines from the first that starts
-    with ``e `` to the last are checked in bulk (``_Reader.bulk``); the
-    lines around them, and all of them if the bulk check fails, go
-    through the record rules (``_Reader.record``), as does every line of
-    a text with a line break other than "\\n".  Each edge is checked
-    once and kept in the endpoint columns the ``Graph`` is built from.
+    A file object is read in blocks of ``_BLOCK`` bytes cut after their
+    last "\\n" and decoded one at a time (``_blocks``).  Each text is read
+    once, in chunks of ``_BULK_CHUNK`` characters cut at line breaks.  In
+    each chunk the lines from the first that starts with ``e `` to the
+    last are read in bulk (``_Reader.bulk``); the lines around them, and
+    all of them if the bulk read refuses the run, go through the record
+    rules (``_Reader.record``), as does every line from the first text
+    that holds a line break other than "\\n" to the end of the file.
+    Each edge is checked once, as its chunk is read: range, self-loop
+    and, through one set of integer keys, repeats.  The edges are kept
+    in two ``array('q')`` endpoint columns, 16 bytes an edge, from which
+    the ``Graph`` is built.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    if isinstance(source, bytes):
+        source = source.decode("utf-8")
+    texts = iter([source]) if isinstance(source, str) else _blocks(source)
     reader = _Reader()
-    if any(c in text for c in _OTHER_BREAKS):
-        lines = text.splitlines()
-        reader.lines(lines, 1)
-        return reader.finish(len(lines))
-    end = len(text) - text.endswith("\n")
-    pos, line = 0, 1
-    while True:
-        cut = text.find("\n", pos + _BULK_CHUNK, end)
-        if cut < 0:
-            cut = end
-        line = reader.chunk(text, pos, cut, line)
-        if cut == end:
-            return reader.finish(line - 1)
-        pos = cut + 1
+    line = 1
+    for text in texts:
+        if any(c in text for c in _OTHER_BREAKS):
+            lines = (text + "".join(texts)).splitlines()
+            reader.lines(lines, line)
+            return reader.finish(line - 1 + len(lines))
+        line = reader.text(text, line)
+    return reader.finish(line - 1)
+
+
+def _blocks(file: BinaryIO) -> Iterator[str]:
+    """The text of a binary file, a block at a time: each ``_BLOCK`` bytes
+    read are cut after their last "\\n", the bytes before the cut are
+    decoded, and those after it start the next block.  No block is
+    empty; only the last may end without a "\\n"."""
+    parts: list[bytes] = []
+    while block := file.read(_BLOCK):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            parts.append(block[:cut])
+            yield b"".join(parts).decode("utf-8")
+            parts = [block[cut:]]
+        else:
+            parts.append(block)
+    tail = b"".join(parts)
+    if tail:
+        yield tail.decode("utf-8")
 
 
 class _Reader:
-    """One parse: the records read so far, the edges as 0-based endpoint
-    columns, and ``marks``, the index and line of each edge that is not
-    on the line after the previous edge's, which give a duplicate found
-    later its line."""
+    """One parse: the records read so far; the edges as 0-based endpoint
+    columns; ``keys``, the key u*(n+1) + v, u < v, of each edge's 1-based
+    labels, by which a repeat is found as its chunk is read; and
+    ``marks``, the index and line of each edge that is not on the line
+    after the previous edge's, which give a repeat its line."""
 
     def __init__(self):
+        # Imported here, so that a process that parses nothing, such as
+        # ``verify``, does not load it: loaded at import, it added
+        # 0.06-0.13 MB to the benchmark's ``verify-sweep`` peak RSS.
+        from array import array
+
         self.n = self.m = self.terminals = self.k = None
-        self.us: list[int] = []
-        self.vs: list[int] = []
+        self.us = array("q")
+        self.vs = array("q")
+        self.keys: set[int] = set()
         self.marks: list[tuple[int, int]] = []
         self.next_line = 0
+
+    def text(self, text: str, line: int) -> int:
+        """Read the "\\n"-separated lines of ``text``, the first numbered
+        ``line``, a chunk at a time; a final "\\n" ends the last line.
+        Return the number of the line after them."""
+        end = len(text) - text.endswith("\n")
+        pos = 0
+        while True:
+            cut = text.find("\n", pos + _BULK_CHUNK, end)
+            if cut < 0:
+                cut = end
+            line = self.chunk(text, pos, cut, line)
+            if cut == end:
+                return line
+            pos = cut + 1
 
     def chunk(self, text: str, start: int, end: int, line: int) -> int:
         """Read ``text[start:end]``, whole "\\n"-separated lines of which
@@ -306,41 +364,53 @@ class _Reader:
         run = text[first:stop]
         run_line = line + text.count("\n", start, first)
         after = run_line + run.count("\n") + 1
-        columns = self.bulk(run, after - run_line)
-        if columns:
-            self.edges(run_line, *columns)
-        else:
+        if not self.bulk(run, after - run_line, run_line):
             self.lines(run.split("\n"), run_line)
         if stop < end:
             self.lines(text[stop + 1:end].split("\n"), after)
         return after + text.count("\n", stop, end)
 
-    def bulk(self, run: str, lines: int) -> tuple[list[int], list[int]] | None:
-        """The 0-based endpoint columns of ``run``, ``lines`` lines that
-        each start with ``e ``, if a p record came before them and each
-        line is ``e <u> <v>`` with integers 1 <= u != v <= n; otherwise
-        None.
+    def bulk(self, run: str, lines: int, line: int) -> bool:
+        """Read ``run``, ``lines`` lines from one that starts with ``e ``
+        to one that does, the first numbered ``line``, if a p record came
+        before them and each line is ``e <u> <v>`` with integers
+        1 <= u != v <= min(n, ``_MAX_LABEL``); otherwise read nothing and
+        return False.
 
-        The run is ``split()`` once and must hold three tokens a line.
-        Its second and third columns are converted with ``int``, which
-        refuses ``e``, so the lines start exactly at every third token
-        and each is ``e <u> <v>``, split as the record rules split it.
-        Range and self-loops are checked on the columns.
+        A run with an ``e`` other than each line's first is refused at
+        once.  Otherwise ``e `` and the spaces become commas and zeros of
+        one JSON array, [0,u,v,0,u,v,...].  Its interior must be ASCII
+        digits and commas, which ``json.loads`` reads as unsigned
+        decimals with no leading zero and no empty field.  With 3 values
+        a line, a zero at every third and the endpoints in range, every
+        line is ``e <u> <v>`` exactly as the record rules read it.  Range
+        and self-loops are checked on the columns.  The edges' keys go
+        into ``keys`` while the run's own lists exist; when the set grows
+        by less than the run, a repeat is raised at its line.
         """
-        if self.n is None or run.count("\ne ") != lines - 1:
-            return None
-        tokens = run.split()
-        if len(tokens) != 3 * lines:
-            return None
-        try:
-            us = list(map(int, tokens[1::3]))
-            vs = list(map(int, tokens[2::3]))
-        except ValueError:
-            return None
         n = self.n
-        if min(us) < 1 or min(vs) < 1 or max(us) > n or max(vs) > n or any(map(eq, us, vs)):
-            return None
-        return [u - 1 for u in us], [v - 1 for v in vs]
+        if n is None or run.count("e") != lines:
+            return False
+        body = run[2:].replace("\ne ", ",0,").replace(" ", ",")
+        if not body.isascii() or body.encode("ascii").translate(None, b"0123456789,"):
+            return False
+        try:
+            values = json.loads("[0," + body + "]")
+        except ValueError:
+            return False
+        if len(values) != 3 * lines or any(values[0::3]):
+            return False
+        us, vs = values[1::3], values[2::3]
+        top = min(n, _MAX_LABEL)
+        if min(us) < 1 or min(vs) < 1 or max(us) > top or max(vs) > top or any(map(eq, us, vs)):
+            return False
+        base = n + 1
+        size = len(self.keys)
+        self.keys.update([u * base + v if u < v else v * base + u for u, v in zip(us, vs)])
+        self.edges(line, [u - 1 for u in us], [v - 1 for v in vs])
+        if len(self.keys) - size != lines:
+            self.first_repeat()
+        return True
 
     def edges(self, line: int, us: list[int], vs: list[int]) -> None:
         """Append checked 0-based edges read from consecutive lines, the
@@ -348,8 +418,8 @@ class _Reader:
         if line != self.next_line:
             self.marks.append((len(self.us), line))
         self.next_line = line + len(us)
-        self.us += us
-        self.vs += vs
+        self.us.fromlist(us)
+        self.vs.fromlist(vs)
 
     def lines(self, lines: Iterable[str], line: int) -> None:
         for line_no, raw in enumerate(lines, start=line):
@@ -364,63 +434,55 @@ class _Reader:
         n = self.n
         if kind == "p":
             if n is not None:
-                self.fail(line_no, "duplicate p record")
+                raise ParseError(line_no, "duplicate p record")
             n, m = self.ints(rest, 2, line_no)
             if n < 0 or m < 0:
-                self.fail(line_no, "negative counts in p record")
+                raise ParseError(line_no, "negative counts in p record")
             self.n, self.m = n, m
         elif n is None:
-            self.fail(line_no, f"record '{kind}' before p record")
+            raise ParseError(line_no, f"record '{kind}' before p record")
         elif kind == "e":
             u, v = self.ints(rest, 2, line_no)
             if not (1 <= u <= n and 1 <= v <= n):
-                self.fail(line_no, f"endpoint out of range 1..{n}")
+                raise ParseError(line_no, f"endpoint out of range 1..{n}")
             if u == v:
-                self.fail(line_no, f"self-loop at vertex {u}")
+                raise ParseError(line_no, f"self-loop at vertex {u}")
+            if max(u, v) > _MAX_LABEL:
+                raise ParseError(line_no, f"endpoint above {_MAX_LABEL}, the largest label")
+            key = u * (n + 1) + v if u < v else v * (n + 1) + u
+            if key in self.keys:
+                raise ParseError(line_no, f"duplicate edge {u} {v}")
+            self.keys.add(key)
             self.edges(line_no, [u - 1], [v - 1])
         elif kind == "t":
             s, t = self.ints(rest, 2, line_no)
             if not (1 <= s <= n and 1 <= t <= n):
-                self.fail(line_no, f"terminal out of range 1..{n}")
+                raise ParseError(line_no, f"terminal out of range 1..{n}")
             if s == t:
-                self.fail(line_no, "terminals must be distinct")
+                raise ParseError(line_no, "terminals must be distinct")
             self.terminals = TerminalPair(s - 1, t - 1)
         elif kind == "k":
             (value,) = self.ints(rest, 1, line_no)
             if value < 0:
-                self.fail(line_no, "parameter must be nonnegative")
+                raise ParseError(line_no, "parameter must be nonnegative")
             self.k = value
         else:
-            self.fail(line_no, f"unknown record type '{kind}'")
+            raise ParseError(line_no, f"unknown record type '{kind}'")
 
-    def ints(self, parts: list[str], want: int, line: int) -> list[int]:
+    @staticmethod
+    def ints(parts: list[str], want: int, line: int) -> list[int]:
         if len(parts) != want:
-            self.fail(line, f"expected {want} fields, got {len(parts)}")
+            raise ParseError(line, f"expected {want} fields, got {len(parts)}")
         try:
             return [int(p) for p in parts]
         except ValueError:
-            pass
-        self.fail(line, f"non-integer field in {parts!r}")
+            raise ParseError(line, f"non-integer field in {parts!r}") from None
 
-    def fail(self, line: int, message: str) -> NoReturn:
-        """Raise the first fault in file order: a duplicate among the
-        edges read so far, which all come before ``line``, or else
-        ``message`` at ``line``."""
-        self.check_duplicates()
-        raise ParseError(line, message)
-
-    def check_duplicates(self) -> None:
+    def first_repeat(self) -> NoReturn:
         """Raise ``ParseError`` at the first edge that repeats an earlier
-        one, if any.
-
-        The canonical int keys u*n + v, u < v, of all edges go into one
-        set, dropped once counted; only when it is short does a second
-        pass look for the first repeat.
-        """
-        n, us, vs = self.n, self.us, self.vs
-        if len({u * n + v if u < v else v * n + u for u, v in zip(us, vs)}) == len(us):
-            return
+        one; the caller has found that one does."""
         seen = set()
+        us, vs = self.us, self.vs
         for i, edge in enumerate(map(ordered, us, vs)):
             if edge in seen:
                 first, line = self.marks[bisect(self.marks, (i, inf)) - 1]
@@ -431,7 +493,6 @@ class _Reader:
         """The parsed file, once its last line, numbered ``last_line``, is read."""
         if self.n is None:
             raise ParseError(max(last_line, 1), "missing p record")
-        self.check_duplicates()
         if len(self.us) != self.m:
             raise ParseError(max(last_line, 1),
                              f"p record declares {self.m} edges, found {len(self.us)}")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from countkernel import cli, framework, oracles, vc_kernel, verification
+from countkernel import cli, framework, graphs, oracles, vc_kernel, verification
 from countkernel.cli import build_parser, main
 from countkernel.compositions import ExactMetadata
 from countkernel.framework import CountingInstance
@@ -448,6 +448,21 @@ def test_verify_refuses_a_negative_trials_count(capsys):
     assert "--trials must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite,value", [("ppt-vc", "-1"), ("sum", "-3")])
+def test_verify_refuses_a_negative_nmax(capsys, suite, value):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", suite, "--nmax", value, "--trials", "2"])
+    assert err.value.code == 2
+    assert "--nmax must be nonnegative" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_negative_kmax(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "minvc-kernel", "--kmax", "-1", "--trials", "2"])
+    assert err.value.code == 2
+    assert "--kmax must be nonnegative" in capsys.readouterr().err
+
+
 # The checks each sweep of ``verify all --nmax 5 --kmax 3 --seed 1
 # --trials 10`` made before the round trips shared ``verify_compression``.
 SMALL_SCALE_CHECKS = {
@@ -602,6 +617,42 @@ def test_parse_error_exits_3(tmp_path):
     assert main(["oracle", "mincut", "--graph", no_terminals]) == 3
     assert main(["ppt", "mincut-oct", "--graph", no_terminals,
                  "--out", str(tmp_path / "o.gr")]) == 3
+
+
+def test_a_file_that_is_not_utf8_exits_3_without_a_traceback(tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "bad.gr"
+    bad.write_bytes(b"c caf\xc3\xa9\np 2 1\ne 1 2\nc \xff\n")
+    for block in (4, 1 << 22):
+        monkeypatch.setattr(graphs, "_BLOCK", block)
+        assert main(["oracle", "vc", "--graph", str(bad), "--k", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert "Traceback" not in err
+
+
+LABEL_CAP = 2**63 - 1
+
+
+@pytest.mark.parametrize("edges,code", [
+    (["e 99999999999999999999 1"], 3),
+    (["e 1 2", f"e 1 {LABEL_CAP + 1}"], 3),
+    (["e 1 2"], 0),
+    ([f"e {LABEL_CAP} 1"], 0),
+])
+def test_kernel_reduce_refuses_labels_past_the_column_type_whatever_n_declares(
+        tmp_path, capsys, edges, code):
+    text = "\n".join([f"p {10**20} {len(edges)}", *edges, "k 1"]) + "\n"
+    graph = write(tmp_path, "huge.gr", text)
+    out, ctx = tmp_path / "reduced.gr", tmp_path / "ctx.json"
+    assert main(["kernel", "vc", "reduce", "--graph", graph, "--out", str(out),
+                 "--context", str(ctx)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == f"error: line {len(edges) + 1}: endpoint above {LABEL_CAP}, " \
+                      "the largest label\n"
+        assert not out.exists()
+    else:
+        assert json.loads(ctx.read_text())["payload"]["n1"] == str(10**20)
 
 
 def test_size_guard_exits_4(tmp_path):

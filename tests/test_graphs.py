@@ -1,5 +1,7 @@
+import io
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -443,6 +445,133 @@ def test_bulk_parse_finds_a_duplicate_chunks_apart(reverse):
     dup = f"{v} {u}" if reverse else f"{u} {v}"
     with pytest.raises(ParseError, match=f"^line {len(lines)}: duplicate edge {dup}$"):
         parse_graph(text)
+
+
+# Block sizes that cut a file of a few lines inside its records and its
+# multibyte characters.
+SMALL_BLOCKS = (1, 2, 3, 5, 8, 13)
+
+
+def _assert_streamed_read_agrees(text, blocks=SMALL_BLOCKS):
+    """parse_graph of the file's bytes as a binary file object, read in
+    blocks of each size, agrees with parse_graph of its whole text."""
+    expected = _outcome(parse_graph, text)
+    data = text.encode("utf-8")
+    for block in blocks:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "_BLOCK", block)
+            assert _outcome(parse_graph, io.BytesIO(data)) == expected, f"_BLOCK = {block}"
+    return expected
+
+
+# The fixed files the parse tests above and the CLI tests read.
+FIXTURE_TEXTS = [
+    "p 2 1\ne 1 2", "p 3 3\ne 1 2\ne 2 3\ne 1 3\nk 2", "p 3 2\ne 1 2\ne 2 3\nt 1 3",
+    "p 2 1\ne 1", "p 2 1\ne 1 3", "p 3 2\ne 1 2\ne 1 2", "p 2 1\ne 2 2", "e 1 2",
+    "p 2 1\np 2 1", "p 2 1\nq 1 2", "p 3 2\ne 1 2", "p 0 0",
+    "c heading\n\np 2 1\nc mid\ne 1 2\n", "",
+    "p 3 3\ne 1 2\ne 2 3\ne 1 3\n", "p 3 2\ne 1 2\ne 2 3\nt 1 3\n",
+    "p 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n", "p 4 3\ne 1 2\ne 1 3\ne 1 4\nk 3\n",
+    f"p {10**12} 6\ne 1 2\ne 1 3\ne 1 4\ne 1 5\ne 6 7\ne 7 8\nk 3\n",
+]
+
+
+@pytest.mark.parametrize("text", FIXTURE_TEXTS)
+def test_streamed_read_matches_the_whole_text_on_fixtures(text):
+    _assert_streamed_read_agrees(text)
+
+
+@pytest.mark.parametrize("text,expected", [
+    # A comment of two- to four-byte characters, cut inside them by every
+    # block size above.
+    ("c ü€\U0001f600ü\np 2 1\ne 1 2\n", ParsedGraph(Graph.from_edges(2, [(0, 1)]))),
+    # A carriage return first seen after the first block: the rest of
+    # the file is read line by line, numbered on from where it starts.
+    ("p 3 2\ne 1 2\ne 2 3\r\nk 1\r\n", ParsedGraph(PATH3, None, 1)),
+    ("p 3 2\ne 1 2\ne 2 3\r\ne 2 1\r\n", ("ParseError", 4, "line 4: duplicate edge 2 1")),
+    ("p 3 2\ne 1 2\ne 2 3", ParsedGraph(PATH3)),
+    ("", ("ParseError", 1, "line 1: missing p record")),
+])
+def test_streamed_read_matches_the_whole_text_at_block_edges(text, expected):
+    assert _assert_streamed_read_agrees(text) == expected
+    assert _outcome(reference_parse_graph, text) == expected
+
+
+def test_streamed_read_matches_the_whole_text_on_a_host_file():
+    lines = _host_file_lines(8)
+    text = "\n".join(lines)
+    crlf = "\n".join(lines[:5000] + [lines[5000] + "\r"] + lines[5001:])
+    comment = "\n".join(lines[:150_000] + ["c mid-block ü"] + lines[150_000:])
+    duplicate = "\n".join(lines[:150_000] + [lines[2]] + lines[150_000:])
+    assert len(text.encode()) > 600 * 4099
+    # A block of a few bytes holds at most one line, so only the plain
+    # file is read that way (about 4 s).
+    expected = _assert_streamed_read_agrees(text, (7, 4099))
+    assert expected.graph.m == 200_000
+    for variant in (text + "\n", crlf, comment):
+        assert _assert_streamed_read_agrees(variant, (4099,)) == expected
+    u, v = lines[2].split()[1:]
+    assert _assert_streamed_read_agrees(duplicate, (4099,)) == (
+        "ParseError", 150_001, f"line 150001: duplicate edge {u} {v}")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(parsed_graphs(), st.none() | st.text(alphabet="ab c\nü", max_size=8),
+       st.sampled_from(MUTATIONS), st.integers(0, 2**32))
+def test_streamed_read_matches_the_whole_text_on_mutated_files(parsed, comment, kind, seed):
+    text = serialize_graph(parsed.graph, parsed.terminals, parsed.k, comment)
+    if kind != "none":
+        text = _mutate(text, kind, random.Random(seed))
+    _assert_streamed_read_agrees(text)
+
+
+# Lines that are not ``e <u> <v>`` as the record rules read it, but that
+# a looser bulk decode could take for one.
+NONCANONICAL_EDGE_LINES = [
+    ["e 01 2"], ["e +1 2"], ["e 1_0 2"], ["e 1\t2"], ["e -0 1"], ["e 1e2 1"], ["e 1.0 2"],
+    ["e NaN 1"], ["e Infinity 1"], ["e " + "1" * 4301 + " 2"], ["e 1 0"], ["e 1 2 3", "e 4"],
+]
+
+
+@pytest.mark.parametrize("odd", NONCANONICAL_EDGE_LINES, ids=lambda odd: " / ".join(odd)[:12])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_bulk_runs_send_noncanonical_edge_lines_to_the_record_rules(monkeypatch, odd, at):
+    run = ["e 3 4", "e 5 6", "e 7 8", "e 9 11", "e 11 12"]
+    lines = ["p 12 6"] + run[:at] + odd + run[at:] + ["k 2"]
+    text = "\n".join(lines) + "\n"
+    expected = _outcome(reference_parse_graph, text)
+    per_line = []
+    record = graphs._Reader.record
+
+    def counting_record(self, line_no, raw):
+        if raw.startswith("e"):
+            per_line.append(line_no)
+        record(self, line_no, raw)
+
+    monkeypatch.setattr(graphs._Reader, "record", counting_record)
+    assert _outcome(parse_graph, text) == expected
+    assert 2 + at in per_line
+    # The same run, canonical, is read in bulk.
+    per_line.clear()
+    assert parse_graph("\n".join(["p 12 5", *run, "k 2"])).graph.m == 5
+    assert per_line == []
+
+
+def test_a_parsed_graph_holds_its_edges_in_compact_columns(tmp_path):
+    lines = _host_file_lines(11)
+    assert lines[1] == "p 100000 200000" and lines[100_001].startswith("e ")
+    path = tmp_path / "host.gr"
+    path.write_text("\n".join(["p 100000 100000", *lines[2:100_002]]), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with path.open("rb") as file:
+            parsed = parse_graph(file)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert parsed.graph.m == 100_000
+    assert held <= 24 * parsed.graph.m
 
 
 def test_subdivide_triangle_gives_six_cycle():
