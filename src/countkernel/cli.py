@@ -401,11 +401,23 @@ def main(argv=None) -> int:
         for flag in ("nmax", "kmax", "trials"):
             if (getattr(args, flag) or 0) < 0:
                 parser.error(f"verify --{flag} must be nonnegative")
-    if args.command == "compose":
-        if args.how == "exact" and not args.meta:
-            parser.error("compose exact needs --meta")
-        if args.how == "sum" and (args.meta or args.td):
-            parser.error("compose sum takes neither --meta nor --td")
+    if args.command == "compose" and args.how == "exact" and not args.meta:
+        parser.error("compose exact needs --meta")
+    given = vars(args)
+    step = given.get("action") or given.get("which") or given.get("how")
+    # The options a step ignores, by command and by the argument that
+    # names the step: passing one is a usage error.
+    ignored = {
+        ("kernel", "lift"): ("graph", "k", "out"),
+        ("kernel", "reduce"): ("count",),
+        ("compose", "sum"): ("meta", "td"),
+        ("ppt", "mincut-oct"): ("k", "check_nice"),
+        **{("oracle", which): ("k",) for which in ("mincut", "matching", "lpvc", "tw")},
+    }.get((args.command, step), ())
+    if any(given[name] is not None and given[name] is not False for name in ignored):
+        flags = [f"--{name.replace('_', '-')}" for name in ignored]
+        parser.error(f"{args.command} {step} takes "
+                     f"{'neither' if len(flags) > 1 else 'no'} {' nor '.join(flags)}")
     try:
         return args.func(args)
     except OracleSizeError as exc:

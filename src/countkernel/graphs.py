@@ -2,10 +2,10 @@
 transformations shared by the kernels and the cut compositions.
 
 Vertices are dense 0-based indices.  The text file format is 1-based
-(see ``parse_graph``).  ``parse_graph`` reads a file once, in blocks
-of bytes decoded one at a time and then a chunk at a time: each run of
+(see ``parse_graph``).  ``parse_graph`` reads every source as a file,
+once, in blocks of bytes decoded and read one at a time: each run of
 ``e`` lines in bulk, every other line by the record rules, and each
-edge checked once, repeats included, in the chunk pass.  A ``Graph``
+edge checked once, repeats included, as its block is read.  A ``Graph``
 holds its edges as two endpoint columns, ``array('q')`` from the parse
 and lists from the builders, and ``Graph.edges`` is built from them
 only when something reads it: the #VC kernel's reduce never does (see
@@ -18,10 +18,9 @@ never rely on index arithmetic.
 from __future__ import annotations
 
 import json
-from bisect import bisect
 from functools import cached_property
+from io import BytesIO
 from itertools import chain, repeat
-from math import inf
 from operator import eq, ge
 from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
@@ -56,10 +55,11 @@ class Graph:
     orders and merges its pairs first.  The parse and the builders hand
     over distinct pairs as columns only: the parse as two ``array('q')``
     (16 bytes an edge), the builders as two lists.  ``edges``, which ``==``,
-    ``hash``, ``repr`` and the oracles read, is built from them on its
-    first read, O(m), and cached.  ``adjacency``, ``sorted_edges``, the
-    reduces, the builders and ``serialize_graph`` read the columns, so
-    they never build a parsed host's edge set.
+    ``hash``, ``repr`` and the verification sweeps read, is built from
+    them on its first read, O(m), and cached.  ``adjacency``,
+    ``sorted_edges``, the reduces, the builders, the oracles and
+    ``serialize_graph`` read the columns, so they never build a parsed
+    host's edge set.
     """
 
     def __init__(self, n: int, edges: frozenset[Edge]):
@@ -233,20 +233,17 @@ class TdCheck(NamedTuple):
 # File format
 # ---------------------------------------------------------------------------
 
-# ``parse_graph`` reads a binary file in blocks of this many bytes, each
+# ``parse_graph`` reads its source in blocks of this many bytes, each
 # cut after its last "\n" byte, which is never part of a multibyte UTF-8
-# sequence, and decoded on its own: the file's bytes and its text are
-# never whole.  A small block keeps each bulk run's lists small: on a
-# 10^6-edge file the parse peaked at 109 MB with 64 KiB blocks, 139 MB
-# with 1 MiB blocks and 141 MB with 4 MiB blocks.
+# sequence, and decoded and read on its own: the file's bytes and its
+# text are never whole.  A small block keeps each bulk run's lists small:
+# on a 10^6-edge file the parse peaked at 109 MB with 64 KiB blocks,
+# 139 MB with 1 MiB blocks and 141 MB with 4 MiB blocks.
 _BLOCK = 1 << 16
-# Each text is read a chunk at a time, each chunk cut at the first line
-# break after this many characters (about 80,000 lines): one bulk decode
-# of a whole 10^6-edge file costs more memory than the edges it yields.
-_BULK_CHUNK = 1 << 20
 # The line breaks ``str.splitlines`` honours besides "\n".  From the
-# first text that holds any of them, the file is read line by line,
-# numbered as splitlines numbers.
+# first block that holds any of them, each block is split by
+# ``splitlines`` on its own; a block ends with its "\n", so the lines
+# are numbered as splitlines numbers the whole file.
 _OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # The largest vertex label an ``e`` record may use: the parse keeps its
 # endpoint columns as ``array('q')``.  A declared n may be any size.
@@ -263,30 +260,34 @@ def parse_graph(source: str | bytes | BinaryIO) -> ParsedGraph:
     lines are ignored.  The first fault in file order raises
     ``ParseError`` with its 1-based line number.
 
-    A file object is read in blocks of ``_BLOCK`` bytes cut after their
-    last "\\n" and decoded one at a time (``_blocks``).  Each text is read
-    once, in chunks of ``_BULK_CHUNK`` characters cut at line breaks.  In
-    each chunk the lines from the first that starts with ``e `` to the
-    last are read in bulk (``_Reader.bulk``); the lines around them, and
-    all of them if the bulk read refuses the run, go through the record
-    rules (``_Reader.record``), as does every line from the first text
-    that holds a line break other than "\\n" to the end of the file.
-    Each edge is checked once, as its chunk is read: range, self-loop
-    and, through one set of integer keys, repeats.  The edges are kept
-    in two ``array('q')`` endpoint columns, 16 bytes an edge, from which
-    the ``Graph`` is built.
+    Every source is read as a file: a text is encoded as UTF-8 and bytes
+    are wrapped in a ``BytesIO``.  The file is read in blocks of
+    ``_BLOCK`` bytes cut after their last "\\n" and decoded one at a time
+    (``_blocks``).  In each block the lines from the first that starts
+    with ``e `` to the last are read in bulk (``_Reader.bulk``); the lines
+    around them, and all of them if the bulk read refuses the run, go
+    through the record rules (``_Reader.record``).  From the first block
+    that holds a line break other than "\\n", every block is split by
+    ``splitlines`` and read by the record rules.  Each edge is checked
+    once, as its block is read: range, self-loop and, through one set of
+    integer keys, repeats.  The edges are kept in two ``array('q')``
+    endpoint columns, 16 bytes an edge, from which the ``Graph`` is built.
     """
+    if isinstance(source, str):
+        source = source.encode("utf-8")
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    texts = iter([source]) if isinstance(source, str) else _blocks(source)
+        source = BytesIO(source)
     reader = _Reader()
     line = 1
-    for text in texts:
-        if any(c in text for c in _OTHER_BREAKS):
-            lines = (text + "".join(texts)).splitlines()
+    split = False
+    for text in _blocks(source):
+        split = split or any(c in text for c in _OTHER_BREAKS)
+        if split:
+            lines = text.splitlines()
             reader.lines(lines, line)
-            return reader.finish(line - 1 + len(lines))
-        line = reader.text(text, line)
+            line += len(lines)
+        else:
+            line = reader.chunk(text, line)
     return reader.finish(line - 1)
 
 
@@ -294,7 +295,8 @@ def _blocks(file: BinaryIO) -> Iterator[str]:
     """The text of a binary file, a block at a time: each ``_BLOCK`` bytes
     read are cut after their last "\\n", the bytes before the cut are
     decoded, and those after it start the next block.  No block is
-    empty; only the last may end without a "\\n"."""
+    empty; only the last may end without a "\\n", and a file with no
+    "\\n" is one block."""
     parts: list[bytes] = []
     while block := file.read(_BLOCK):
         cut = block.rfind(b"\n") + 1
@@ -311,10 +313,9 @@ def _blocks(file: BinaryIO) -> Iterator[str]:
 
 class _Reader:
     """One parse: the records read so far; the edges as 0-based endpoint
-    columns; ``keys``, the key u*(n+1) + v, u < v, of each edge's 1-based
-    labels, by which a repeat is found as its chunk is read; and
-    ``marks``, the index and line of each edge that is not on the line
-    after the previous edge's, which give a repeat its line."""
+    columns, in file order; and ``keys``, the key u*(n+1) + v, u < v, of
+    each edge's 1-based labels, by which a repeat is found as its block is
+    read."""
 
     def __init__(self):
         # Imported here, so that a process that parses nothing, such as
@@ -326,43 +327,27 @@ class _Reader:
         self.us = array("q")
         self.vs = array("q")
         self.keys: set[int] = set()
-        self.marks: list[tuple[int, int]] = []
-        self.next_line = 0
 
-    def text(self, text: str, line: int) -> int:
+    def chunk(self, text: str, line: int) -> int:
         """Read the "\\n"-separated lines of ``text``, the first numbered
-        ``line``, a chunk at a time; a final "\\n" ends the last line.
-        Return the number of the line after them."""
+        ``line``; a final "\\n" ends the last line.  Return the number of
+        the line after them.  The text is read in place: only its run of
+        ``e`` lines and the few lines around that run are copied out."""
         end = len(text) - text.endswith("\n")
-        pos = 0
-        while True:
-            cut = text.find("\n", pos + _BULK_CHUNK, end)
-            if cut < 0:
-                cut = end
-            line = self.chunk(text, pos, cut, line)
-            if cut == end:
-                return line
-            pos = cut + 1
-
-    def chunk(self, text: str, start: int, end: int, line: int) -> int:
-        """Read ``text[start:end]``, whole "\\n"-separated lines of which
-        the first is numbered ``line``; return the number of the line
-        after them.  The chunk is read in place: only its run of ``e``
-        lines and the few lines around that run are copied out."""
-        if text.startswith("e ", start, end):
-            first = start
+        if text.startswith("e ", 0, end):
+            first = 0
         else:
-            first = text.find("\ne ", start, end) + 1
+            first = text.find("\ne ", 0, end) + 1
             if not first:
-                lines = text[start:end].split("\n")
+                lines = text[:end].split("\n")
                 self.lines(lines, line)
                 return line + len(lines)
-            self.lines(text[start:first - 1].split("\n"), line)
-        stop = text.find("\n", max(first, text.rfind("\ne ", start, end) + 1), end)
+            self.lines(text[:first - 1].split("\n"), line)
+        stop = text.find("\n", max(first, text.rfind("\ne ", 0, end) + 1), end)
         if stop < 0:
             stop = end
         run = text[first:stop]
-        run_line = line + text.count("\n", start, first)
+        run_line = line + text.count("\n", 0, first)
         after = run_line + run.count("\n") + 1
         if not self.bulk(run, after - run_line, run_line):
             self.lines(run.split("\n"), run_line)
@@ -407,19 +392,12 @@ class _Reader:
         base = n + 1
         size = len(self.keys)
         self.keys.update([u * base + v if u < v else v * base + u for u, v in zip(us, vs)])
-        self.edges(line, [u - 1 for u in us], [v - 1 for v in vs])
+        start = len(self.us)
+        self.us.fromlist([u - 1 for u in us])
+        self.vs.fromlist([v - 1 for v in vs])
         if len(self.keys) - size != lines:
-            self.first_repeat()
+            self.first_repeat(start, line)
         return True
-
-    def edges(self, line: int, us: list[int], vs: list[int]) -> None:
-        """Append checked 0-based edges read from consecutive lines, the
-        first numbered ``line``."""
-        if line != self.next_line:
-            self.marks.append((len(self.us), line))
-        self.next_line = line + len(us)
-        self.us.fromlist(us)
-        self.vs.fromlist(vs)
 
     def lines(self, lines: Iterable[str], line: int) -> None:
         for line_no, raw in enumerate(lines, start=line):
@@ -453,7 +431,8 @@ class _Reader:
             if key in self.keys:
                 raise ParseError(line_no, f"duplicate edge {u} {v}")
             self.keys.add(key)
-            self.edges(line_no, [u - 1], [v - 1])
+            self.us.append(u - 1)
+            self.vs.append(v - 1)
         elif kind == "t":
             s, t = self.ints(rest, 2, line_no)
             if not (1 <= s <= n and 1 <= t <= n):
@@ -478,15 +457,17 @@ class _Reader:
         except ValueError:
             raise ParseError(line, f"non-integer field in {parts!r}") from None
 
-    def first_repeat(self) -> NoReturn:
+    def first_repeat(self, start: int, line: int) -> NoReturn:
         """Raise ``ParseError`` at the first edge that repeats an earlier
-        one; the caller has found that one does."""
+        one.  The caller has found a repeat in the bulk run whose edges
+        start at index ``start`` and whose first line is ``line``.  The
+        edges before the run are distinct and each line of the run holds
+        one edge, so edge i is on line ``line + i - start``."""
         seen = set()
         us, vs = self.us, self.vs
         for i, edge in enumerate(map(ordered, us, vs)):
             if edge in seen:
-                first, line = self.marks[bisect(self.marks, (i, inf)) - 1]
-                raise ParseError(line + i - first, f"duplicate edge {us[i] + 1} {vs[i] + 1}")
+                raise ParseError(line + i - start, f"duplicate edge {us[i] + 1} {vs[i] + 1}")
             seen.add(edge)
 
     def finish(self, last_line: int) -> ParsedGraph:

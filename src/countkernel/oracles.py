@@ -8,7 +8,7 @@ oracle lists every candidate set and checks each one in full against
 its definition; only the check is fast, done on whole-graph bit masks
 (a mask per edge, or a vertex's neighbors as one integer) instead of
 a Python loop per edge.  Nothing is memoized between candidates or
-calls.
+calls.  Each reads a graph's endpoint columns, never its edge set.
 
 Enumerations refuse inputs whose candidate space exceeds
 ``SUBSET_LIMIT`` rather than hanging; treewidth is capped at 12
@@ -32,7 +32,7 @@ TREEWIDTH_LIMIT = 12
 
 def _adjacency_masks(g: Graph) -> list[int]:
     masks = [0] * g.n
-    for u, v in g.edges:
+    for u, v in zip(*g.columns()):
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return masks
@@ -116,7 +116,7 @@ def count_vertex_covers(g: Graph, k: int) -> int:
     if k < 0:
         return 0
     guard_subsets(g.n, k, "count_vertex_covers")
-    edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
+    edge_masks = [(1 << u) | (1 << v) for u, v in zip(*g.columns())]
     return sum(all(map(mask.__and__, edge_masks))
                for mask in _subset_masks(g.n, range(min(k, g.n) + 1)))
 
@@ -127,7 +127,7 @@ def count_vertex_covers_of_size(g: Graph, size: int) -> int:
     if size < 0 or size > g.n:
         return 0
     _guard(comb(g.n, size), "count_vertex_covers_of_size")
-    edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
+    edge_masks = [(1 << u) | (1 << v) for u, v in zip(*g.columns())]
     return sum(all(map(mask.__and__, edge_masks))
                for mask in _subset_masks(g.n, range(size, size + 1)))
 
@@ -144,7 +144,7 @@ def count_minimal_vertex_covers(g: Graph, k: int) -> int:
     if k < 0:
         return 0
     guard_subsets(g.n, k, "count_minimal_vertex_covers")
-    edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
+    edge_masks = [(1 << u) | (1 << v) for u, v in zip(*g.columns())]
     closed = [(1 << v) | nbrs for v, nbrs in enumerate(_adjacency_masks(g))]
     return sum(all(map(mask.__and__, edge_masks)) and all(map((~mask).__and__, closed))
                for mask in _subset_masks(g.n, range(min(k, g.n) + 1)))
@@ -197,7 +197,7 @@ def min_cut_size(g: Graph, st: TerminalPair) -> int:
     st.check_in(g)
     cap: dict[tuple[int, int], int] = {}
     adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
+    for u, v in zip(*g.columns()):
         cap[(u, v)] = 1
         cap[(v, u)] = 1
         adj[u].append(v)
@@ -305,7 +305,7 @@ def lp_vc_value(g: Graph) -> Fraction:
     """
     # Double cover: left copy u pairs with right copy v for each edge {u,v}.
     adj_left: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
+    for u, v in zip(*g.columns()):
         adj_left[u].append(v)
         adj_left[v].append(u)
     match_right = [-1] * g.n
@@ -424,7 +424,7 @@ def exact_treewidth(g: Graph) -> tuple[int, TreeDecomposition]:
     # Standard clique-tree construction along the ordering, with fill-in.
     position = {v: i for i, v in enumerate(order)}
     work = [set() for _ in range(n)]
-    for u, v in g.edges:
+    for u, v in zip(*g.columns()):
         work[u].add(v)
         work[v].add(u)
     bags: dict[int, frozenset[int]] = {}

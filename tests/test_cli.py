@@ -271,6 +271,30 @@ def test_compose_sum_refuses_the_exact_only_options(tmp_path, capsys, option):
     assert not out.exists() and not (tmp_path / "extra.json").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    *[(["kernel", which, "lift", "--context", "{dir}/ctx.json", "--count", "3", *option],
+       "kernel lift takes neither --graph nor --k nor --out")
+      for which in ("vc", "minvc")
+      for option in (["--graph", "{graph}"], ["--k", "0"], ["--out", "{dir}/out.gr"])],
+    (["kernel", "vc", "reduce", "--graph", "{graph}", "--out", "{dir}/out.gr",
+      "--context", "{dir}/ctx.json", "--count", "3"], "kernel reduce takes no --count"),
+    *[(["oracle", which, "--graph", "{graph}", "--k", k], f"oracle {which} takes no --k")
+      for which, k in (("mincut", "1"), ("matching", "0"), ("lpvc", "2"), ("tw", "1"))],
+    *[(["ppt", "mincut-oct", "--graph", "{graph}", "--out", "{dir}/out.gr", *option],
+       "ppt mincut-oct takes neither --k nor --check-nice")
+      for option in (["--k", "1"], ["--check-nice"])],
+])
+def test_an_option_the_step_ignores_is_a_usage_error(tmp_path, capsys, argv, message):
+    graph = write(tmp_path, "g.gr", PATH_ST_TEXT)
+    before = sorted(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as err:
+        main([arg.format(graph=graph, dir=tmp_path) for arg in argv])
+    assert err.value.code == 2
+    out, err_text = capsys.readouterr()
+    assert out == "" and f"error: {message}" in err_text
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_compose_exact_extract_pipeline(tmp_path, capsys):
     a = write(tmp_path, "a.gr", PATH_ST_TEXT)
     b = write(tmp_path, "b.gr", PATH_ST_TEXT)

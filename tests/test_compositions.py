@@ -27,7 +27,13 @@ from countkernel.framework import (
     PreconditionError,
     ProtocolError,
 )
-from countkernel.graphs import Graph, TerminalPair, validate_tree_decomposition
+from countkernel.graphs import (
+    Graph,
+    TerminalPair,
+    parse_graph,
+    serialize_graph,
+    validate_tree_decomposition,
+)
 from countkernel.oracles import (
     count_min_st_cuts,
     count_odd_cycle_transversals,
@@ -294,6 +300,18 @@ def test_exact_gadget_branch_with_zero_cut_inputs():
     assert size == meta.m * (meta.ell - 1)
     assert count == 2 ** meta.exponents[0] + 2 ** meta.exponents[1]
     assert extract_counts(meta, count) == [1, 1]
+
+
+@pytest.mark.parametrize("compose", [exact_compose, sum_compose])
+def test_composing_parsed_inputs_never_builds_their_edge_sets(compose):
+    # The oracles and builders read the endpoint columns, so a parsed
+    # input's edge set, which the parse never builds, stays unbuilt.
+    bridged = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (1, 3), (3, 4)])
+    instances = [(bridged, TerminalPair(0, 4)), EDGE, PATH, PATH]
+    parsed = [parse_graph(serialize_graph(g, st)) for g, st in instances]
+    composition = compose([(p.graph, p.terminals) for p in parsed])
+    assert composition.graph.m >= sum(p.graph.m for p in parsed)
+    assert all("edges" not in p.graph.__dict__ for p in parsed)
 
 
 def test_exact_unequal_cut_sizes_rejected():

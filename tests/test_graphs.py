@@ -246,19 +246,22 @@ def _outcome(parse, text):
         return ("ParseError", err.line, str(err))
 
 
-# Chunk sizes that cut a fuzzed text of a few lines at many places.
+# Block sizes that cut a fuzzed text of a few lines at many places.
 SMALL_CHUNKS = (1, 3, 7, 16)
+# Block sizes that cut a file of a few lines inside its records and its
+# multibyte characters.
+SMALL_BLOCKS = (1, 2, 3, 5, 8, 13)
 
 
 def _assert_parsers_agree(text):
-    """parse_graph agrees with the reference at its own chunk size and
-    at each of SMALL_CHUNKS."""
+    """parse_graph agrees with the reference at its own block size and
+    at each of SMALL_CHUNKS and SMALL_BLOCKS."""
     expected = _outcome(reference_parse_graph, text)
     assert _outcome(parse_graph, text) == expected
-    for chunk in SMALL_CHUNKS:
+    for block in sorted({*SMALL_CHUNKS, *SMALL_BLOCKS}):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(graphs, "_BULK_CHUNK", chunk)
-            assert _outcome(parse_graph, text) == expected, f"_BULK_CHUNK = {chunk}"
+            patch.setattr(graphs, "_BLOCK", block)
+            assert _outcome(parse_graph, text) == expected, f"_BLOCK = {block}"
 
 
 # The format's alphabet, plus characters int() or splitlines() treat
@@ -370,7 +373,7 @@ def test_parse_matches_reference_on_mutated_files(parsed, comment, kind, seed):
 
 def _host_file_lines(seed):
     """The lines of a canonical file of 2*10^5 random edges among 10^5
-    vertices, a few bulk chunks long."""
+    vertices, many blocks long."""
     rng = random.Random(seed)
     n = 100_000
     edges = set()
@@ -384,10 +387,17 @@ def _host_file_lines(seed):
 def test_parse_reads_canonical_files_in_bulk(monkeypatch):
     lines = _host_file_lines(8)
     text = "\n".join(lines)
-    crlf = "\n".join(lines[:5000] + [lines[5000] + "\r"] + lines[5001:])
+    # The carriage return ends line 20,001, a few blocks into the file.
+    crlf = "\n".join(lines[:20_000] + [lines[20_000] + "\r"] + lines[20_001:])
     comment = "\n".join(lines[:150_000] + ["c mid-block"] + lines[150_000:])
     expected = reference_parse_graph(text)
-    assert len(text) > 2 * graphs._BULK_CHUNK
+    assert len(text) > 2 * graphs._BLOCK
+    # The first line of the block that holds the carriage return: each
+    # block starts after the last line break that the read before it held.
+    data = crlf.encode()
+    cr = data.index(b"\r")
+    assert cr > 2 * graphs._BLOCK
+    split_from = data.count(b"\n", 0, data.rfind(b"\n", 0, cr - cr % graphs._BLOCK)) + 2
 
     # The numbers of the e lines that go through the per-line record rules.
     per_line = []
@@ -401,25 +411,27 @@ def test_parse_reads_canonical_files_in_bulk(monkeypatch):
     monkeypatch.setattr(graphs._Reader, "record", counting_record)
     assert parse_graph(text) == expected
     assert per_line == []
-    # The comment breaks the bulk run of its own chunk only.
+    # The comment breaks the bulk run of its own block only.
     assert parse_graph(comment) == expected
-    assert min(per_line) < 150_001 < max(per_line) and len(per_line) < 100_000
-    # A carriage return sends the whole text through the record rules.
+    assert min(per_line) < 150_001 < max(per_line) and len(per_line) < graphs._BLOCK
+    # The e lines of the blocks before the carriage return's are read in
+    # bulk, and every e line from its block on by the record rules.
     per_line.clear()
     assert parse_graph(crlf) == expected
-    assert len(per_line) == 200_000
+    assert 3 < split_from <= 20_001
+    assert per_line == list(range(split_from, 200_003))
 
 
 def test_parse_reports_an_early_duplicate_before_a_later_fault():
-    # The first chunk's bulk run repeats the first edge on line 4, and a
-    # chunk 1.5*10^5 lines later holds a malformed e line: the duplicate
+    # The first block's bulk run repeats the first edge on line 4, and a
+    # block 1.5*10^5 lines later holds a malformed e line: the duplicate
     # comes first in the file, so it is the error.
     lines = _host_file_lines(10)
     assert lines[2].startswith("e ")
     lines.insert(3, lines[2])
     lines[150_000] = "e 1"
     text = "\n".join(lines)
-    assert len(text) > 2 * graphs._BULK_CHUNK
+    assert len(text) > 2 * graphs._BLOCK
     u, v = lines[2].split()[1:]
     with pytest.raises(ParseError, match=f"^line 4: duplicate edge {u} {v}$"):
         parse_graph(text)
@@ -427,8 +439,8 @@ def test_parse_reports_an_early_duplicate_before_a_later_fault():
 
 @pytest.mark.parametrize("reverse", [True, False])
 def test_bulk_parse_finds_a_duplicate_chunks_apart(reverse):
-    # The last e line repeats the first edge, 2*10^5 lines and several
-    # bulk chunks later; the p line counts it, so only the repeat is wrong.
+    # The last e line repeats the first edge, 2*10^5 lines and many
+    # blocks later; the p line counts it, so only the repeat is wrong.
     rng = random.Random(9)
     n = 100_000
     edges = set()
@@ -441,21 +453,19 @@ def test_bulk_parse_finds_a_duplicate_chunks_apart(reverse):
     u, v = lines[1].split()[1:]
     lines.append(f"e {v} {u}" if reverse else f"e {u} {v}")
     text = "\n".join(lines) + "\n"
-    assert len(text) > 2 * graphs._BULK_CHUNK
+    assert len(text) > 2 * graphs._BLOCK
     dup = f"{v} {u}" if reverse else f"{u} {v}"
     with pytest.raises(ParseError, match=f"^line {len(lines)}: duplicate edge {dup}$"):
         parse_graph(text)
 
 
-# Block sizes that cut a file of a few lines inside its records and its
-# multibyte characters.
-SMALL_BLOCKS = (1, 2, 3, 5, 8, 13)
-
-
 def _assert_streamed_read_agrees(text, blocks=SMALL_BLOCKS):
     """parse_graph of the file's bytes as a binary file object, read in
-    blocks of each size, agrees with parse_graph of its whole text."""
+    blocks of each size, agrees with parse_graph of its whole text, and
+    both agree with the reference: every file read here keeps its labels
+    within 2^63 - 1, a bound the reference does not check."""
     expected = _outcome(parse_graph, text)
+    assert _outcome(reference_parse_graph, text) == expected
     data = text.encode("utf-8")
     for block in blocks:
         with pytest.MonkeyPatch.context() as patch:
@@ -485,8 +495,8 @@ def test_streamed_read_matches_the_whole_text_on_fixtures(text):
     # A comment of two- to four-byte characters, cut inside them by every
     # block size above.
     ("c ü€\U0001f600ü\np 2 1\ne 1 2\n", ParsedGraph(Graph.from_edges(2, [(0, 1)]))),
-    # A carriage return first seen after the first block: the rest of
-    # the file is read line by line, numbered on from where it starts.
+    # A carriage return first seen after the first block: from its block
+    # on, each block is split into lines on its own.
     ("p 3 2\ne 1 2\ne 2 3\r\nk 1\r\n", ParsedGraph(PATH3, None, 1)),
     ("p 3 2\ne 1 2\ne 2 3\r\ne 2 1\r\n", ("ParseError", 4, "line 4: duplicate edge 2 1")),
     ("p 3 2\ne 1 2\ne 2 3", ParsedGraph(PATH3)),
@@ -494,7 +504,6 @@ def test_streamed_read_matches_the_whole_text_on_fixtures(text):
 ])
 def test_streamed_read_matches_the_whole_text_at_block_edges(text, expected):
     assert _assert_streamed_read_agrees(text) == expected
-    assert _outcome(reference_parse_graph, text) == expected
 
 
 def test_streamed_read_matches_the_whole_text_on_a_host_file():
@@ -572,6 +581,49 @@ def test_a_parsed_graph_holds_its_edges_in_compact_columns(tmp_path):
         tracemalloc.stop()
     assert parsed.graph.m == 100_000
     assert held <= 24 * parsed.graph.m
+
+
+def _parse_peak(path):
+    """The ``tracemalloc`` peak while ``parse_graph`` reads a file."""
+    tracemalloc.start()
+    try:
+        with path.open("rb") as file:
+            parse_graph(file)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_crlf_file_is_read_a_block_at_a_time(tmp_path):
+    lines = _host_file_lines(8)
+    lf, crlf = tmp_path / "lf.gr", tmp_path / "crlf.gr"
+    lf.write_bytes("\n".join(lines).encode())
+    crlf.write_bytes("\r\n".join(lines).encode())
+    assert crlf.stat().st_size > 40 * graphs._BLOCK
+    # Each block's lines are split on their own, so the CRLF file peaks no
+    # higher than the LF one, whose blocks are read in bulk.
+    assert _parse_peak(crlf) <= 1.1 * _parse_peak(lf)
+
+
+class _CountingReads(io.BytesIO):
+    def __init__(self, data):
+        super().__init__(data)
+        self.reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        return super().read(size)
+
+
+def test_a_crlf_fault_is_raised_before_the_rest_of_the_file_is_read():
+    lines = _host_file_lines(8)
+    assert lines[2].startswith("e ")
+    lines[2] = "e 1"
+    file = _CountingReads("\r\n".join(lines).encode())
+    assert len(file.getvalue()) > 40 * graphs._BLOCK
+    with pytest.raises(ParseError, match="^line 3: expected 2 fields, got 1$"):
+        parse_graph(file)
+    assert file.reads <= 2
 
 
 def test_subdivide_triangle_gives_six_cycle():
