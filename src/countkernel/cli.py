@@ -29,7 +29,7 @@ from .framework import (
     OracleSizeError,
     PreconditionError,
     ProtocolError,
-    default_registry,
+    shipped_compression,
 )
 from .graphs import ParseError, ParsedGraph, TerminalPair, parse_graph, serialize_graph
 from .vc_kernel import MINIMAL_VC_KERNEL, VC_KERNEL
@@ -164,23 +164,43 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def cmd_kernel(args) -> int:
-    compression = default_registry()[VC_KERNEL if args.which == "vc" else MINIMAL_VC_KERNEL]
-    report = RunReport(f"kernel {args.which} {args.action}")
+# The shipped compression each ``kernel`` or ``ppt`` step runs, by
+# command and by the argument that names the step.  The transformations'
+# owner loads ``oracles``, so their names are spelled out here.
+STEPS = {
+    ("kernel", "vc"): VC_KERNEL,
+    ("kernel", "minvc"): MINIMAL_VC_KERNEL,
+    ("ppt", "mincut-oct"): "mincut-to-oct",
+    ("ppt", "oct-vc"): "oct-to-vc",
+}
+
+
+def cmd_step(args) -> int:
+    compression = shipped_compression(STEPS[args.command, args.which])
+    report = RunReport(f"{args.command} {args.which} {args.action}")
     if args.action == "reduce":
         parsed = _load(args.graph)
-        k = _budget(args, parsed)
-        result = compression.reduce(CountingInstance(parsed.graph, None, k))
-        Path(args.out).write_text(
-            serialize_graph(result.reduced.graph, k=result.reduced.k), encoding="utf-8")
-        Path(args.context).write_text(result.context.to_json(), encoding="utf-8")
-        summary = (f"reduced to n={result.reduced.graph.n} m={result.reduced.graph.m} "
-                   f"k={result.reduced.k} branch={result.context.payload['branch']}")
-        report.inputs.update(graph=args.graph, k=k)
-        report.outputs.update(out=args.out, context=args.context,
-                              reduced_n=result.reduced.graph.n,
-                              reduced_m=result.reduced.graph.m,
-                              reduced_k=result.reduced.k,
+        if compression.source_problem == "min-st-cut":
+            if parsed.terminals is None:
+                raise ValueError(f"{args.graph}: {args.which} needs a t record")
+            inst = CountingInstance(parsed.graph, parsed.terminals, None, "min-cut-size")
+        else:
+            inst = CountingInstance(parsed.graph, None, _budget(args, parsed))
+        # ``main`` refuses --check-nice to every step but oct-vc's reduce.
+        if getattr(args, "check_nice", False):
+            result = compression.reduce(inst, verify_nice=True)
+        else:
+            result = compression.reduce(inst)
+        reduced = result.reduced
+        Path(args.out).write_text(serialize_graph(reduced.graph, k=reduced.k), encoding="utf-8")
+        if args.context:
+            Path(args.context).write_text(result.context.to_json(), encoding="utf-8")
+        summary = f"reduced to n={reduced.graph.n} m={reduced.graph.m} k={reduced.k}"
+        if "branch" in result.context.payload:
+            summary += f" branch={result.context.payload['branch']}"
+        report.inputs.update(graph=args.graph, k=inst.k)
+        report.outputs.update(out=args.out, context=args.context, reduced_n=reduced.graph.n,
+                              reduced_m=reduced.graph.m, reduced_k=reduced.k,
                               primary=[summary])
     else:
         ctx = LiftContext.from_json(Path(args.context).read_text(encoding="utf-8"))
@@ -241,30 +261,6 @@ def cmd_extract(args) -> int:
     counts = compositions.extract_counts(meta, _count(args.count))
     values = [_decimal(c) for c in counts]
     report.outputs.update(values=values, primary=values)
-    _emit(args, report)
-    return 0
-
-
-def cmd_ppt(args) -> int:
-    from . import compositions
-
-    report = RunReport(f"ppt {args.which}", inputs={"graph": args.graph})
-    parsed = _load(args.graph)
-    if args.which == "mincut-oct":
-        if parsed.terminals is None:
-            raise ValueError(f"{args.graph}: mincut-oct needs a t record")
-        inst = CountingInstance(parsed.graph, parsed.terminals, None, "min-cut-size")
-        result = compositions.mincut_to_oct_reduce(inst)
-    else:
-        k = _budget(args, parsed)
-        inst = CountingInstance(parsed.graph, None, k)
-        result = compositions.oct_to_vc_reduce(inst, verify_nice=args.check_nice)
-    Path(args.out).write_text(
-        serialize_graph(result.reduced.graph, k=result.reduced.k), encoding="utf-8")
-    summary = (f"transformed to n={result.reduced.graph.n} "
-               f"m={result.reduced.graph.m} k={result.reduced.k}")
-    report.outputs.update(out=args.out, reduced_n=result.reduced.graph.n,
-                          reduced_k=result.reduced.k, primary=[summary])
     _emit(args, report)
     return 0
 
@@ -330,16 +326,23 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(p)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("kernel", help="run a kernel's reduce or lift step")
-    p.add_argument("which", choices=["vc", "minvc"])
-    p.add_argument("action", choices=["reduce", "lift"])
-    p.add_argument("--graph")
-    p.add_argument("--k", type=int)
-    p.add_argument("--out")
-    p.add_argument("--context", required=True)
-    p.add_argument("--count")
-    add_json(p)
-    p.set_defaults(func=cmd_kernel)
+    # A kernel step names its action and its context file.  A ppt step
+    # without an action is a reduce, which writes a context if asked.
+    for command, what in (("kernel", "a kernel"), ("ppt", "a parameter transformation")):
+        p = sub.add_parser(command, help=f"run {what}'s reduce or lift step")
+        p.add_argument("which", choices=[which for c, which in STEPS if c == command])
+        p.add_argument("action", choices=["reduce", "lift"],
+                       **({} if command == "kernel" else {"nargs": "?", "default": "reduce"}))
+        p.add_argument("--graph")
+        p.add_argument("--k", type=int)
+        p.add_argument("--out")
+        p.add_argument("--context", required=command == "kernel")
+        p.add_argument("--count")
+        if command == "ppt":
+            p.add_argument("--check-nice", action="store_true",
+                           help="verify niceness by brute force before transforming")
+        add_json(p)
+        p.set_defaults(func=cmd_step)
 
     p = sub.add_parser("compose", help="compose equal-cut-size instances")
     p.add_argument("how", choices=["sum", "exact"])
@@ -355,16 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", required=True)
     add_json(p)
     p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("ppt", help="run a parameter transformation's reduce step")
-    p.add_argument("which", choices=["mincut-oct", "oct-vc"])
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--out", required=True)
-    p.add_argument("--check-nice", action="store_true",
-                   help="verify niceness by brute force before transforming")
-    add_json(p)
-    p.set_defaults(func=cmd_ppt)
 
     p = sub.add_parser("verify", help="run a property suite against the oracles")
     p.add_argument("suite", choices=[*VERIFY_SUITES, "all"])
@@ -389,35 +382,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The options a step needs and the options it ignores, by the argument
+# that names the step: a missing or an ignored option is a usage error.
+NEEDED = {"reduce": ("graph", "out"), "lift": ("context", "count"), "exact": ("meta",)}
+IGNORED = {
+    "reduce": ("count",),
+    "lift": ("graph", "k", "out", "check_nice"),
+    "mincut-oct": ("k", "check_nice"),
+    "sum": ("meta", "td"),
+    **dict.fromkeys(("mincut", "matching", "lpvc", "tw"), ("k",)),
+}
+
+
+def _flags(names) -> list[str]:
+    return [f"--{name.replace('_', '-')}" for name in names]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "kernel":
-        if args.action == "reduce" and not (args.graph and args.out):
-            parser.error("kernel reduce needs --graph and --out")
-        if args.action == "lift" and args.count is None:
-            parser.error("kernel lift needs --count")
     if args.command == "verify":
         for flag in ("nmax", "kmax", "trials"):
             if (getattr(args, flag) or 0) < 0:
                 parser.error(f"verify --{flag} must be nonnegative")
-    if args.command == "compose" and args.how == "exact" and not args.meta:
-        parser.error("compose exact needs --meta")
     given = vars(args)
-    step = given.get("action") or given.get("which") or given.get("how")
-    # The options a step ignores, by command and by the argument that
-    # names the step: passing one is a usage error.
-    ignored = {
-        ("kernel", "lift"): ("graph", "k", "out"),
-        ("kernel", "reduce"): ("count",),
-        ("compose", "sum"): ("meta", "td"),
-        ("ppt", "mincut-oct"): ("k", "check_nice"),
-        **{("oracle", which): ("k",) for which in ("mincut", "matching", "lpvc", "tw")},
-    }.get((args.command, step), ())
-    if any(given[name] is not None and given[name] is not False for name in ignored):
-        flags = [f"--{name.replace('_', '-')}" for name in ignored]
-        parser.error(f"{args.command} {step} takes "
-                     f"{'neither' if len(flags) > 1 else 'no'} {' nor '.join(flags)}")
+    for step in (given.get("action"), given.get("which"), given.get("how")):
+        missing = [name for name in NEEDED.get(step, ()) if given[name] is None]
+        if missing:
+            parser.error(f"{args.command} {step} needs {' and '.join(_flags(missing))}")
+        ignored = [name for name in IGNORED.get(step, ()) if name in given]
+        if any(given[name] is not None and given[name] is not False for name in ignored):
+            flags = _flags(ignored)
+            parser.error(f"{args.command} {step} takes "
+                         f"{'neither' if len(flags) > 1 else 'no'} {' nor '.join(flags)}")
     try:
         return args.func(args)
     except OracleSizeError as exc:

@@ -9,8 +9,8 @@ is a ``Compression`` without a ``size_bound``.  Composing a
 transformation with a compression yields a compression again, with
 both contexts nested.
 
-``default_registry`` names the shipped kernels and identity
-compressions, so the CLI can pipeline them across processes; contexts
+``SHIPPED`` names the shipped kernels and transformations, and the CLI
+runs every reduce or lift step through ``shipped_compression``; contexts
 round-trip through JSON with counts as decimal strings.
 
 Only the verification helper ``oracle_count`` reaches the brute-force
@@ -21,6 +21,7 @@ does not load them.
 from __future__ import annotations
 
 import json
+from importlib import import_module
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .graphs import Graph, TerminalPair
@@ -32,13 +33,6 @@ PARAM_KINDS = (
     "solution-size",
     "min-cut-size",
     "k-minus-matching",
-)
-
-PROBLEMS = (
-    "vertex-cover",
-    "minimal-vertex-cover",
-    "odd-cycle-transversal",
-    "min-st-cut",
 )
 
 # The problems whose oracles enumerate the subsets of at most k vertices.
@@ -253,19 +247,6 @@ class Compression(NamedTuple):
     reference_reduced_count: Callable[[CountingInstance], int] | None = None
 
 
-def identity_compression(problem: str) -> Compression:
-    name = f"identity-{problem}"
-
-    def reduce(inst: CountingInstance) -> CompressionResult:
-        return CompressionResult(inst, LiftContext(name, {}))
-
-    def lift(ctx: LiftContext, count: int) -> int:
-        ctx.expect(name)
-        return count
-
-    return Compression(name, problem, problem, reduce, lift)
-
-
 # ---------------------------------------------------------------------------
 # Running and composing
 # ---------------------------------------------------------------------------
@@ -366,10 +347,22 @@ def verify_compression(c: Compression, inst: CountingInstance,
 # Registry
 # ---------------------------------------------------------------------------
 
-def default_registry() -> dict[str, Compression]:
-    """The shipped kernels and identity compressions, by name."""
-    from . import vc_kernel
+# Each shipped compression's name, and the module that owns it with the
+# factory there that builds it.
+SHIPPED = {
+    "vertex-cover-kernel": ("vc_kernel", "vertex_cover_kernel"),
+    "minimal-vertex-cover-kernel": ("vc_kernel", "minimal_vertex_cover_kernel"),
+    "mincut-to-oct": ("compositions", "mincut_to_oct_ppt"),
+    "oct-to-vc": ("compositions", "oct_to_vc_ppt"),
+}
 
-    shipped = [vc_kernel.vertex_cover_kernel(), vc_kernel.minimal_vertex_cover_kernel(),
-               *(identity_compression(problem) for problem in PROBLEMS)]
-    return {c.name: c for c in shipped}
+
+def shipped_compression(name: str) -> Compression:
+    """The shipped compression of that name; only its owner is imported."""
+    module, factory = SHIPPED[name]
+    return getattr(import_module(f".{module}", __package__), factory)()
+
+
+def default_registry() -> dict[str, Compression]:
+    """Every shipped compression, by name."""
+    return {name: shipped_compression(name) for name in SHIPPED}

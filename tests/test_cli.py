@@ -190,25 +190,67 @@ def test_kernel_lift_refuses_noncanonical_counts(tmp_path, capsys, which, count)
     assert "not a nonnegative decimal" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("which", ["vc", "minvc"])
-@pytest.mark.parametrize("corrupt", [
-    lambda p: {k: v for k, v in p.items() if k != "branch"},
-    lambda p: {k: v for k, v in p.items() if k != "n2"},
-    lambda p: {**p, "branch": "sometimes"},
-    lambda p: {**p, "k2": "-1"},
-    lambda p: {**p, "n1": "x"},
-], ids=["no-branch", "no-n2", "bad-branch", "negative", "not-a-number"])
-def test_kernel_lift_malformed_context_exits_3(tmp_path, capsys, which, corrupt):
-    graph = write(tmp_path, "k3.gr", K3_TEXT)
+# Each reduce/lift step, by the argument that names it: its command, an
+# input file's text and the reduce's options.
+LIFT_STEPS = {
+    "vc": (["kernel", "vc"], K3_TEXT, ["--k", "2"]),
+    "minvc": (["kernel", "minvc"], K3_TEXT, ["--k", "2"]),
+    "mincut-oct": (["ppt", "mincut-oct"], PATH_ST_TEXT, []),
+    "oct-vc": (["ppt", "oct-vc"], K3_TEXT, ["--k", "1"]),
+}
+
+
+def reduce_to_context(tmp_path, which):
+    """Reduce the step's input through main; the path of its context."""
+    step, text, options = LIFT_STEPS[which]
     context = tmp_path / "ctx.json"
-    assert main(["kernel", which, "reduce", "--graph", graph, "--k", "2",
+    assert main([*step, "reduce", "--graph", write(tmp_path, "in.gr", text), *options,
                  "--out", str(tmp_path / "r.gr"), "--context", str(context)]) == 0
+    return context
+
+
+def _without(field):
+    return lambda p: {k: v for k, v in p.items() if k != field}
+
+
+def _with(**fields):
+    return lambda p: {**p, **fields}
+
+
+# (step, case, payload corruption, count given to the lift, text of the error)
+MALFORMED_CONTEXTS = [
+    *[(which, case, corrupt, "3", "context") for which in ("vc", "minvc")
+      for case, corrupt in (("no-branch", _without("branch")), ("no-n2", _without("n2")),
+                            ("bad-branch", _with(branch="sometimes")),
+                            ("negative", _with(k2="-1")), ("not-a-number", _with(n1="x")))],
+    *[("mincut-oct", case, corrupt, "2", "context")
+      for case, corrupt in (("no-branch", _without("branch")), ("no-k", _without("k")),
+                            ("bad-branch", _with(branch="sometimes")),
+                            ("negative", _with(k="-1")), ("not-a-number", _with(k="x")),
+                            ("separated-at-k-1", _with(branch="separated")))],
+    ("mincut-oct", "separated-count-2", _with(branch="separated", k="0"), "2",
+     "exactly one transversal"),
+    *[("oct-vc", case, corrupt, "6", "context")
+      for case, corrupt in (("no-n", _without("n")), ("no-k", _without("k")),
+                            ("negative", _with(k="-1")), ("not-a-number", _with(n="x")))],
+    ("oct-vc", "odd-count", _with(), "7", "must be even"),
+]
+
+
+@pytest.mark.parametrize("which, corrupt, count, message",
+                         [case[:1] + case[2:] for case in MALFORMED_CONTEXTS],
+                         ids=[f"{case}-{which}" for which, case, *_ in MALFORMED_CONTEXTS])
+def test_kernel_lift_malformed_context_exits_3(tmp_path, capsys, which, corrupt, count,
+                                                message):
+    context = reduce_to_context(tmp_path, which)
     doc = json.loads(context.read_text())
     doc["payload"] = corrupt(doc["payload"])
     context.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["kernel", which, "lift", "--context", str(context), "--count", "3"]) == 3
-    assert "context" in capsys.readouterr().err
+    step = LIFT_STEPS[which][0]
+    assert main([*step, "lift", "--context", str(context), "--count", count]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
 
 
 def test_kernel_minvc_lift_refuses_a_context_no_reduce_emits(tmp_path, capsys):
@@ -220,24 +262,31 @@ def test_kernel_minvc_lift_refuses_a_context_no_reduce_emits(tmp_path, capsys):
     assert "inconsistent minimal-vertex-cover-kernel context" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
-def test_kernel_lift_refuses_a_version_that_is_not_the_int_1(tmp_path, capsys, version):
-    graph = write(tmp_path, "k3.gr", K3_TEXT)
-    context = tmp_path / "ctx.json"
-    assert main(["kernel", "minvc", "reduce", "--graph", graph, "--k", "2",
-                 "--out", str(tmp_path / "r.gr"), "--context", str(context)]) == 0
+@pytest.mark.parametrize("which, version",
+                         [(which, version) for which in ("minvc", "mincut-oct", "oct-vc")
+                          for version in (True, 1.0)],
+                         ids=["true", "float", "true-mincut-oct", "float-mincut-oct",
+                              "true-oct-vc", "float-oct-vc"])
+def test_kernel_lift_refuses_a_version_that_is_not_the_int_1(tmp_path, capsys, which, version):
+    context = reduce_to_context(tmp_path, which)
     doc = json.loads(context.read_text())
     doc["version"] = version
     context.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert main(["kernel", "minvc", "lift", "--context", str(context), "--count", "3"]) == 3
+    step = LIFT_STEPS[which][0]
+    assert main([*step, "lift", "--context", str(context), "--count", "3"]) == 3
     assert "unsupported context version" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["[" * 200_000, "{not json"], ids=["nested-deep", "not-json"])
-def test_kernel_lift_refuses_a_context_that_is_not_json(tmp_path, capsys, text):
+@pytest.mark.parametrize("which, text",
+                         [(which, text) for which in ("vc", "mincut-oct", "oct-vc")
+                          for text in ("[" * 200_000, "{not json")],
+                         ids=["nested-deep", "not-json", "nested-deep-mincut-oct",
+                              "not-json-mincut-oct", "nested-deep-oct-vc", "not-json-oct-vc"])
+def test_kernel_lift_refuses_a_context_that_is_not_json(tmp_path, capsys, which, text):
     context = write(tmp_path, "ctx.json", text)
-    assert main(["kernel", "vc", "lift", "--context", context, "--count", "1"]) == 3
+    step = LIFT_STEPS[which][0]
+    assert main([*step, "lift", "--context", context, "--count", "1"]) == 3
     assert "lift context is not JSON" in capsys.readouterr().err
 
 
@@ -283,6 +332,19 @@ def test_compose_sum_refuses_the_exact_only_options(tmp_path, capsys, option):
     *[(["ppt", "mincut-oct", "--graph", "{graph}", "--out", "{dir}/out.gr", *option],
        "ppt mincut-oct takes neither --k nor --check-nice")
       for option in (["--k", "1"], ["--check-nice"])],
+    *[(["ppt", which, "lift", "--context", "{dir}/ctx.json", "--count", "3", *option],
+       "ppt lift takes neither --graph nor --k nor --out nor --check-nice")
+      for which in ("mincut-oct", "oct-vc")
+      for option in (["--graph", "{graph}"], ["--k", "0"], ["--out", "{dir}/out.gr"],
+                     ["--check-nice"])],
+    *[(["ppt", which, *action, "--graph", "{graph}", "--k", "1", "--out", "{dir}/out.gr",
+        "--count", "3"], "ppt reduce takes no --count")
+      for which in ("mincut-oct", "oct-vc") for action in ([], ["reduce"])],
+    *[(["ppt", which, "lift", *option], f"ppt lift needs {missing}")
+      for which in ("mincut-oct", "oct-vc")
+      for option, missing in ((["--count", "3"], "--context"),
+                              (["--context", "{dir}/ctx.json"], "--count"),
+                              ([], "--context and --count"))],
 ])
 def test_an_option_the_step_ignores_is_a_usage_error(tmp_path, capsys, argv, message):
     graph = write(tmp_path, "g.gr", PATH_ST_TEXT)
@@ -387,6 +449,55 @@ def test_ppt_subcommands(tmp_path, capsys):
     capsys.readouterr()
     assert main(["oracle", "vc", "--graph", out2]) == 0
     assert capsys.readouterr().out.strip() == "6"
+
+
+# The oracle subcommand that counts each problem.
+ORACLE_OF = {"vertex-cover": "vc", "minimal-vertex-cover": "minvc",
+             "odd-cycle-transversal": "oct", "min-st-cut": "mincut"}
+
+
+def round_trip_corpus(name, count, seed):
+    """Seeded input files' text for the registry entry ``name``.  The
+    #VC kernel's hosts have k <= 1: at k = 2 a core of up to 8 vertices
+    blows up to 600, past what the oracle enumerates."""
+    if name == "oct-to-vc":
+        return [serialize_graph(inst.graph, k=inst.k)
+                for inst in verification.nice_oct_corpus(count, 5, 2, seed)]
+    if name == "mincut-to-oct":
+        return [serialize_graph(g, st) for g, st in verification.cut_instance_pool(
+            count, 5, seed, probabilities=(0.3, 0.5), keep=lambda g: g.m <= 6)]
+    rng = random.Random(seed)
+    kmax = 1 if name == "vertex-cover-kernel" else 3
+    return [serialize_graph(oracles.random_graph(rng.randint(1, 6), rng.choice((0.3, 0.5, 0.8)),
+                                                 rng.randrange(1 << 30)), k=rng.randint(0, kmax))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("command, which", list(cli.STEPS),
+                         ids=[f"{command}-{which}" for command, which in cli.STEPS])
+def test_every_registered_compression_round_trips_through_main(tmp_path, capsys, command,
+                                                               which):
+    compression = framework.default_registry()[cli.STEPS[command, which]]
+    source, out, context = (str(tmp_path / name) for name in ("in.gr", "out.gr", "ctx.json"))
+
+    def run(*argv):
+        assert main(list(argv)) == 0
+        return capsys.readouterr().out.strip()
+
+    branches = set()
+    for text in round_trip_corpus(compression.name, 40, seed=26):
+        Path(source).write_text(text, encoding="utf-8")
+        run(command, which, "reduce", "--graph", source, "--out", out, "--context", context)
+        branches.add(json.loads(Path(context).read_text())["payload"].get("branch"))
+        reduced_count = run("oracle", ORACLE_OF[compression.target_problem], "--graph", out)
+        lifted = run(command, which, "lift", "--context", context, "--count", reduced_count)
+        assert lifted == run("oracle", ORACLE_OF[compression.source_problem],
+                             "--graph", source), text
+    # Each context shape the entry writes appears in its corpus.
+    assert branches == {"vertex-cover-kernel": {"normal", "zero"},
+                        "minimal-vertex-cover-kernel": {"normal", "zero"},
+                        "mincut-to-oct": {"normal", "separated"},
+                        "oct-to-vc": {None}}[compression.name]
 
 
 def test_gen_is_deterministic(tmp_path, capsys):
@@ -719,7 +830,7 @@ def test_a_kernel_step_loads_only_the_kernel_path(tmp_path):
     path = write(tmp_path, "p.gr", PATH_ST_TEXT)
     t = {name: str(tmp_path / name) for name in
          ("vc.gr", "vc.json", "minvc.gr", "minvc.json", "exact.gr", "meta.json", "oct.gr",
-          "gen.gr")}
+          "oct.json", "doubled.gr", "doubled.json", "gen.gr")}
     kernel_steps = [
         ["kernel", "vc", "reduce", "--graph", edge, "--k", "1",
          "--out", t["vc.gr"], "--context", t["vc.json"]],
@@ -732,7 +843,11 @@ def test_a_kernel_step_loads_only_the_kernel_path(tmp_path):
         ["compose", "exact", "--inputs", f"{path},{path}", "--out", t["exact.gr"],
          "--meta", t["meta.json"]],
         ["extract", "--meta", t["meta.json"], "--count", "544"],
-        ["ppt", "mincut-oct", "--graph", path, "--out", t["oct.gr"]],
+        ["ppt", "mincut-oct", "--graph", path, "--out", t["oct.gr"], "--context", t["oct.json"]],
+        ["ppt", "oct-vc", "--graph", t["oct.gr"], "--out", t["doubled.gr"],
+         "--context", t["doubled.json"]],
+        ["ppt", "oct-vc", "lift", "--context", t["doubled.json"], "--count", "4"],
+        ["ppt", "mincut-oct", "lift", "--context", t["oct.json"], "--count", "2"],
     ]
     other_steps = [
         ["gen", "gnp", "--n", "5", "--p", "0.5", "--seed", "1", "--out", t["gen.gr"]],
@@ -751,6 +866,7 @@ def test_a_kernel_step_loads_only_the_kernel_path(tmp_path):
     assert kernel == ["countkernel", "countkernel.cli", "countkernel.framework",
                       "countkernel.graphs", "countkernel.vc_kernel"]
     assert "countkernel.compositions" in cut
+    # Neither the cut steps nor the ppt lifts among them load the sweeps.
     assert "countkernel.verification" not in cut
     # Record types are NamedTuples or slotted classes: no step pays to load these.
     assert result["slow"] == []

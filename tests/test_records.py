@@ -19,7 +19,6 @@ from countkernel.framework import (
     CountingInstance,
     LiftContext,
     VerificationReport,
-    identity_compression,
     verify_compression,
 )
 from countkernel.graphs import (
@@ -33,6 +32,8 @@ from countkernel.graphs import (
 )
 from countkernel.vc_kernel import PaddedBlowup
 from countkernel.verification import SweepReport
+
+from test_framework import identity_compression
 
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 EDGE = Graph.from_edges(2, [(0, 1)])
