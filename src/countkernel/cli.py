@@ -29,6 +29,7 @@ from .framework import (
     OracleSizeError,
     PreconditionError,
     ProtocolError,
+    decimal,
     shipped_compression,
 )
 from .graphs import ParseError, ParsedGraph, TerminalPair, parse_graph, serialize_graph
@@ -97,9 +98,9 @@ def _budget(args, parsed: ParsedGraph) -> int:
 def _any_length_decimals():
     """Lift the interpreter's 4,300-digit cap on int/str conversion, if
     it has one, while the block runs.  The cap guards against quadratic
-    conversions of unbounded text; one argument is bounded (128 KiB on
-    Linux: 131,071 digits convert in 0.14 s and print in 0.3 s on a
-    2-vCPU Xeon VM).  Files keep the cap."""
+    conversions of unbounded text, but the system bounds the length of
+    one argument, and so the time its conversion takes.  Files keep the
+    cap."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
@@ -112,12 +113,9 @@ def _any_length_decimals():
 
 
 def _count(text: str) -> int:
-    """A count given on the command line: a nonnegative ASCII decimal
-    of any length."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"count {text!r} is not a nonnegative decimal integer")
+    """A count given on the command line: a ``decimal`` of any length."""
     with _any_length_decimals():
-        return int(text)
+        return decimal(text, "count")
 
 
 def _decimal(count: int) -> str:

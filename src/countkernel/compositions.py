@@ -20,7 +20,6 @@ matching number by exactly k.
 from __future__ import annotations
 
 import json
-from math import comb
 from typing import NamedTuple
 
 from . import oracles
@@ -33,8 +32,10 @@ from .framework import (
     LiftContext,
     PreconditionError,
     ProtocolError,
-    decimal_fields,
+    decimal,
+    exceeds_binomial,
     exceeds_subset_count,
+    json_object,
 )
 from .graphs import (
     Graph,
@@ -109,8 +110,7 @@ def mincut_to_oct_reduce(inst: CountingInstance) -> CompressionResult:
     comp_s = next(c for c in comps if st.s in c)
     if st.t not in comp_s:
         reduced = CountingInstance(Graph.empty(1), None, 0, "solution-size")
-        payload = {"branch": "separated", "k": "0"}
-        return CompressionResult(reduced, LiftContext(MINCUT_TO_OCT, payload))
+        return CompressionResult(reduced, LiftContext.of(MINCUT_TO_OCT, "separated", k=0, m=0))
 
     kept, vmap = induced_subgraph(g, comp_s)
     s, t = vmap[st.s], vmap[st.t]
@@ -127,22 +127,21 @@ def mincut_to_oct_reduce(inst: CountingInstance) -> CompressionResult:
     gprime = Graph._from_columns(base + 2 * (k + 1), us, vs)
 
     reduced = CountingInstance(gprime, None, k, "solution-size")
-    payload = {"branch": "normal", "k": str(k)}
-    return CompressionResult(reduced, LiftContext(MINCUT_TO_OCT, payload))
+    return CompressionResult(reduced, LiftContext.of(MINCUT_TO_OCT, "normal", k=k, m=kept.m))
 
 
 def mincut_to_oct_lift(ctx: LiftContext, count: int) -> int:
-    """The transversal count is the cut count.  A ``separated`` context
-    has k = 0 and exactly one transversal, the empty set; a ``normal``
-    one has k >= 1 and at least one minimum cut."""
-    payload = ctx.expect(MINCUT_TO_OCT)
-    branch, k = payload.get("branch"), decimal_fields(payload, MINCUT_TO_OCT, ("k",))["k"]
-    if branch not in ("separated", "normal") or (k == 0) != (branch == "separated"):
+    """The transversal count is the cut count: from 1 to C(m, k), the
+    k-edge subsets of the kept component's m edges.  A ``separated``
+    context has k = m = 0 and exactly one transversal, the empty set; a
+    ``normal`` one has k >= 1."""
+    branch, fields = ctx.counts(MINCUT_TO_OCT, ("k", "m"), ("separated", "normal"))
+    k, m = fields["k"], fields["m"]
+    if (k == 0) != (branch == "separated"):
         raise ProtocolError(f"inconsistent {MINCUT_TO_OCT} context: branch {branch!r}, k = {k}")
-    if count < 1 or (branch == "separated" and count > 1):
-        exactly = "exactly" if branch == "separated" else "at least"
-        raise IntegrityError(
-            f"a {branch} {MINCUT_TO_OCT} instance has {exactly} one transversal; corrupted count")
+    if count < 1 or exceeds_binomial(count, m, k):
+        bound = f"from 1 to C({m}, {k}) transversals" if k else "exactly one transversal"
+        raise IntegrityError(f"a {branch} {MINCUT_TO_OCT} instance has {bound}; corrupted count")
     return count
 
 
@@ -183,8 +182,7 @@ def oct_to_vc_reduce(inst: CountingInstance, verify_nice: bool = False) -> Compr
         raise PreconditionError("instance is not nice: a small transversal disconnects it")
     reduced = CountingInstance(two_copy_matching_graph(g), None, g.n + k,
                                "k-minus-matching")
-    payload = {"n": str(g.n), "k": str(k)}
-    return CompressionResult(reduced, LiftContext(OCT_TO_VC, payload))
+    return CompressionResult(reduced, LiftContext.of(OCT_TO_VC, n=g.n, k=k))
 
 
 def oct_to_vc_lift(ctx: LiftContext, count: int) -> int:
@@ -194,7 +192,7 @@ def oct_to_vc_lift(ctx: LiftContext, count: int) -> int:
     budget; an odd, negative or larger count means the supplied count
     was not the doubled graph's true count.
     """
-    fields = decimal_fields(ctx.expect(OCT_TO_VC), OCT_TO_VC, ("n", "k"))
+    _, fields = ctx.counts(OCT_TO_VC, ("n", "k"))
     if count < 0 or count % 2:
         raise IntegrityError("the cover count of a doubled graph must be even and nonnegative")
     n, k = fields["n"], fields["k"]
@@ -246,23 +244,17 @@ class ExactMetadata(NamedTuple):
 
     @classmethod
     def from_json(cls, text: str) -> "ExactMetadata":
-        """Decode strictly; every fault raises ProtocolError, text that
-        is not JSON or nests deeper than the decoder can follow included.
+        """Decode strictly (``json_object``); every fault raises
+        ProtocolError.
 
         Every key must be present, the counts nonnegative JSON integers
         and the branch ``gadget`` or ``trivial``.  The fields must be
         ones ``exact_compose`` emits: ell >= 1, m even, one exponent
         m*(i-1) + m*(ell-1) per input, the trivial branch exactly when
-        ell >= 2^(m/2), and there one recorded answer per input as a
-        nonnegative decimal string that ``int`` converts, which caps its
-        length (4,300 digits by default).
+        ell >= 2^(m/2), and there one recorded answer per input, each a
+        ``decimal``.
         """
-        try:
-            doc = json.loads(text)
-        except (ValueError, RecursionError) as exc:
-            raise ProtocolError(f"exact metadata is not JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise ProtocolError("exact metadata is not an object")
+        doc = json_object(text, "exact metadata")
         for key in _METADATA_KEYS:
             if key not in doc:
                 raise ProtocolError(f"exact metadata lacks {key!r}")
@@ -283,15 +275,9 @@ class ExactMetadata(NamedTuple):
             raise ProtocolError(f"exact metadata branch {branch!r} does not fit ell={ell}, m={m}")
         answers = doc.get("recorded_answers")
         if branch == "trivial":
-            if not (isinstance(answers, list) and len(answers) == ell and all(
-                    isinstance(a, str) and a.isascii() and a.isdigit() for a in answers)):
-                raise ProtocolError(
-                    f"trivial exact metadata needs {ell} recorded answers as decimal strings")
-            try:
-                answers = tuple(int(a) for a in answers)
-            except ValueError:
-                raise ProtocolError(
-                    "exact metadata recorded answer has more digits than int() converts") from None
+            if not (isinstance(answers, list) and len(answers) == ell):
+                raise ProtocolError(f"trivial exact metadata needs {ell} recorded answers")
+            answers = tuple(decimal(a, "exact metadata recorded answer") for a in answers)
         elif answers is not None:
             raise ProtocolError("gadget exact metadata carries recorded answers")
         return cls(branch, ell, m, k, tuple(exponents), answers)
@@ -428,22 +414,9 @@ def extract_counts(meta: ExactMetadata, composed_count: int) -> list[int]:
     if remaining:
         raise IntegrityError(f"extraction left a residue of {remaining.bit_length()} bits")
     worst = max(out)
-    if _exceeds_binomial(worst, meta.m // 2, meta.cut_size):
+    if exceeds_binomial(worst, meta.m // 2, meta.cut_size):
         raise IntegrityError(
             f"extracted an input count of {worst.bit_length()} bits, above "
             f"C({meta.m // 2}, {meta.cut_size}); corrupted count")
     return out
 
-
-def _exceeds_binomial(q: int, n: int, k: int) -> bool:
-    """q > C(n, k), building C(n, k) only when q >= 2^min(k, n-k).
-
-    For j = min(k, n-k) >= 0, C(n, k) = prod_{i<j} (n-i)/(j-i) and each
-    factor is at least n/j >= 2, so a smaller q is below it; otherwise j
-    is below the bit length of q and the binomial is cheap.  Crafted
-    metadata with a huge m and k thus costs no more than the count.
-    """
-    j = min(k, n - k)
-    if j < 0:
-        return q > 0
-    return q.bit_length() > j and q > comb(n, j)

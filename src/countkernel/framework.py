@@ -10,8 +10,11 @@ transformation with a compression yields a compression again, with
 both contexts nested.
 
 ``SHIPPED`` names the shipped kernels and transformations, and the CLI
-runs every reduce or lift step through ``shipped_compression``; contexts
-round-trip through JSON with counts as decimal strings.
+runs every reduce or lift step through ``shipped_compression``.  Counts
+cross every boundary as decimal strings: ``decimal`` is the one check
+of that form and ``json_object`` the one JSON guard, for lift contexts
+(``LiftContext.of`` and ``LiftContext.counts``), composition metadata
+and command-line counts alike.
 
 Only the verification helper ``oracle_count`` reaches the brute-force
 ``oracles``, and it imports them when called, so loading this module
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import json
 from importlib import import_module
+from math import comb
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .graphs import Graph, TerminalPair
@@ -129,17 +133,50 @@ def oracle_count(problem: str, inst: CountingInstance) -> int:
 CONTEXT_VERSION = 1
 
 
+def decimal(value, what: str) -> int:
+    """A count as it crosses a boundary: a nonnegative ASCII decimal
+    string that ``int`` converts, which caps its length (4,300 digits by
+    default) unless the caller lifted the cap.  Anything else raises
+    ProtocolError naming ``what``."""
+    if not (isinstance(value, str) and value.isascii() and value.isdigit()):
+        raise ProtocolError(f"{what} is {value!r}, not a nonnegative decimal string")
+    try:
+        return int(value)
+    except ValueError:
+        raise ProtocolError(f"{what} has {len(value)} digits, more than int() converts") from None
+
+
+def json_object(text: str, what: str) -> dict:
+    """Decode a document that must be a JSON object.  Text that is not
+    JSON, that nests deeper than the decoder can follow, or that holds
+    another value raises ProtocolError naming ``what``."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ProtocolError(f"{what} is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ProtocolError(f"{what} is not an object")
+    return doc
+
+
 class LiftContext(NamedTuple):
     """Everything a lift step needs from its matching reduce run.
 
-    The payload is a flat JSON object; numeric fields are stored as
-    decimal strings so arbitrary-precision values survive any JSON
-    implementation.
+    The payload is a flat JSON object: an optional ``branch`` name and
+    counts as decimal strings, so arbitrary-precision values survive any
+    JSON implementation.  ``of`` encodes one and ``counts`` decodes it.
     """
 
     compression: str
     payload: dict
     version: int = CONTEXT_VERSION
+
+    @classmethod
+    def of(cls, name: str, branch: str | None = None, **counts: int) -> "LiftContext":
+        payload = {f: str(v) for f, v in counts.items()}
+        if branch is not None:
+            payload["branch"] = branch
+        return cls(name, payload)
 
     def to_doc(self) -> dict:
         return {"compression": self.compression, "version": self.version,
@@ -157,13 +194,7 @@ class LiftContext(NamedTuple):
 
     @classmethod
     def from_json(cls, text: str) -> "LiftContext":
-        """Decode a context document.  Text that is not JSON, or that
-        nests deeper than the decoder can follow, raises ProtocolError."""
-        try:
-            doc = json.loads(text)
-        except (ValueError, RecursionError) as exc:
-            raise ProtocolError(f"lift context is not JSON: {exc}") from None
-        return cls.from_doc(doc)
+        return cls.from_doc(json_object(text, "lift context"))
 
     def expect(self, compression: str) -> dict:
         """Return the payload after checking ownership, version and type."""
@@ -176,28 +207,23 @@ class LiftContext(NamedTuple):
             raise ProtocolError(f"{compression} context payload is not an object")
         return self.payload
 
-
-def decimal_fields(payload: dict, owner: str, names) -> dict[str, int]:
-    """The named payload fields as integers.
-
-    Each must be present and a nonnegative ASCII decimal string that
-    ``int`` converts, which caps its length (4,300 digits by default);
-    anything else raises ProtocolError.
-    """
-    fields = {}
-    for f in names:
-        if f not in payload:
-            raise ProtocolError(f"{owner} context lacks field {f!r}")
-        value = payload[f]
-        if not (isinstance(value, str) and value.isascii() and value.isdigit()):
-            raise ProtocolError(
-                f"{owner} context field {f!r} is {value!r}, not a nonnegative decimal string")
-        try:
-            fields[f] = int(value)
-        except ValueError:
-            raise ProtocolError(f"{owner} context field {f!r} has {len(value)} digits, "
-                                "more than int() converts") from None
-    return fields
+    def counts(self, name: str, names, branches=()) -> tuple[str | None, dict[str, int]]:
+        """(branch, {field: int}) of a context of ``name``, checked by
+        ``expect``; the branch must be one of ``branches`` (None if there
+        are none) and each named field a ``decimal``, or ProtocolError."""
+        payload = self.expect(name)
+        branch = None
+        if branches:
+            branch = payload.get("branch")
+            if branch not in branches:
+                raise ProtocolError(f"{name} context branch {branch!r} is not "
+                                    + " or ".join(map(repr, branches)))
+        fields = {}
+        for f in names:
+            if f not in payload:
+                raise ProtocolError(f"{name} context lacks field {f!r}")
+            fields[f] = decimal(payload[f], f"{name} context field {f!r}")
+        return branch, fields
 
 
 def binomial_prefix_sums(n: int, k: int):
@@ -219,6 +245,21 @@ def exceeds_subset_count(count: int, n: int, k: int) -> bool:
     count's bit length.
     """
     return all(total < count for total in binomial_prefix_sums(n, k))
+
+
+def exceeds_binomial(q: int, n: int, k: int) -> bool:
+    """q > C(n, k), building C(n, k) only when q >= 2^min(k, n-k).
+
+    For j = min(k, n-k) >= 0, C(n, k) = prod_{i<j} (n-i)/(j-i) and each
+    factor is at least n/j >= 2, so a smaller q is below it; otherwise j
+    is below the bit length of q and the binomial is cheap.  A crafted
+    context or metadata with a huge n and k thus costs no more than the
+    count.
+    """
+    j = min(k, n - k)
+    if j < 0:
+        return q > 0
+    return q.bit_length() > j and q > comb(n, j)
 
 
 class CompressionResult(NamedTuple):

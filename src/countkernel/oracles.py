@@ -110,26 +110,27 @@ def _is_connected_masked(adj: list[int], n: int, removed: int) -> bool:
 # Vertex covers
 # ---------------------------------------------------------------------------
 
-def count_vertex_covers(g: Graph, k: int) -> int:
-    """Number of vertex covers of size at most k: candidate vertex sets
+def _count_covers(g: Graph, sizes: range) -> int:
+    """Vertex covers whose size lies in ``sizes``: candidate vertex sets
     that meet every edge's two-bit mask."""
+    edge_masks = [(1 << u) | (1 << v) for u, v in zip(*g.columns())]
+    return sum(all(map(mask.__and__, edge_masks)) for mask in _subset_masks(g.n, sizes))
+
+
+def count_vertex_covers(g: Graph, k: int) -> int:
+    """Number of vertex covers of size at most k."""
     if k < 0:
         return 0
     guard_subsets(g.n, k, "count_vertex_covers")
-    edge_masks = [(1 << u) | (1 << v) for u, v in zip(*g.columns())]
-    return sum(all(map(mask.__and__, edge_masks))
-               for mask in _subset_masks(g.n, range(min(k, g.n) + 1)))
+    return _count_covers(g, range(min(k, g.n) + 1))
 
 
 def count_vertex_covers_of_size(g: Graph, size: int) -> int:
-    """Number of vertex covers of size exactly ``size``, checked as in
-    ``count_vertex_covers``."""
+    """Number of vertex covers of size exactly ``size``."""
     if size < 0 or size > g.n:
         return 0
     _guard(comb(g.n, size), "count_vertex_covers_of_size")
-    edge_masks = [(1 << u) | (1 << v) for u, v in zip(*g.columns())]
-    return sum(all(map(mask.__and__, edge_masks))
-               for mask in _subset_masks(g.n, range(size, size + 1)))
+    return _count_covers(g, range(size, size + 1))
 
 
 def count_minimal_vertex_covers(g: Graph, k: int) -> int:

@@ -70,7 +70,6 @@ from .framework import (
     LiftContext,
     ProtocolError,
     binomial_prefix_sums,
-    decimal_fields,
     exceeds_subset_count,
 )
 from .graphs import Graph
@@ -314,9 +313,9 @@ def _kernel_core(inst: CountingInstance, kernel: str) -> tuple[Graph, int, int] 
 
 def _zero_result(name: str) -> CompressionResult:
     # Both kernels write the counting kernel's fields, a superset of their own.
-    payload = {"branch": "zero", **{f: "0" for f in _CONTEXT_FIELDS[VC_KERNEL]}}
+    context = LiftContext.of(name, "zero", **dict.fromkeys(_CONTEXT_FIELDS[VC_KERNEL], 0))
     reduced = CountingInstance(Graph.from_edges(2, [(0, 1)]), None, 0, "solution-size")
-    return CompressionResult(reduced, LiftContext(name, payload))
+    return CompressionResult(reduced, context)
 
 
 def reduce_vertex_cover(inst: CountingInstance) -> CompressionResult:
@@ -331,32 +330,19 @@ def reduce_vertex_cover(inst: CountingInstance) -> CompressionResult:
         return _zero_result(VC_KERNEL)
     g2, k2, n1 = core
     g3, k3, d, t = build_padded_blowup(g2, k2)
-    payload = {
-        "branch": "normal",
-        "n1": str(n1),
-        "n2": str(g2.n),
-        "k2": str(k2),
-        "d": str(d),
-        "t": str(t),
-        "k3": str(k3),
-    }
-    reduced = CountingInstance(g3, None, k3, "solution-size")
-    return CompressionResult(reduced, LiftContext(VC_KERNEL, payload))
+    context = LiftContext.of(VC_KERNEL, "normal", n1=n1, n2=g2.n, k2=k2, d=d, t=t, k3=k3)
+    return CompressionResult(CountingInstance(g3, None, k3, "solution-size"), context)
 
 
 def _decode_context(ctx: LiftContext, name: str) -> dict[str, int] | None:
     """The payload's fields as integers, or None on the zero branch.
 
-    Both branches carry every field of the owning kernel as a
-    nonnegative decimal string; anything else raises ProtocolError.  A
-    normal core has at most k2^2 edges and no isolated vertex, so a
-    normal context with n1 < n2 or n2 > 2*k2^2 raises it too.
+    Both branches carry every field of the owning kernel
+    (``LiftContext.counts``).  A normal core has at most k2^2 edges and
+    no isolated vertex, so a normal context with n1 < n2 or n2 > 2*k2^2
+    raises ProtocolError.
     """
-    payload = ctx.expect(name)
-    branch = payload.get("branch")
-    if branch not in ("normal", "zero"):
-        raise ProtocolError(f"{name} context branch {branch!r} is not 'normal' or 'zero'")
-    fields = decimal_fields(payload, name, _CONTEXT_FIELDS[name])
+    branch, fields = ctx.counts(name, _CONTEXT_FIELDS[name], ("normal", "zero"))
     if branch == "zero":
         return None
     n1, n2, k2 = fields["n1"], fields["n2"], fields["k2"]
@@ -469,9 +455,8 @@ def reduce_minimal_vertex_cover(inst: CountingInstance) -> CompressionResult:
     if core is None:
         return _zero_result(MINIMAL_VC_KERNEL)
     g2, k2, n1 = core
-    payload = {"branch": "normal", "n1": str(n1), "n2": str(g2.n), "k2": str(k2)}
-    reduced = CountingInstance(g2, None, k2, "solution-size")
-    return CompressionResult(reduced, LiftContext(MINIMAL_VC_KERNEL, payload))
+    context = LiftContext.of(MINIMAL_VC_KERNEL, "normal", n1=n1, n2=g2.n, k2=k2)
+    return CompressionResult(CountingInstance(g2, None, k2, "solution-size"), context)
 
 
 def lift_minimal_vertex_cover(ctx: LiftContext, reduced_count: int) -> int:

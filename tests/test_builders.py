@@ -377,12 +377,14 @@ def test_mincut_to_oct_matches_reference():
             result = mincut_to_oct_reduce(CountingInstance(form, st, None, "min-cut-size"))
             payload = result.context.expect(MINCUT_TO_OCT)
             if want is None:
-                assert payload == {"branch": "separated", "k": "0"}
+                assert payload == {"branch": "separated", "k": "0", "m": "0"}
                 continue
             graph, k = want
             same_graph(result.reduced.graph, graph)
             assert result.reduced.k == k
-            assert payload == {"branch": "normal", "k": str(k)}
+            kept = next(c for c in connected_components(g) if st.s in c)
+            kept_m = sum(u in kept for u, _ in g.edges)
+            assert payload == {"branch": "normal", "k": str(k), "m": str(kept_m)}
         normal += want is not None
     assert normal >= 50
 

@@ -228,8 +228,12 @@ MALFORMED_CONTEXTS = [
                             ("bad-branch", _with(branch="sometimes")),
                             ("negative", _with(k="-1")), ("not-a-number", _with(k="x")),
                             ("separated-at-k-1", _with(branch="separated")))],
+    ("mincut-oct", "no-m", _without("m"), "2", "lacks field 'm'"),
     ("mincut-oct", "separated-count-2", _with(branch="separated", k="0"), "2",
      "exactly one transversal"),
+    # The path has m = 2 edges and k = 1: at most C(2, 1) = 2 minimum cuts.
+    *[("mincut-oct", f"count-{count}", _with(), count, "from 1 to C(2, 1) transversals")
+      for count in ("3", "99999999999")],
     *[("oct-vc", case, corrupt, "6", "context")
       for case, corrupt in (("no-n", _without("n")), ("no-k", _without("k")),
                             ("negative", _with(k="-1")), ("not-a-number", _with(n="x")))],

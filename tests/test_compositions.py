@@ -52,6 +52,10 @@ PATH = (Graph.from_edges(3, [(0, 1), (1, 2)]), TerminalPair(0, 2))
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 K4 = Graph.from_edges(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 
+# Spellings that int() accepts but that are not nonnegative ASCII decimals.
+NONCANONICAL = {"plus-sign": "+7", "leading-space": " 7", "underscore": "1_0",
+                "arabic-indic-digit": "\u0663", "empty": ""}
+
 
 def test_group_by_min_cut():
     classes = group_by_min_cut([EDGE, PATH])
@@ -156,18 +160,23 @@ def test_mincut_oct_lift_checks_the_count_against_its_branch():
                          "min-cut-size")).context
     normal = mincut_to_oct_reduce(CountingInstance(*EDGE, None, "min-cut-size")).context
     assert mincut_to_oct_lift(separated, 1) == 1
-    assert mincut_to_oct_lift(normal, 7) == 7
-    for ctx, bad in ((separated, 0), (separated, 5), (separated, -1), (normal, 0), (normal, -3)):
+    assert mincut_to_oct_lift(normal, 1) == 1  # one edge: C(1, 1) = 1 cut
+    for ctx, bad in ((separated, 0), (separated, 5), (separated, -1), (normal, 0), (normal, -3),
+                     (normal, 7)):
         with pytest.raises(IntegrityError):
             mincut_to_oct_lift(ctx, bad)
+    # The bound C(10^7, 5*10^6) has about 10^7 bits; a small count never builds it.
+    huge = LiftContext.of(MINCUT_TO_OCT, "normal", k=5 * 10**6, m=10**7)
+    assert mincut_to_oct_lift(huge, 12345) == 12345
 
 
 @pytest.mark.parametrize("payload", [
     {"branch": ["junk"]}, {"branch": "junk", "k": "1"}, {"branch": "normal"},
-    {"branch": "normal", "k": 1}, {"branch": "normal", "k": "0"},
-    {"branch": "separated", "k": "2"}, {"k": "1"},
+    {"branch": "normal", "k": 1, "m": "1"}, {"branch": "normal", "k": "0", "m": "1"},
+    {"branch": "separated", "k": "2", "m": "2"}, {"k": "1"}, {"branch": "normal", "k": "1"},
+    *({"branch": "normal", "k": "1", "m": m} for m in NONCANONICAL.values()),
 ], ids=["junk-branch-no-k", "unknown-branch", "no-k", "int-k", "normal-k-0", "separated-k-2",
-        "no-branch"])
+        "no-branch", "no-m", *(f"{case}-m" for case in NONCANONICAL)])
 def test_mincut_oct_lift_refuses_malformed_contexts(payload):
     with pytest.raises(ProtocolError):
         mincut_to_oct_lift(LiftContext(MINCUT_TO_OCT, payload), 1)
@@ -461,11 +470,13 @@ def _metadata_doc():
     lambda d: [d],
     lambda d: {**d, "ell": 1, "m": 0, "exponents": [0], "branch": "trivial",
                "recorded_answers": ["1" * 4301]},
+    *(lambda d, a=a: {**d, "ell": 1, "m": 0, "exponents": [0], "branch": "trivial",
+                      "recorded_answers": [a]} for a in NONCANONICAL.values()),
 ], ids=["no-ell", "no-k", "short-exponents", "wrong-exponents", "negative-exponent",
         "exponents-not-list", "ell-string", "k-bool", "ell-float", "ell-zero", "ell-huge",
         "odd-m", "negative-k", "bad-branch", "trivial-branch-too-small",
         "gadget-with-answers", "trivial-without-answers", "negative-answer", "not-an-object",
-        "answer-past-the-int-digit-cap"])
+        "answer-past-the-int-digit-cap", *(f"{case}-answer" for case in NONCANONICAL)])
 def test_exact_metadata_decoder_refuses_malformed_documents(corrupt):
     assert ExactMetadata.from_json(json.dumps(_metadata_doc())).exponents == (4, 8)
     with pytest.raises(ProtocolError):

@@ -134,7 +134,7 @@ PIPELINE_CONTEXT_JSON = (
     '{"inner": {"compression": "identity-vertex-cover", "payload": {}, "version": 1}, '
     '"outer": {"compression": "oct-to-vc", "payload": {"k": "1", "n": "12"}, '
     '"version": 1}}, "version": 1}, "outer": {"compression": "mincut-to-oct", '
-    '"payload": {"branch": "normal", "k": "1"}, "version": 1}}, "version": 1}')
+    '"payload": {"branch": "normal", "k": "1", "m": "2"}, "version": 1}}, "version": 1}')
 
 
 def test_pipeline_context_survives_json_round_trip():
@@ -145,10 +145,11 @@ def test_pipeline_context_survives_json_round_trip():
     assert again == context
     # The path has 2 minimum cuts, the doubled graph twice as many covers.
     assert pipeline.lift(again, 4) == pipeline.lift(context, 4) == 2
-    # The 12-vertex transversal instance at k = 1 has at most 13 transversals.
-    assert pipeline.lift(again, 26) == 13
-    with pytest.raises(IntegrityError):
-        pipeline.lift(again, 28)
+    # The 12-vertex transversal instance at k = 1 has at most 13 transversals,
+    # and the path at most C(2, 1) = 2 minimum cuts.
+    for count in (6, 26, 28):
+        with pytest.raises(IntegrityError):
+            pipeline.lift(again, count)
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -238,6 +239,36 @@ CONTEXT_DOCS = [
     oct_to_vc_reduce(CountingInstance(K3, None, 1)).context.to_doc(),
     _mincut_to_vc_pipeline().reduce(PATH_CUT).context.to_doc(),
 ]
+
+
+def _context_text(compression, payload):
+    return f'{{"compression": "{compression}", "payload": {{{payload}}}, "version": 1}}'
+
+
+_ZERO = '"branch": "zero", "d": "0", "k2": "0", "k3": "0", "n1": "0", "n2": "0", "t": "0"'
+# Every registry compression's context on every branch it writes, byte for byte.
+CONTEXT_BYTES = {
+    "vc-normal": ("vertex-cover-kernel", CountingInstance(K3, None, 2),
+                  '"branch": "normal", "d": "3", "k2": "2", "k3": "6", "n1": "3", "n2": "3", '
+                  '"t": "81"'),
+    "vc-zero": ("vertex-cover-kernel", CountingInstance(K4, None, 1), _ZERO),
+    "minvc-normal": ("minimal-vertex-cover-kernel", CountingInstance(K3, None, 2),
+                     '"branch": "normal", "k2": "2", "n1": "3", "n2": "3"'),
+    "minvc-zero": ("minimal-vertex-cover-kernel", CountingInstance(K4, None, 1), _ZERO),
+    "mincut-oct-separated": (
+        "mincut-to-oct", CountingInstance(Graph.from_edges(4, [(0, 1), (2, 3)]),
+                                          TerminalPair(0, 2), None, "min-cut-size"),
+        '"branch": "separated", "k": "0", "m": "0"'),
+    "mincut-oct-normal": ("mincut-to-oct", PATH_CUT, '"branch": "normal", "k": "1", "m": "2"'),
+    "oct-vc": ("oct-to-vc", CountingInstance(K3, None, 1), '"k": "1", "n": "3"'),
+}
+
+
+@pytest.mark.parametrize("name, inst, payload", CONTEXT_BYTES.values(), ids=CONTEXT_BYTES)
+def test_every_registry_context_keeps_its_bytes(name, inst, payload):
+    context = REGISTRY[name].reduce(inst).context
+    assert context.to_json() == _context_text(name, payload)
+    assert LiftContext.from_json(context.to_json()) == context
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True)
