@@ -134,11 +134,12 @@ def mincut_to_oct_lift(ctx: LiftContext, count: int) -> int:
     """The transversal count is the cut count: from 1 to C(m, k), the
     k-edge subsets of the kept component's m edges.  A ``separated``
     context has k = m = 0 and exactly one transversal, the empty set; a
-    ``normal`` one has k >= 1."""
+    ``normal`` one has 1 <= k <= m."""
     branch, fields = ctx.counts(MINCUT_TO_OCT, ("k", "m"), ("separated", "normal"))
     k, m = fields["k"], fields["m"]
-    if (k == 0) != (branch == "separated"):
-        raise ProtocolError(f"inconsistent {MINCUT_TO_OCT} context: branch {branch!r}, k = {k}")
+    if not ((k, m) == (0, 0) if branch == "separated" else 1 <= k <= m):
+        raise ProtocolError(
+            f"inconsistent {MINCUT_TO_OCT} context: branch {branch!r}, k = {k}, m = {m}")
     if count < 1 or exceeds_binomial(count, m, k):
         bound = f"from 1 to C({m}, {k}) transversals" if k else "exactly one transversal"
         raise IntegrityError(f"a {branch} {MINCUT_TO_OCT} instance has {bound}; corrupted count")

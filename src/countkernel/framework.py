@@ -248,18 +248,23 @@ def exceeds_subset_count(count: int, n: int, k: int) -> bool:
 
 
 def exceeds_binomial(q: int, n: int, k: int) -> bool:
-    """q > C(n, k), building C(n, k) only when q >= 2^min(k, n-k).
+    """q > C(n, k), building C(n, k) only when q is near it.
 
-    For j = min(k, n-k) >= 0, C(n, k) = prod_{i<j} (n-i)/(j-i) and each
-    factor is at least n/j >= 2, so a smaller q is below it; otherwise j
-    is below the bit length of q and the binomial is cheap.  A crafted
-    context or metadata with a huge n and k thus costs no more than the
-    count.
+    For 1 <= j = min(k, n-k) <= n/2, C(n, j) >= 2^(n H(j/n)) / (n+1) and
+    n H(j/n) = j log2(n/j) + (n-j) log2(n/(n-j)) >= j log2(n/j) + j.
+    With b the bit length of n // j, log2(n/j) >= b - 1, so C(n, k) >=
+    2^(j b - c) with c the bit length of n + 1; a q of at most j b - c
+    bits is below it.  Otherwise j b is
+    below the bit length of q plus c, and b >= 2, so j is at most about
+    half that: a crafted context or metadata with a huge n and k costs a
+    binomial with no more factors than q allows, whatever n is.
     """
     j = min(k, n - k)
     if j < 0:
         return q > 0
-    return q.bit_length() > j and q > comb(n, j)
+    if j and q.bit_length() <= j * (n // j).bit_length() - (n + 1).bit_length():
+        return False
+    return q > comb(n, j)
 
 
 class CompressionResult(NamedTuple):

@@ -229,7 +229,10 @@ MALFORMED_CONTEXTS = [
                             ("negative", _with(k="-1")), ("not-a-number", _with(k="x")),
                             ("separated-at-k-1", _with(branch="separated")))],
     ("mincut-oct", "no-m", _without("m"), "2", "lacks field 'm'"),
-    ("mincut-oct", "separated-count-2", _with(branch="separated", k="0"), "2",
+    ("mincut-oct", "k-above-m", _with(k="3"), "2", "inconsistent mincut-to-oct context"),
+    ("mincut-oct", "separated-m-2", _with(branch="separated", k="0"), "1",
+     "inconsistent mincut-to-oct context"),
+    ("mincut-oct", "separated-count-2", _with(branch="separated", k="0", m="0"), "2",
      "exactly one transversal"),
     # The path has m = 2 edges and k = 1: at most C(2, 1) = 2 minimum cuts.
     *[("mincut-oct", f"count-{count}", _with(), count, "from 1 to C(2, 1) transversals")

@@ -168,6 +168,10 @@ def test_mincut_oct_lift_checks_the_count_against_its_branch():
     # The bound C(10^7, 5*10^6) has about 10^7 bits; a small count never builds it.
     huge = LiftContext.of(MINCUT_TO_OCT, "normal", k=5 * 10**6, m=10**7)
     assert mincut_to_oct_lift(huge, 12345) == 12345
+    # A 4300-digit m: C(m, 10^4) has about 1.4*10^8 bits, and a 10^4-bit count
+    # is shown below it from bit lengths alone.
+    wide = LiftContext.of(MINCUT_TO_OCT, "normal", k=10**4, m=10**4299)
+    assert mincut_to_oct_lift(wide, 2**10001) == 2**10001
 
 
 @pytest.mark.parametrize("payload", [
@@ -175,8 +179,10 @@ def test_mincut_oct_lift_checks_the_count_against_its_branch():
     {"branch": "normal", "k": 1, "m": "1"}, {"branch": "normal", "k": "0", "m": "1"},
     {"branch": "separated", "k": "2", "m": "2"}, {"k": "1"}, {"branch": "normal", "k": "1"},
     *({"branch": "normal", "k": "1", "m": m} for m in NONCANONICAL.values()),
+    {"branch": "normal", "k": "3", "m": "2"}, {"branch": "separated", "k": "0", "m": "2"},
 ], ids=["junk-branch-no-k", "unknown-branch", "no-k", "int-k", "normal-k-0", "separated-k-2",
-        "no-branch", "no-m", *(f"{case}-m" for case in NONCANONICAL)])
+        "no-branch", "no-m", *(f"{case}-m" for case in NONCANONICAL), "k-above-m",
+        "separated-m-2"])
 def test_mincut_oct_lift_refuses_malformed_contexts(payload):
     with pytest.raises(ProtocolError):
         mincut_to_oct_lift(LiftContext(MINCUT_TO_OCT, payload), 1)

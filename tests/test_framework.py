@@ -2,6 +2,7 @@ import copy
 import json
 import random
 import re
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from countkernel.framework import (
     ProtocolError,
     compose_ppt_compression,
     default_registry,
+    exceeds_binomial,
     oracle_count,
     run_compression,
     verify_compression,
@@ -285,6 +287,14 @@ def test_context_decoder_and_lifts_refuse_only_with_typed_errors(text, count):
             assert isinstance(owner.lift(ctx, count), int)
         except (ProtocolError, IntegrityError):
             pass
+
+
+def test_exceeds_binomial_matches_comb_at_every_edge():
+    for n in range(40):
+        for k in range(-1, n + 2):
+            c = comb(n, k) if k >= 0 else 0
+            for q in {0, 1, c // 2, c - 1, c, c + 1, 2 * c + 1} - {-1}:
+                assert exceeds_binomial(q, n, k) == (q > c), (q, n, k)
 
 
 def test_oracle_count_dispatch_and_errors():
