@@ -115,8 +115,7 @@ def mincut_to_oct_reduce(inst: CountingInstance) -> CompressionResult:
     kept, vmap = induced_subgraph(g, comp_s)
     s, t = vmap[st.s], vmap[st.t]
     k = oracles.min_cut_size(kept, TerminalPair(s, t))
-    subdivided, _ = subdivide_all_edges(kept)
-    blown, copy_of = false_twin_blowup(subdivided, range(kept.n), k + 1)
+    blown, copy_of = false_twin_blowup(subdivide_all_edges(kept), range(kept.n), k + 1)
 
     base = blown.n
     us, vs = (list(column) for column in blown.columns())
@@ -159,12 +158,24 @@ def two_copy_matching_graph(g: Graph) -> Graph:
     """Two disjoint copies of g plus the perfect matching between them.
 
     The copies of g's distinct edges and the matching edges v-(v+n)
-    are distinct pairs, appended to a list copy of g's endpoint columns.
+    are distinct pairs.  Its 2m + n edges are the largest graph a
+    ``ppt`` step builds, so they are held as two ``array('q')`` endpoint
+    columns, 16 bytes an edge: a copy of g's columns, then the second
+    copy's and the matching's endpoints, each run appended from a list
+    (``fromlist``, faster than filling from a ``map``).
     """
+    from array import array  # imported on use, as ``graphs._Reader`` says why
+
     n = g.n
     us, vs = g.columns()
-    return Graph._from_columns(2 * n, list(us) + [u + n for u in us] + list(range(n)),
-                               list(vs) + [v + n for v in vs] + list(range(n, 2 * n)))
+    new_us, new_vs = array("q", us), array("q", vs)
+    new_us.fromlist([u + n for u in us])
+    new_vs.fromlist([v + n for v in vs])
+    new_us.fromlist(list(range(n)))
+    new_vs.fromlist(list(range(n, 2 * n)))
+    # Valid by construction from a checked g.  Checking the arrays again
+    # would box every entry it reads, which cost more than the build.
+    return Graph._checked(2 * n, (new_us, new_vs))
 
 
 def oct_to_vc_reduce(inst: CountingInstance, verify_nice: bool = False) -> CompressionResult:

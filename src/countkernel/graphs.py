@@ -7,12 +7,14 @@ once, in blocks of bytes decoded and read one at a time: each run of
 ``e`` lines in bulk, every other line by the record rules, and each
 edge checked once, repeats included, as its block is read.  A ``Graph``
 holds its edges as two endpoint columns, ``array('q')`` from the parse
-and lists from the builders, and ``Graph.edges`` is built from them
+and lists from most builders, and ``Graph.edges`` is built from them
 only when something reads it: the #VC kernel's reduce never does (see
 ``Graph``).  ``serialize_graph`` writes the columns from one sort of
-integer keys.  All types are immutable values; every transformation
-returns a new graph together with explicit provenance maps, so callers
-never rely on index arithmetic.
+integer keys, formatted a slice at a time.  All types are immutable
+values; every transformation returns a new graph together with explicit
+provenance maps, so callers never rely on index arithmetic.  The one
+exception, ``subdivide_all_edges``, keeps the old vertices' indices and
+numbers the new ones by the rule its docstring states.
 """
 
 from __future__ import annotations
@@ -53,8 +55,10 @@ class Graph:
     checks once, in bulk (``_check``).  ``Graph(n, edges)`` takes a set
     of ordered pairs u < v and keeps it as ``edges``; ``from_edges``
     orders and merges its pairs first.  The parse and the builders hand
-    over distinct pairs as columns only: the parse as two ``array('q')``
-    (16 bytes an edge), the builders as two lists.  ``edges``, which ``==``,
+    over distinct pairs as columns only: the parse and the OCT-to-VC
+    doubling (``compositions.two_copy_matching_graph``) as two
+    ``array('q')``, 16 bytes an edge, the other builders as two lists, a
+    list slot and often a boxed int an endpoint.  ``edges``, which ``==``,
     ``hash``, ``repr`` and the verification sweeps read, is built from
     them on its first read, O(m), and cached.  ``adjacency``,
     ``sorted_edges``, the reduces, the builders, the oracles and
@@ -94,17 +98,19 @@ class Graph:
     def _checked(cls, n: int, columns: tuple[Sequence[int], Sequence[int]]) -> "Graph":
         """A graph on endpoint columns, in either orientation, that the
         caller has checked: distinct pairs below a nonnegative n.  The
-        parse, the degree rule and the strip call it, as does
-        ``_from_columns`` after its check."""
+        parse, the degree rule, the strip and the OCT-to-VC doubling call
+        it, as does ``_from_columns`` after its check."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "_columns", columns)
         return g
 
     @classmethod
-    def _from_columns(cls, n: int, us: list[int], vs: list[int]) -> "Graph":
+    def _from_columns(cls, n: int, us: Sequence[int], vs: Sequence[int]) -> "Graph":
         """The graph on the edges ``us[i]``-``vs[i]``, in either
-        orientation, which the caller builds distinct."""
+        orientation, which the caller builds distinct.  It keeps the two
+        columns it is given, lists or ``array('q')``, one entry of each
+        an edge."""
         cls._check(n, us, vs, eq)
         return cls._checked(n, (us, vs))
 
@@ -125,8 +131,8 @@ class Graph:
         """The edges as two endpoint columns: the i-th edge joins ``us[i]``
         and ``vs[i]``, in either order.  They are the columns the graph
         holds, which the caller must not change: ``array('q')`` for a
-        parsed graph, lists for a built one.  So a caller that extends
-        them copies them into lists first."""
+        parsed or doubled graph, lists for the other built ones.  So a
+        caller that extends them copies them into lists first."""
         return self._columns
 
     @property
@@ -248,6 +254,10 @@ _OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # The largest vertex label an ``e`` record may use: the parse keeps its
 # endpoint columns as ``array('q')``.  A declared n may be any size.
 _MAX_LABEL = (1 << 63) - 1
+# ``serialize_graph`` formats a ``Graph``'s sorted keys this many at a
+# time and frees each slice of keys once it is formatted, so that it
+# never holds every edge's formatted endpoints at once.
+_SLICE = 1 << 14
 
 
 def parse_graph(source: str | bytes | BinaryIO) -> ParsedGraph:
@@ -493,12 +503,17 @@ def serialize_graph(g: Graph, terminals: TerminalPair | None = None,
     refuses, raises ``ValueError`` before anything is written.
 
     A ``Graph``'s edges are read from its columns, so its edge set is
-    not built: one ``sorted`` list of integer keys gives them in order,
-    and one ``%`` over an ``e %d %d`` template formats them all.  Any other
-    ``g`` has ``n``, ``m`` and ``rows()``: each vertex u with a higher
-    neighbour, in increasing u, with the 1-based decimal labels of those
-    neighbours in increasing order.  The #VC kernel's ``PaddedBlowup``
-    writes its rows from its core and never builds its edge set.
+    not built: one list of integer keys, sorted in decreasing order, is
+    cut ``_SLICE`` keys at a time off its end, and each slice is split
+    into its 1-based endpoints and formatted by one ``%`` over an
+    ``e %d %d`` template.  Besides the text, the writer holds a boxed
+    key an edge, fewer as the text grows, and one slice's endpoints.
+
+    Any other ``g`` has ``n``, ``m`` and ``rows()``: each vertex u with
+    a higher neighbour, in increasing u, with the 1-based decimal labels
+    of those neighbours in increasing order.  The #VC kernel's
+    ``PaddedBlowup`` writes its rows from its core and never builds its
+    edge set.
     """
     if k is not None and k < 0:
         raise ValueError(f"parameter k = {k} must be nonnegative")
@@ -507,9 +522,16 @@ def serialize_graph(g: Graph, terminals: TerminalPair | None = None,
     lines = [f"c {part}" for part in comment.splitlines()] if comment else []
     lines.append(f"p {g.n} {g.m}")
     if isinstance(g, Graph):
-        if g.m:
-            flat = tuple(chain.from_iterable(_sorted_pairs(g, 1)))
-            lines.append("\n".join(["e %d %d"] * g.m) % flat)
+        keys, base = _edge_keys(g, 1)
+        keys.sort(reverse=True)
+        template = None
+        while keys:
+            part = keys[-_SLICE:]
+            del keys[-_SLICE:]
+            part.reverse()
+            if template is None or len(part) < _SLICE:
+                template = "\n".join(["e %d %d"] * len(part))
+            lines.append(template % tuple(chain.from_iterable(map(divmod, part, repeat(base)))))
     else:
         for u, labels in g.rows():
             pre = f"e {u + 1} "
@@ -522,13 +544,20 @@ def serialize_graph(g: Graph, terminals: TerminalPair | None = None,
     return "\n".join(lines)
 
 
+def _edge_keys(g: Graph, first: int) -> tuple[list[int], int]:
+    """The edges' keys, in column order, and their base: edge u-v, u < v,
+    has key (u + first) * base + v + first, which ``divmod`` by base
+    splits back into its endpoints; distinct edges have distinct keys."""
+    base = g.n + first
+    shift = first * (base + 1)
+    return [u * base + v + shift if u < v else v * base + u + shift
+            for u, v in zip(*g.columns())], base
+
+
 def _sorted_pairs(g: Graph, first: int) -> Iterable[Edge]:
     """The edges as pairs (u + first, v + first), u < v, in increasing
     order: the ``divmod`` pairs of one sorted list of integer keys."""
-    base = g.n + first
-    shift = first * (base + 1)
-    keys = [u * base + v + shift if u < v else v * base + u + shift
-            for u, v in zip(*g.columns())]
+    keys, base = _edge_keys(g, first)
     keys.sort()
     return map(divmod, keys, repeat(base))
 
@@ -537,19 +566,16 @@ def _sorted_pairs(g: Graph, first: int) -> Iterable[Edge]:
 # Transformations
 # ---------------------------------------------------------------------------
 
-def subdivide_all_edges(g: Graph) -> tuple[Graph, dict[Edge, int]]:
-    """Subdivide every edge once.
-
-    Returns the new graph on n+m vertices (originals keep their indices)
-    and the map from each original edge to its subdivision vertex, which
-    number the edges n, n+1, ... in sorted order.  The new graph holds
-    endpoint columns: edge (u, v) gives u-a and v-a for its vertex a.
-    """
+def subdivide_all_edges(g: Graph) -> Graph:
+    """Subdivide every edge once: the graph on n+m vertices in which the
+    originals keep their indices and the i-th edge (u, v), u < v, in
+    sorted order becomes the path u-(n+i)-v.  Its endpoint columns hold
+    u-(n+i) at index i and v-(n+i) at index m+i: two lists of 2m
+    entries."""
     pairs = list(_sorted_pairs(g, 0))
     subdivision = range(g.n, g.n + g.m)
     us = [u for u, _ in pairs] + [v for _, v in pairs]
-    graph = Graph._from_columns(g.n + g.m, us, [*subdivision, *subdivision])
-    return graph, dict(zip(pairs, subdivision))
+    return Graph._from_columns(g.n + g.m, us, [*subdivision, *subdivision])
 
 
 def false_twin_blowup(g: Graph, targets: Iterable[int],

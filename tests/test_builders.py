@@ -5,22 +5,26 @@ Every builder (``subdivide_all_edges``, ``false_twin_blowup``,
 ``chain_identify``, ``induced_subgraph``, the mincut-to-OCT gadget, the
 OCT-to-VC doubling, ``exact_compose``, ``padded_blowup_graph`` and
 ``random_graph``) appends endpoint columns, and ``serialize_graph``
-writes a ``Graph`` from one sort of integer keys.  The ``reference_*``
-functions below are the earlier versions, which built a set of ordered
-pairs edge by edge and wrote it row by row.  On seeded corpora, for each
-input as built and as parsed back, the new code must give equal graphs
-that hash alike, equal maps, one column entry per edge, the same
-refusals and the same bytes.  ``reference_exact_witness`` is the
+writes a ``Graph`` from one sort of integer keys, a slice at a time.
+The ``reference_*`` functions below are the earlier versions, which
+built a set of ordered pairs edge by edge and wrote it row by row.  On
+seeded corpora, for each input as built and as parsed back, the new
+code must give equal graphs that hash alike, equal maps, one column
+entry per edge, the same refusals and the same bytes.  ``reference_exact_witness`` is the
 two-pass witness builder that ``exact_compose`` folded into its one
 pass; its witness must serialize alike and have the same width.
 """
 
 import random
+import sys
+import tracemalloc
+from array import array
 from collections import defaultdict
 from itertools import chain, product
 
 import pytest
 
+from countkernel import graphs
 from countkernel.compositions import (
     MINCUT_TO_OCT,
     _input_decomposition,
@@ -49,6 +53,7 @@ from countkernel.oracles import TREEWIDTH_LIMIT, exact_treewidth, min_cut_size, 
 from countkernel.vc_kernel import padded_blowup_graph
 from countkernel.verification import cut_instance_pool, graph_corpus
 
+from test_graphs import reference_serialize_graph
 from test_vc_kernel import both_forms
 
 
@@ -323,9 +328,13 @@ def test_subdivide_matches_reference():
     for g in corpus():
         want, want_map = reference_subdivide_all_edges(g)
         for form in both_forms(g):
-            got, got_map = subdivide_all_edges(form)
+            got = subdivide_all_edges(form)
             same_graph(got, want)
-            assert got_map == want_map
+            # The subdivision vertex of the edge at column indices i and
+            # m + i is ``vs[i]`` (= ``vs[m + i]``), numbered in sorted order.
+            us, vs = got.columns()
+            assert vs[:g.m] == vs[g.m:]
+            assert dict(zip(map(ordered, us[:g.m], us[g.m:]), vs)) == want_map
 
 
 def test_blowup_matches_reference():
@@ -365,7 +374,58 @@ def test_two_copy_matching_graph_matches_reference():
     for g in corpus():
         want = reference_two_copy_matching_graph(g)
         for form in both_forms(g):
-            same_graph(two_copy_matching_graph(form), want)
+            got = two_copy_matching_graph(form)
+            same_graph(got, want)
+            assert [(type(c), c.typecode) for c in got.columns()] == [(array, "q")] * 2
+
+
+def random_column_graph(n, m, seed):
+    """m distinct random edges on n >= 3 vertices, held as lists of
+    endpoint columns as a builder holds them: m distinct vertices i, each
+    joined to i + d mod n for a d drawn from 1..(n-1)//2, so that no pair
+    repeats.  An edge that wraps past n - 1 is held high end first."""
+    rng = random.Random(seed)
+    us = rng.sample(range(n), m)
+    steps = rng.choices(range(1, (n + 1) // 2), k=m)
+    return Graph._from_columns(n, us, [(u + d) % n for u, d in zip(us, steps)])
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_serialize_matches_reference_at_every_slice_boundary(monkeypatch, size):
+    """``serialize_graph`` formats a graph ``graphs._SLICE`` keys at a
+    time: with no edges, one, a slice less one, a full slice, a slice and
+    one, and two slices and one, the text is the reference's, for a
+    built, a parsed and a doubled graph."""
+    monkeypatch.setattr(graphs, "_SLICE", size)
+    for m in sorted({0, 1, size - 1, size, size + 1, 2 * size + 1}):
+        g = random_column_graph(m + 3, m, seed=m)
+        doubled = two_copy_matching_graph(g)
+        assert doubled == reference_two_copy_matching_graph(g)
+        for form in (g, parse_graph(reference_serialize_graph(g)).graph, doubled):
+            ends = TerminalPair(form.n - 1, 0)
+            for terminals, k, comment in ((None, None, None), (ends, 0, "slice\nedge"),
+                                          (None, 7, None), (ends, None, "")):
+                assert serialize_graph(form, terminals, k, comment) \
+                    == reference_serialize_graph(form, terminals, k, comment)
+
+
+def test_serialize_and_the_doubled_graph_stay_small():
+    """The writer holds about a key an edge beside the text, not all the
+    formatted endpoints at once, and the OCT-to-VC doubling keeps its
+    columns as ``array('q')``, 16 bytes an edge and some slack."""
+    g = random_column_graph(200_000, 200_000, seed=71)
+    tracemalloc.start()
+    try:
+        text = serialize_graph(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)
+    doubled = two_copy_matching_graph(g)
+    assert doubled.m == 2 * g.m + g.n
+    # ``getsizeof`` of a list would count its slots but not its ints.
+    assert all(type(column) is array for column in doubled.columns())
+    assert sum(map(sys.getsizeof, doubled.columns())) <= 20 * doubled.m
 
 
 def test_mincut_to_oct_matches_reference():

@@ -627,25 +627,30 @@ def test_a_crlf_fault_is_raised_before_the_rest_of_the_file_is_read():
 
 
 def test_subdivide_triangle_gives_six_cycle():
-    out, edge_map = subdivide_all_edges(K3)
+    out = subdivide_all_edges(K3)
     assert out.n == 6 and out.m == 6
-    assert set(edge_map) == set(K3.edges)
+    # The i-th edge in sorted order is subdivided by vertex n + i: its
+    # ends sit at column indices i and m + i.
+    us, vs = out.columns()
+    assert list(zip(us[:3], us[3:], vs[:3], vs[3:])) == [(0, 1, 3, 3), (0, 2, 4, 4),
+                                                         (1, 2, 5, 5)]
     assert all(out.degree(v) == 2 for v in range(out.n))
     assert count_odd_cycle_transversals(out, 0) == 1
 
 
 def test_subdivide_single_edge_and_empty():
-    out, edge_map = subdivide_all_edges(Graph.from_edges(2, [(0, 1)]))
+    out = subdivide_all_edges(Graph.from_edges(2, [(0, 1)]))
     assert out.n == 3 and out.m == 2
-    out2, map2 = subdivide_all_edges(Graph.empty(3))
-    assert out2.n == 3 and out2.m == 0 and map2 == {}
+    assert tuple(map(list, out.columns())) == ([0, 1], [2, 2])
+    out2 = subdivide_all_edges(Graph.empty(3))
+    assert out2.n == 3 and out2.m == 0 and tuple(map(list, out2.columns())) == ([], [])
 
 
 def test_subdivision_always_bipartite():
     rng = random.Random(7)
     for _ in range(40):
         g = random_graph(rng.randint(1, 7), rng.choice((0.3, 0.6, 0.9)), rng.randrange(10**6))
-        out, _ = subdivide_all_edges(g)
+        out = subdivide_all_edges(g)
         assert out.n == g.n + g.m and out.m == 2 * g.m
         assert count_odd_cycle_transversals(out, 0) == 1
 
