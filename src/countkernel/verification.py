@@ -2,27 +2,41 @@
 oracles on seeded corpora.  The CLI's ``verify`` subcommand and the
 acceptance test suite both run these.
 
-Each sweep yields its checks as (ok, message) pairs, and one runner,
-``_sweep``, turns the stream into a timed ``SweepReport``; a sweep
-passes when it checked a positive number of cases and collected no
-failures.  All corpora are deterministic in the seed.
+Each sweep checks (ok, message) pairs into a timed ``SweepReport``,
+which keeps the first failures' messages; a sweep passes when it
+checked a positive number of cases and collected no failures.  All
+corpora are deterministic in the seed.
+
+The round-trip sweeps and ``sweep_sum`` build their instance list
+first and split it across the CPUs this process may run on
+(``_split``, through ``parallel.run``), by an instance key made of ints
+only: n, the edge set, the terminals and k, or the tuple of parts for
+``sweep_sum``.  The calling process works one share itself and forks
+the others.  The report is identical to one process's report, failures
+in instance order, apart from the seconds; a process pinned to one CPU
+(``taskset -c 0``) runs every sweep serially.  The other sweeps run
+their check stream serially (``_sweep``): ``sweep_exact`` counts the
+tuples it has verified as it goes, and the rest are small.  A
+benchmark that reads the calling process's peak memory or times its
+spans sees only the caller's share.
 
 The kernel and transformation sweeps check lift(count(reduce(x))) =
 count(x) only through ``framework.verify_compression``, reference count
-first, as the stream ``_round_trips``.  Oct-to-vc has no reference: its
-lift halves twice the source count, so its doubled graph is
-brute-forced instead.
+first, in ``_round_trips``.  Oct-to-vc has no reference: its lift
+halves twice the source count, so its doubled graph is brute-forced
+instead.
 
 The corpora repeat instances, so every sweep asks its oracles through
-``_shared`` tables that it makes when it starts and drops when it ends:
-each oracle runs once per distinct instance of the sweep.  A table
-holds only the oracle's answers, keyed by graph, terminals and budget.
-The round trips', the niceness and the matching and LP tables key a
-graph by a flat tuple of its n and edge set, which is all its equality
-reads, so they keep no reduced, gadget or doubled ``Graph`` alive.
-Every reduce, lift and composition still runs on every instance, and a
-size refusal is not stored.  The oracles stay the dumb arbiter and
-cache nothing themselves.
+``Shared`` tables that it makes when it starts and drops when it ends:
+each oracle runs once per distinct instance of the sweep, and a split
+sweep's tables share their answers between its processes, so this
+holds across them too.  A table holds only the oracle's answers, keyed
+by graph, terminals and budget.  The tables key a graph by a flat
+tuple of its n and edge set, which is all its equality reads, so they
+keep no reduced, gadget or doubled ``Graph`` alive; the exact sweeps'
+tables key by the ``Graph`` itself.  Every reduce, lift and composition
+still runs on every instance, and a size refusal is not stored.  The
+oracles stay the dumb arbiter and cache nothing themselves.
 """
 
 from __future__ import annotations
@@ -34,7 +48,7 @@ from itertools import accumulate, combinations, product
 from math import comb
 from typing import NamedTuple
 
-from . import oracles
+from . import oracles, parallel
 from .compositions import (
     exact_compose,
     extract_counts,
@@ -55,6 +69,7 @@ from .graphs import (
     connected_components,
     validate_tree_decomposition,
 )
+from .parallel import Shared
 from .vc_kernel import (
     blowup_cover_multiplicity,
     blowup_parameters,
@@ -86,31 +101,19 @@ class SweepReport(NamedTuple):
 
 
 def _sweep(name: str, checks) -> SweepReport:
-    """Count a stream of (ok, message) checks into one report, keeping
-    the first failures' messages; the time includes drawing the stream."""
+    """One report of a stream of (ok, message) checks, run serially;
+    the time includes drawing the stream."""
+    return _split(name, [checks], None, iter)
+
+
+def _split(name: str, instances, key, check, tables=()) -> SweepReport:
+    """Count ``check(instance)``'s (ok, message) pairs over a sequence
+    of instances into one report, keeping the first failures' messages
+    in instance order; the instances are split across the CPUs by
+    ``key``, and ``tables`` are the ``Shared`` tables ``check`` asks."""
     start = time.monotonic()
-    checked, failures = 0, []
-    for ok, message in checks:
-        checked += 1
-        if not ok and len(failures) < MAX_FAILURES:
-            failures.append(message)
+    checked, failures = parallel.run(instances, key, check, MAX_FAILURES, tables)
     return SweepReport(name, checked, tuple(failures), time.monotonic() - start)
-
-
-def _shared(oracle, key=lambda *args: args):
-    """``oracle``, asked once per key: its answer is stored under
-    ``key(*args)`` and returned again for a repeat.  Only answers are
-    stored; an exception, such as an ``OracleSizeError``, stores
-    nothing and is raised again by the next ask."""
-    answers = {}
-
-    def ask(*args):
-        k = key(*args)
-        if k not in answers:
-            answers[k] = oracle(*args)
-        return answers[k]
-
-    return ask
 
 
 def _flat_key(g: Graph, *rest) -> tuple:
@@ -119,12 +122,22 @@ def _flat_key(g: Graph, *rest) -> tuple:
     return (g.n, g.edges, *rest)
 
 
-def _round_trips(compression, instances, extra_checks=lambda inst, trip: ()):
+def _instance_key(inst: CountingInstance) -> tuple:
+    """The ints that tell instances apart: n, the edge set, the
+    terminals (or none) and k (or -1)."""
+    return (inst.graph.n, inst.graph.edges, tuple(inst.terminals or ()),
+            -1 if inst.k is None else inst.k)
+
+
+def _round_trips(name: str, compression, instances, extra_checks=lambda inst, trip: (),
+                 tables=()) -> SweepReport:
     """One check per ``verify_compression`` round trip and one per pair
-    (ok, message) of ``extra_checks(inst, trip)``, each naming n, m and k."""
-    count = _shared(oracle_count, key=lambda problem, inst: (
+    (ok, message) of ``extra_checks(inst, trip)``, each naming n, m and
+    k; ``tables`` are the ``Shared`` tables ``extra_checks`` asks."""
+    count = Shared(oracle_count, key=lambda problem, inst: (
         problem, inst.graph.n, inst.graph.edges, inst.terminals, inst.k))
-    for inst in instances:
+
+    def check(inst):
         trip = verify_compression(compression, inst, count)
         k = inst.k if inst.k is not None else trip.result.reduced.k
         where = f"(n={inst.graph.n}, m={inst.graph.m}, k={k})"
@@ -132,6 +145,8 @@ def _round_trips(compression, instances, extra_checks=lambda inst, trip: ()):
         yield trip.passed, f"{verdict} {where}"
         for ok, message in extra_checks(inst, trip):
             yield ok, f"{message} {where}"
+
+    return _split(name, instances, _instance_key, check, (count, *tables))
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +191,22 @@ def cut_instance_pool(count: int, nmax: int, seed: int, probabilities=(0.25, 0.4
     return pool
 
 
+class _EveryBudget:
+    """The sequence of instances (g, k) for each corpus graph g and each
+    budget 0 <= k <= kmax, graph by graph; each is built when read, so
+    the sequence holds no more than the corpus."""
+
+    def __init__(self, graphs: list[Graph], kmax: int):
+        self.graphs, self.budgets = graphs, kmax + 1
+
+    def __len__(self) -> int:
+        return len(self.graphs) * self.budgets
+
+    def __getitem__(self, index: int) -> CountingInstance:
+        g, k = divmod(index, self.budgets)
+        return CountingInstance(self.graphs[g], None, k)
+
+
 # ---------------------------------------------------------------------------
 # Counting kernel sweeps
 # ---------------------------------------------------------------------------
@@ -189,9 +220,8 @@ def sweep_vc_kernel(graphs: int = 2000, nmax: int = 6, kmax: int = 4,
     the blowup itself is infeasible because the padding is large); that
     identity is itself verified independently by ``sweep_map_size``.
     """
-    instances = (CountingInstance(g, None, k)
-                 for g in graph_corpus(graphs, nmax, seed) for k in range(kmax + 1))
-    return _sweep("vc-kernel end-to-end", _round_trips(vertex_cover_kernel(), instances))
+    return _round_trips("vc-kernel end-to-end", vertex_cover_kernel(),
+                        _EveryBudget(graph_corpus(graphs, nmax, seed), kmax))
 
 
 def sweep_map_size(seed: int = 0, cases: int = 120) -> SweepReport:
@@ -331,10 +361,8 @@ def sweep_minimal_vc(graphs: int = 2000, nmax: int = 6, kmax: int = 4,
         return [(g.n <= 2 * k * k and g.m <= k * k,
                  f"kernel size ({g.n}, {g.m}) exceeds quadratic bounds")]
 
-    instances = (CountingInstance(g, None, k)
-                 for g in graph_corpus(graphs, nmax, seed) for k in range(kmax + 1))
-    return _sweep("minimal-vc kernel end-to-end",
-                  _round_trips(minimal_vertex_cover_kernel(), instances, quadratic_bounds))
+    return _round_trips("minimal-vc kernel end-to-end", minimal_vertex_cover_kernel(),
+                        _EveryBudget(graph_corpus(graphs, nmax, seed), kmax), quadratic_bounds)
 
 
 def sweep_vc_size_bounds(graphs: int = 400, nmax: int = 6, kmax: int = 4,
@@ -377,29 +405,31 @@ def _equal_cut_tuples(pool, rng, want: int, max_len: int, min_cut: int = 1):
 def sweep_sum(tuples: int = 500, nmax: int = 6, seed: int = 0) -> SweepReport:
     """Composed min-cut count equals the sum of the input counts."""
 
-    def checks():
-        count_cuts = _shared(oracles.count_min_st_cuts)
-        rng = random.Random(seed)
-        pool = cut_instance_pool(max(60, tuples // 4), nmax, seed + 1)
-        for parts in _equal_cut_tuples(pool, rng, tuples, max_len=4):
-            composed = sum_compose(parts)
-            if comb(composed.graph.m, composed.k) > ENUMERATION_BUDGET:
-                continue
-            count, size = count_cuts(composed.graph, composed.terminals)
-            expected = sum(count_cuts(g, st)[0] for g, st in parts)
-            yield (count == expected and size == composed.k,
-                   f"composed {count} (cut {size}) != sum {expected} "
-                   f"(cut {composed.k}, ell={len(parts)})")
-            yield (composed.k <= max(g.m for g, _ in parts),
-                   "parameter exceeds the largest input edge count")
+    count_cuts = Shared(oracles.count_min_st_cuts, _flat_key)
 
-    return _sweep("sum composition", checks())
+    def check(parts):
+        composed = sum_compose(parts)
+        if comb(composed.graph.m, composed.k) > ENUMERATION_BUDGET:
+            return
+        count, size = count_cuts(composed.graph, composed.terminals)
+        expected = sum(count_cuts(g, st)[0] for g, st in parts)
+        yield (count == expected and size == composed.k,
+               f"composed {count} (cut {size}) != sum {expected} "
+               f"(cut {composed.k}, ell={len(parts)})")
+        yield (composed.k <= max(g.m for g, _ in parts),
+               "parameter exceeds the largest input edge count")
+
+    rng = random.Random(seed)
+    pool = cut_instance_pool(max(60, tuples // 4), nmax, seed + 1)
+    return _split("sum composition", _equal_cut_tuples(pool, rng, tuples, max_len=4),
+                  lambda parts: tuple((g.n, g.edges, *st) for g, st in parts), check,
+                  (count_cuts,))
 
 
 def sweep_ppt_oct(instances: int = 300, seed: int = 0) -> SweepReport:
     """Cut counts survive the transversal gadget, and outputs are nice."""
 
-    is_nice = _shared(oracles.is_nice_oct_instance, _flat_key)
+    is_nice = Shared(oracles.is_nice_oct_instance, _flat_key)
 
     def nice(inst, trip):
         reduced = trip.result.reduced
@@ -407,13 +437,14 @@ def sweep_ppt_oct(instances: int = 300, seed: int = 0) -> SweepReport:
 
     pool = cut_instance_pool(instances, 7, seed, probabilities=(0.3, 0.45, 0.6),
                              keep=lambda g: 0 < g.m <= 6 and len(connected_components(g)) == 1)
-    corpus = (CountingInstance(g, st, None, "min-cut-size") for g, st in pool)
-    return _sweep("mincut-to-oct transformation", _round_trips(mincut_to_oct_ppt(), corpus, nice))
+    corpus = [CountingInstance(g, st, None, "min-cut-size") for g, st in pool]
+    return _round_trips("mincut-to-oct transformation", mincut_to_oct_ppt(), corpus, nice,
+                        (is_nice,))
 
 
 def nice_oct_corpus(count: int, nmax: int, kmax: int, seed: int,
                     ) -> list[CountingInstance]:
-    is_nice = _shared(oracles.is_nice_oct_instance, _flat_key)
+    is_nice = Shared(oracles.is_nice_oct_instance, _flat_key)
     rng = random.Random(seed)
     corpus = [CountingInstance(Graph.empty(1), None, 0)]
     while len(corpus) < count:
@@ -429,8 +460,8 @@ def sweep_ppt_vc(corpus_size: int = 200, nmax: int = 6, kmax: int = 3,
                  seed: int = 0) -> SweepReport:
     """Doubling a nice instance exactly doubles the count and pins the
     matching number and LP value at n."""
-    matching = _shared(oracles.max_matching_size, _flat_key)
-    lp_value = _shared(oracles.lp_vc_value, _flat_key)
+    matching = Shared(oracles.max_matching_size, _flat_key)
+    lp_value = Shared(oracles.lp_vc_value, _flat_key)
 
     def doubled(inst, trip):
         reduced, n = trip.result.reduced, inst.graph.n
@@ -444,7 +475,8 @@ def sweep_ppt_vc(corpus_size: int = 200, nmax: int = 6, kmax: int = 3,
         ]
 
     corpus = nice_oct_corpus(corpus_size, nmax, kmax, seed)
-    return _sweep("oct-to-vc transformation", _round_trips(oct_to_vc_ppt(), corpus, doubled))
+    return _round_trips("oct-to-vc transformation", oct_to_vc_ppt(), corpus, doubled,
+                        (matching, lp_value))
 
 
 def _extraction_check(meta, count: int, want: list[int], message: str):
@@ -482,7 +514,7 @@ def sweep_exact(tuples: int = 20, seed: int = 0) -> SweepReport:
     """
 
     def checks():
-        count_cuts, cut_size = _shared(oracles.count_min_st_cuts), _shared(oracles.min_cut_size)
+        count_cuts, cut_size = Shared(oracles.count_min_st_cuts), Shared(oracles.min_cut_size)
         path = (Graph.from_edges(3, [(0, 1), (1, 2)]), TerminalPair(0, 2))
         composition = exact_compose([path, path])
         count, size = count_cuts(composition.graph, composition.terminals)
@@ -531,7 +563,7 @@ def sweep_exact_td(tuples: int = 12, nmax: int = 10, seed: int = 0) -> SweepRepo
     """Witness decompositions validate within one of the input treewidths."""
 
     def checks():
-        treewidth = _shared(oracles.exact_treewidth)
+        treewidth = Shared(oracles.exact_treewidth)
         rng = random.Random(seed)
         pool = cut_instance_pool(40, nmax, seed + 1)
         for parts in _equal_cut_tuples(pool, rng, tuples, max_len=3, min_cut=0):
