@@ -33,7 +33,8 @@ share has ended, the exception of the lowest instance index is raised
 in the caller with its type and message.  A child that dies raises
 ``WorkerError`` naming it.  On every path, an interrupt included, every
 child is waited for, and children end with ``os._exit``, so the caller's
-buffered output is never written twice.  The caller merges the report:
+buffered output is never written twice; a child whose caller has died
+ends rather than wait for the caller's claims.  The caller merges the report:
 a benchmark that reads the caller's peak memory or times its spans
 sees only the caller's share.
 """
@@ -181,6 +182,14 @@ class _Split:
         return self
 
     def fork(self, rank: int, work) -> None:
+        caller = os.getpid()
+
+        def orphaned(_claimant: int) -> None:
+            # A child whose caller has ended stops, rather than wait for a
+            # claim the caller will never publish.
+            if os.getppid() != caller:
+                os._exit(1)
+
         read, write = os.pipe()
         try:
             pid = os.fork()
@@ -194,7 +203,7 @@ class _Split:
                 os.close(read)
                 for child in self.children:
                     os.close(child[2])
-                self.claims.serve(rank, None)
+                self.claims.serve(rank, orphaned)
                 data = memoryview(_portable(work()))
                 while data:
                     data = data[os.write(write, data):]
@@ -320,7 +329,7 @@ class _Claims:
 
     def serve(self, rank: int, check_alive) -> None:
         """Claim for the process of that rank from now on; it calls
-        ``check_alive(rank)`` on a claimant it waits for, if given."""
+        ``check_alive(rank)`` on each claimant it waits for."""
         self.rank, self.check_alive, self.pending = rank, check_alive, None
         self.next_record = rank * self.per_rank
         self.free = len(self.memory) - self.region * (rank + 1)
@@ -440,8 +449,7 @@ class _Claims:
                 return pickle.loads(answer)
             if state == self.ABSENT:
                 return compute()
-            if self.check_alive is not None:
-                self.check_alive(rank)
+            self.check_alive(rank)
             time.sleep(pause)
             pause = min(2 * pause, 1e-3)
 

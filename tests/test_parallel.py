@@ -5,7 +5,7 @@ from countkernel import parallel
 
 
 def claims(workers: int = 2) -> parallel._Claims:
-    return parallel._Claims(1, workers, None)
+    return parallel._Claims(1, workers, lambda claimant: None)
 
 
 def test_a_claimed_answer_is_read_by_another_rank_and_never_recomputed():
@@ -15,7 +15,7 @@ def test_a_claimed_answer_is_read_by_another_rank_and_never_recomputed():
         assert [table.ask(0, key, lambda n=key[0]: n * n) for key in keys] == [
             n * n for n in range(2, 2000)]
         table.flush()
-        table.serve(1, None)
+        table.serve(1, lambda claimant: None)
         # Equal keys, their sets built in another order, find the published answers.
         again = [(n, frozenset({(1, n + 1), (0, n)}), None) for n in range(2, 2000)]
         assert [table.ask(0, key, lambda: 1 / 0) for key in again] == [
@@ -38,7 +38,7 @@ def test_a_full_table_leaves_new_keys_unshared():
         for n in range(table.slots):
             assert table.ask(0, (n,), lambda n=n: compute(n)) == n
         table.flush()
-        table.serve(1, None)
+        table.serve(1, lambda claimant: None)
         shared = table.slots * 3 // 4
         for n in range(table.slots):
             assert table.ask(0, (n,), lambda n=n: compute(n)) == n
@@ -62,7 +62,7 @@ def test_an_answer_without_room_or_a_refusal_is_computed_again_by_its_next_asker
         except ValueError:
             pass
         table.flush()
-        table.serve(1, None)
+        table.serve(1, lambda claimant: None)
         assert table.ask(0, ("big",), lambda: "computed again") == "computed again"
         assert table.ask(0, ("refused",), lambda: "asked again") == "asked again"
     finally:

@@ -17,6 +17,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -407,6 +408,58 @@ def test_workers_never_write_the_callers_buffered_output():
         "print(V.sweep_sum(tuples=12, nmax=5, seed=0).passed)\n")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "written once\nTrue\n"
+
+
+def ended(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] in "ZX"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_workers_stop_when_their_caller_dies_holding_a_claim(tmp_path):
+    # The caller claims the one key and dies computing it; the workers,
+    # which ask that key later, must end instead of waiting for ever.
+    code = (
+        "import os, sys, time\n"
+        "from countkernel import parallel\n"
+        "caller, fork = os.getpid(), os.fork\n"
+        "def recorded():\n"
+        "    pid = fork()\n"
+        "    if pid:\n"
+        "        print(pid, flush=True)\n"
+        "    return pid\n"
+        "os.fork = recorded\n"
+        "def oracle():\n"
+        "    if os.getpid() == caller:\n"
+        "        os._exit(0)\n"
+        "    return 1\n"
+        "table = parallel.Shared(oracle, key=lambda: ('one key',))\n"
+        "def check(index):\n"
+        "    if os.getpid() != caller:\n"
+        "        time.sleep(0.5)\n"
+        "    yield table() == 1, 'answered'\n"
+        "parallel.cpus = lambda: 3\n"
+        "parallel.run(list(range(30)), lambda index: index, check, 12, (table,))\n")
+    src = Path(V.__file__).resolve().parents[1]
+    # A file, not a pipe, so that waiting for the caller does not wait for its workers.
+    with open(tmp_path / "pids", "w") as out:
+        done = subprocess.run([sys.executable, "-c", code], stdout=out, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+    workers = [int(line) for line in (tmp_path / "pids").read_text().split()]
+    try:
+        assert done.returncode == 0 and len(workers) == 2
+        for _ in range(200):
+            if all(ended(pid) for pid in workers):
+                break
+            time.sleep(0.05)
+        assert all(ended(pid) for pid in workers)
+    finally:
+        for pid in workers:
+            if not ended(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_a_process_on_one_cpu_runs_a_sweep_serially():
