@@ -20,6 +20,7 @@ matching number by exactly k.
 from __future__ import annotations
 
 import json
+from array import array
 from typing import NamedTuple
 
 from . import oracles
@@ -164,8 +165,6 @@ def two_copy_matching_graph(g: Graph) -> Graph:
     copy's and the matching's endpoints, each run appended from a list
     (``fromlist``, faster than filling from a ``map``).
     """
-    from array import array  # imported on use, as ``graphs._Reader`` says why
-
     n = g.n
     us, vs = g.columns()
     new_us, new_vs = array("q", us), array("q", vs)

@@ -5,7 +5,8 @@ Vertices are dense 0-based indices.  The text file format is 1-based
 (see ``parse_graph``).  ``parse_graph`` reads every source as a file,
 once, in blocks of bytes decoded and read one at a time: each run of
 ``e`` lines in bulk, every other line by the record rules, and each
-edge checked once, repeats included, as its block is read.  A ``Graph``
+edge checked for range and self-loops as its block is read, and for
+repeats once, by its vertices' degrees (``Graph.degrees``).  A ``Graph``
 holds its edges as two endpoint columns, ``array('q')`` from the parse
 and lists from most builders, and ``Graph.edges`` is built from them
 only when something reads it: the #VC kernel's reduce never does (see
@@ -20,11 +21,13 @@ numbers the new ones by the rule its docstring states.
 from __future__ import annotations
 
 import json
+from array import array
+from collections import Counter
 from functools import cached_property
 from io import BytesIO
 from itertools import chain, repeat
 from operator import eq, ge
-from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 
@@ -46,6 +49,13 @@ def ordered(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+# ``Graph.degrees`` counts in an ``array('i')`` of 4-byte slots while it
+# needs at most this many an edge, twice the columns' 16 bytes.  Past that,
+# as for ``e 1 1000000000000000``, a ``Counter`` keeps the count O(m),
+# about 70 bytes for each of at most 2m endpoints, whatever the labels.
+_SLOTS_PER_EDGE = 8
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1; immutable.
 
@@ -63,7 +73,8 @@ class Graph:
     them on its first read, O(m), and cached.  ``adjacency``,
     ``sorted_edges``, the reduces, the builders, the oracles and
     ``serialize_graph`` read the columns, so they never build a parsed
-    host's edge set.
+    host's edge set.  ``degrees`` is counted from the columns on its
+    first read, O(m), and cached: the parse reads it for the repeats.
     """
 
     def __init__(self, n: int, edges: frozenset[Edge]):
@@ -158,8 +169,30 @@ class Graph:
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
 
+    @cached_property
+    def degrees(self) -> Sequence[int]:
+        """Each vertex's degree, indexed by vertex up to the largest
+        endpoint, counted from the columns: an ``array('i')``, or, past
+        ``_SLOTS_PER_EDGE`` slots an edge, a ``Counter``."""
+        us, vs = self._columns
+        top = max(max(us, default=-1), max(vs, default=-1)) + 1
+        if top > _SLOTS_PER_EDGE * len(us):
+            return Counter(chain(us, vs))
+        table = array("i", bytes(4 * top))
+        for v in chain(us, vs):
+            table[v] += 1
+        return table
+
+    def vertices_above(self, bound: int) -> set[int]:
+        degrees = self.degrees
+        items = degrees.items() if isinstance(degrees, dict) else enumerate(degrees)
+        return {v for v, d in items if d > bound}
+
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} out of range for n={self.n}")
+        degrees = self.degrees
+        return degrees[v] if isinstance(degrees, dict) or v < len(degrees) else 0
 
     def has_edge(self, u: int, v: int) -> bool:
         return ordered(u, v) in self.edges
@@ -168,7 +201,7 @@ class Graph:
         return list(_sorted_pairs(self, 0))
 
     def isolated_vertices(self) -> list[int]:
-        return [v for v in range(self.n) if not self.adjacency[v]]
+        return [v for v in range(self.n) if not self.degree(v)]
 
 
 class _TerminalFields(NamedTuple):
@@ -278,10 +311,11 @@ def parse_graph(source: str | bytes | BinaryIO) -> ParsedGraph:
     around them, and all of them if the bulk read refuses the run, go
     through the record rules (``_Reader.record``).  From the first block
     that holds a line break other than "\\n", every block is split by
-    ``splitlines`` and read by the record rules.  Each edge is checked
-    once, as its block is read: range, self-loop and, through one set of
-    integer keys, repeats.  The edges are kept in two ``array('q')``
-    endpoint columns, 16 bytes an edge, from which the ``Graph`` is built.
+    ``splitlines`` and read by the record rules.  Each edge's range and
+    self-loop are checked as its block is read, and repeats by the
+    degrees of the edges read, at the end or before any later fault
+    (``_Reader.graph``).  The ``Graph`` keeps those degrees and the two
+    ``array('q')`` endpoint columns, 16 bytes an edge.
     """
     if isinstance(source, str):
         source = source.encode("utf-8")
@@ -290,14 +324,18 @@ def parse_graph(source: str | bytes | BinaryIO) -> ParsedGraph:
     reader = _Reader()
     line = 1
     split = False
-    for text in _blocks(source):
-        split = split or any(c in text for c in _OTHER_BREAKS)
-        if split:
-            lines = text.splitlines()
-            reader.lines(lines, line)
-            line += len(lines)
-        else:
-            line = reader.chunk(text, line)
+    try:
+        for text in _blocks(source):
+            split = split or any(c in text for c in _OTHER_BREAKS)
+            if split:
+                lines = text.splitlines()
+                reader.lines(lines, line)
+                line += len(lines)
+            else:
+                line = reader.chunk(text, line)
+    except ValueError:
+        reader.graph()
+        raise
     return reader.finish(line - 1)
 
 
@@ -323,20 +361,16 @@ def _blocks(file: BinaryIO) -> Iterator[str]:
 
 class _Reader:
     """One parse: the records read so far; the edges as 0-based endpoint
-    columns, in file order; and ``keys``, the key u*(n+1) + v, u < v, of
-    each edge's 1-based labels, by which a repeat is found as its block is
-    read."""
+    columns, in file order; and ``runs``, by which a repeat is raised at
+    its line: edge i is on line ``runs[s] + i - s``, s the largest key
+    of ``runs`` up to i, each key the first edge after a break."""
 
     def __init__(self):
-        # Imported here, so that a process that parses nothing, such as
-        # ``verify``, does not load it: loaded at import, it added
-        # 0.06-0.13 MB to the benchmark's ``verify-sweep`` peak RSS.
-        from array import array
-
         self.n = self.m = self.terminals = self.k = None
         self.us = array("q")
         self.vs = array("q")
-        self.keys: set[int] = set()
+        self.runs: dict[int, int] = {}
+        self.next_line = 0
 
     def chunk(self, text: str, line: int) -> int:
         """Read the "\\n"-separated lines of ``text``, the first numbered
@@ -379,9 +413,7 @@ class _Reader:
         decimals with no leading zero and no empty field.  With 3 values
         a line, a zero at every third and the endpoints in range, every
         line is ``e <u> <v>`` exactly as the record rules read it.  Range
-        and self-loops are checked on the columns.  The edges' keys go
-        into ``keys`` while the run's own lists exist; when the set grows
-        by less than the run, a repeat is raised at its line.
+        and self-loops are checked on the columns.
         """
         n = self.n
         if n is None or run.count("e") != lines:
@@ -399,15 +431,16 @@ class _Reader:
         top = min(n, _MAX_LABEL)
         if min(us) < 1 or min(vs) < 1 or max(us) > top or max(vs) > top or any(map(eq, us, vs)):
             return False
-        base = n + 1
-        size = len(self.keys)
-        self.keys.update([u * base + v if u < v else v * base + u for u, v in zip(us, vs)])
-        start = len(self.us)
+        self.place(line, lines)
         self.us.fromlist([u - 1 for u in us])
         self.vs.fromlist([v - 1 for v in vs])
-        if len(self.keys) - size != lines:
-            self.first_repeat(start, line)
         return True
+
+    def place(self, line: int, count: int) -> None:
+        """Map the next ``count`` edges to the lines from ``line`` on."""
+        if line != self.next_line:
+            self.runs[len(self.us)] = line
+        self.next_line = line + count
 
     def lines(self, lines: Iterable[str], line: int) -> None:
         for line_no, raw in enumerate(lines, start=line):
@@ -437,10 +470,7 @@ class _Reader:
                 raise ParseError(line_no, f"self-loop at vertex {u}")
             if max(u, v) > _MAX_LABEL:
                 raise ParseError(line_no, f"endpoint above {_MAX_LABEL}, the largest label")
-            key = u * (n + 1) + v if u < v else v * (n + 1) + u
-            if key in self.keys:
-                raise ParseError(line_no, f"duplicate edge {u} {v}")
-            self.keys.add(key)
+            self.place(line_no, 1)
             self.us.append(u - 1)
             self.vs.append(v - 1)
         elif kind == "t":
@@ -467,27 +497,37 @@ class _Reader:
         except ValueError:
             raise ParseError(line, f"non-integer field in {parts!r}") from None
 
-    def first_repeat(self, start: int, line: int) -> NoReturn:
-        """Raise ``ParseError`` at the first edge that repeats an earlier
-        one.  The caller has found a repeat in the bulk run whose edges
-        start at index ``start`` and whose first line is ``line``.  The
-        edges before the run are distinct and each line of the run holds
-        one edge, so edge i is on line ``line + i - start``."""
+    def graph(self) -> Graph:
+        """The graph of the edges read so far, or ``ParseError`` at the
+        line of the first that repeats an earlier one.  Both ends of a
+        repeat have degree 2 or more (``Graph.degrees``), so only the edges
+        between two such vertices get a key, u*n + v with u < v: on a
+        hub-and-leaf host, the core's edges alone."""
+        us, vs, n = self.us, self.vs, self.n
+        graph = Graph._checked(n, (us, vs))
+        many = graph.vertices_above(1)
+        keys = [u * n + v if u < v else v * n + u
+                for u, v in zip(us, vs) if u in many and v in many]
+        if len(set(keys)) == len(keys):
+            return graph
         seen = set()
-        us, vs = self.us, self.vs
-        for i, edge in enumerate(map(ordered, us, vs)):
-            if edge in seen:
-                raise ParseError(line + i - start, f"duplicate edge {us[i] + 1} {vs[i] + 1}")
-            seen.add(edge)
+        for i, (u, v) in enumerate(zip(us, vs)):
+            if u in many and v in many:
+                key = u * n + v if u < v else v * n + u
+                if key in seen:
+                    run = max(start for start in self.runs if start <= i)
+                    raise ParseError(self.runs[run] + i - run, f"duplicate edge {u + 1} {v + 1}")
+                seen.add(key)
 
     def finish(self, last_line: int) -> ParsedGraph:
         """The parsed file, once its last line, numbered ``last_line``, is read."""
         if self.n is None:
             raise ParseError(max(last_line, 1), "missing p record")
+        graph = self.graph()
         if len(self.us) != self.m:
             raise ParseError(max(last_line, 1),
                              f"p record declares {self.m} edges, found {len(self.us)}")
-        return ParsedGraph(Graph._checked(self.n, (self.us, self.vs)), self.terminals, self.k)
+        return ParsedGraph(graph, self.terminals, self.k)
 
 
 def serialize_graph(g: Graph, terminals: TerminalPair | None = None,

@@ -23,11 +23,11 @@ Reduce pipeline for the counting kernel:
 Steps 1 and 2 work on the endpoint columns alone (``Graph.columns``),
 never on ``Graph.adjacency``, on ``Graph.edges`` or on anything sized
 by the declared n: O(m) per round of the rule (degrees in a
-``Counter``, the deleted vertices in a set), and the rule needs at most
-k + 1 rounds, usually two; the strip ranks the endpoints of the
-surviving edges, O(m log m).  Their time and memory do not depend on n,
-so a file that declares n = 10^12 costs what its edges cost, and n1 is
-carried as a number.  A parsed host's edge set is never built.
+``Graph.degrees`` table, the deleted vertices in a set), and the rule
+needs at most k + 1 rounds, usually two; the strip ranks the endpoints
+of the surviving edges, O(m log m).  Their time and memory do not depend
+on n, so a file that declares n = 10^12 costs what its edges cost, and
+n1 is carried as a number.  A parsed host's edge set is never built.
 
 The count of the blown-up instance decomposes as ``sum_i y_i * w_i``
 where ``y_i`` is the number of core covers of size exactly ``i`` and
@@ -57,7 +57,6 @@ them when called.
 from __future__ import annotations
 
 from bisect import bisect
-from collections import Counter
 from itertools import compress, repeat
 from math import comb
 from typing import NamedTuple
@@ -100,27 +99,28 @@ def buss_reduce(g: Graph, k: int) -> tuple[Graph, int] | None:
     still above it, which is None.
 
     The rule reads the endpoint columns of ``g`` (``Graph.columns``),
-    in their order, and never its edge set.  A round counts degrees in
-    a ``Counter`` over both columns and drops the edges of the deleted
-    vertices from both with ``compress``: O(m), with no adjacency, edge
-    set or tuple built and nothing sized by ``g.n``.  The first round takes every vertex of degree above k;
-    a later one deletes anything only when earlier deletions left a
-    vertex above the lowered budget.  Every round but the last deletes
-    at least one vertex, so there are at most k + 1 rounds, and two
-    when the first round's deletions settle the rule.  A surviving
-    vertex v is renumbered v - (deleted vertices below v), found by
-    bisection in the sorted deleted list.  When the first round deletes
-    nothing the result is ``(g, k)`` itself, with no edge rebuilt.
+    in their order, and never its edge set.  The first round reads
+    ``g.degrees``, which the parse counted; a later one counts the
+    surviving columns the same way.  A round drops the edges of the
+    deleted vertices from both columns with ``compress``: O(m), with no
+    adjacency, edge set or tuple built and nothing sized by ``g.n``.
+    The first round takes every vertex of degree above k; a later one
+    deletes anything only when earlier deletions left a vertex above the
+    lowered budget.  Every round but the last deletes at least one
+    vertex, so there are at most k + 1 rounds, and two when the first
+    round's deletions settle the rule.  A surviving vertex v is
+    renumbered v - (deleted vertices below v), found by bisection in the
+    sorted deleted list.  When the first round deletes nothing the
+    result is ``(g, k)`` itself, with no edge rebuilt.
     """
     if k < 0:
         return None
     us, vs = g.columns()
+    rest = g
     budget = k
     deleted: list[int] = []
     while True:
-        degree = Counter(us)
-        degree.update(vs)
-        victims = {v for v, d in degree.items() if d > budget}
+        victims = rest.vertices_above(budget)
         if not victims:
             break
         if len(victims) > budget:
@@ -129,6 +129,7 @@ def buss_reduce(g: Graph, k: int) -> tuple[Graph, int] | None:
         deleted += victims
         keep = [u not in victims and v not in victims for u, v in zip(us, vs)]
         us, vs = list(compress(us, keep)), list(compress(vs, keep))
+        rest = Graph._checked(g.n, (us, vs))
     if not deleted:
         return g, k
     deleted.sort()

@@ -2,6 +2,8 @@ import io
 import random
 import re
 import tracemalloc
+from array import array
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,8 +26,9 @@ from countkernel.graphs import (
     validate_tree_decomposition,
 )
 from countkernel.compositions import exact_compose, group_by_min_cut
+from countkernel.framework import CountingInstance
 from countkernel.oracles import count_odd_cycle_transversals, random_graph
-from countkernel.vc_kernel import PaddedBlowup
+from countkernel.vc_kernel import PaddedBlowup, buss_reduce, reduce_vertex_cover
 from countkernel.verification import cut_instance_pool, graph_corpus
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -624,6 +627,97 @@ def test_a_crlf_fault_is_raised_before_the_rest_of_the_file_is_read():
     with pytest.raises(ParseError, match="^line 3: expected 2 fields, got 1$"):
         parse_graph(file)
     assert file.reads <= 2
+
+
+# The degree rule's budget on ``hub_and_leaf_lines`` hosts: it deletes the
+# ten hubs and keeps the 5-cycle core, whose degree is 2 <= 13 - 10.
+HUB_K = 13
+
+
+def hub_and_leaf_lines(m, n, seed, label=lambda v: v + 1):
+    """The lines of a host file of m edges that declares n vertices:
+    vertices 0-9 are hubs, 10-14 a 5-cycle and the rest leaves of the
+    hubs round robin, each edge written once, in seeded order and
+    orientation, with vertex v labelled ``label(v)``."""
+    rng = random.Random(seed)
+    pairs = [(10 + i, 10 + (i + 1) % 5) for i in range(5)]
+    pairs += [(j % 10, 15 + j) for j in range(m - 5)]
+    rng.shuffle(pairs)
+    return [f"p {n} {m}"] + [f"e {label(u)} {label(v)}" if rng.random() < 0.5
+                             else f"e {label(v)} {label(u)}" for u, v in pairs]
+
+
+def test_labels_spread_to_10_15_count_in_a_counter_within_o_m_memory(tmp_path):
+    # 20,000 edges whose 20,010 labels are spread over 1..10^15, where an
+    # array table would take 4 * 10^15 bytes.  With m from 10^4 to 10^5 the
+    # parse and the reduce peaked at 80-125 bytes an edge (Python 3.11),
+    # by where the Counter's resizes fall: c = 160 is 1.25 times the most.
+    m = 20_000
+    labels = random.Random(4).sample(range(1, 10**15 + 1), m + 10)
+    spread = hub_and_leaf_lines(m, 10**15, 5, labels.__getitem__)
+    path = tmp_path / "spread.gr"
+    path.write_text("\n".join(spread) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with path.open("rb") as file:
+            g = parse_graph(file).graph
+        result = reduce_vertex_cover(CountingInstance(g, None, HUB_K))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(g.degrees, Counter)
+    assert peak <= 160 * m, peak / m
+    payload = result.context.payload
+    assert (payload["branch"], payload["n1"], payload["n2"], payload["k2"]) == (
+        "normal", str(10**15 - 10), "5", "3")
+
+    # A repeat of the first core edge, planted three quarters into the
+    # file, raises at its line in the spread file and in its densely
+    # labelled twin, naming that edge by each file's labels.
+    dense = hub_and_leaf_lines(m, m + 10, 5)
+    first = next(i for i, line in enumerate(dense)
+                 if line.startswith("e ") and all(11 <= int(x) <= 15 for x in line.split()[1:]))
+    assert spread[first] == "e %d %d" % tuple(labels[int(x) - 1] for x in dense[first].split()[1:])
+    at = 3 * m // 4
+    assert first < at
+    for lines in (dense, spread):
+        u, v = lines[first].split()[1:]
+        planted = [f"p {lines[0].split()[1]} {m + 1}", *lines[1:at], f"e {v} {u}", *lines[at:]]
+        with pytest.raises(ParseError, match=f"^line {at + 1}: duplicate edge {v} {u}$"):
+            parse_graph("\n".join(planted))
+
+
+def _forms(n, columns, monkeypatch):
+    """The graph on ``columns`` twice, counting its degrees in a
+    ``Counter`` and in an ``array('i')``; no edges count in an empty array."""
+    forms = []
+    for slots in (0, 2**70):
+        monkeypatch.setattr(graphs, "_SLOTS_PER_EDGE", slots)
+        g = Graph._checked(n, columns)
+        g.degrees
+        forms.append(g)
+    counted = isinstance(forms[0].degrees, Counter) or not forms[0].degrees
+    assert counted and isinstance(forms[1].degrees, array)
+    return forms
+
+
+def test_both_degree_table_forms_give_the_same_degrees_and_degree_rule(monkeypatch):
+    parsed = parse_graph("\n".join(hub_and_leaf_lines(2000, 2010, 6))).graph
+    assert isinstance(parsed.degrees, array)
+    hosts = [parsed] + graph_corpus(300, 7, 2)
+    for g in hosts:
+        adjacency = g.adjacency
+        counted, arrayed = _forms(g.n, g.columns(), monkeypatch)
+        for form in (counted, arrayed):
+            assert [form.degree(v) for v in range(g.n)] == [len(a) for a in adjacency]
+            assert form.isolated_vertices() == [v for v in range(g.n) if not adjacency[v]]
+            assert "adjacency" not in form.__dict__
+        for k in (0, 1, 2, HUB_K - 1, HUB_K):
+            assert buss_reduce(counted, k) == buss_reduce(arrayed, k), (g, k)
+    assert buss_reduce(parsed, HUB_K)[0].m == 5
+    for form in _forms(parsed.n, parsed.columns(), monkeypatch):
+        with pytest.raises(IndexError):
+            form.degree(parsed.n)
 
 
 def test_subdivide_triangle_gives_six_cycle():

@@ -1,4 +1,6 @@
+import io
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -39,7 +41,7 @@ from countkernel.verification import (
     reduce_produced_parameters,
     sweep_dominance,
 )
-from test_graphs import reference_serialize_graph
+from test_graphs import HUB_K, hub_and_leaf_lines, reference_serialize_graph
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 EDGE = Graph.from_edges(2, [(0, 1)])
@@ -708,3 +710,21 @@ def test_zero_branch_of_a_host_below_the_budget_builds_no_edge_set():
     for reduce in (reduce_vertex_cover, reduce_minimal_vertex_cover):
         assert reduce(CountingInstance(g, None, k)).context.payload["branch"] == "zero"
     assert "edges" not in g.__dict__
+
+
+def test_parse_and_degree_rule_of_a_hub_and_leaf_host_peak_near_its_columns():
+    # The columns take 16 bytes an edge and the degree table 4 a vertex;
+    # the rule's keep list, 8 bytes an edge, sets the peak, measured at
+    # 29.5 bytes an edge (Python 3.11).  A key set for the repeats or a
+    # boxed Counter for the rule would add about 70 bytes an edge each.
+    m = 200_000
+    data = "\n".join(hub_and_leaf_lines(m, m + 10, 7)).encode()
+    tracemalloc.start()
+    try:
+        g = parse_graph(io.BytesIO(data)).graph
+        g1, k1 = buss_reduce(g, HUB_K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g1.m, k1) == (5, HUB_K - 10)
+    assert peak <= 37 * m, peak / m
