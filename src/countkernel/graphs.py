@@ -49,10 +49,11 @@ def ordered(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-# ``Graph.degrees`` counts in an ``array('i')`` of 4-byte slots while it
-# needs at most this many an edge, twice the columns' 16 bytes.  Past that,
-# as for ``e 1 1000000000000000``, a ``Counter`` keeps the count O(m),
-# about 70 bytes for each of at most 2m endpoints, whatever the labels.
+# ``Graph.degrees`` keeps an ``array('i')`` of 4-byte slots while it needs
+# at most this many an edge, twice the columns' 16 bytes, and counts in a
+# list of 8-byte slots on the way.  Past that, as for ``e 1 1000000000000000``,
+# a ``Counter`` keeps the count O(m), about 70 bytes for each of at most 2m
+# endpoints, whatever the labels.
 _SLOTS_PER_EDGE = 8
 
 
@@ -178,10 +179,11 @@ class Graph:
         top = max(max(us, default=-1), max(vs, default=-1)) + 1
         if top > _SLOTS_PER_EDGE * len(us):
             return Counter(chain(us, vs))
-        table = array("i", bytes(4 * top))
+        # Counted in a list, which is indexed faster than an array.
+        table = [0] * top
         for v in chain(us, vs):
             table[v] += 1
-        return table
+        return array("i", table)
 
     def vertices_above(self, bound: int) -> set[int]:
         degrees = self.degrees
