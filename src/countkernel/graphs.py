@@ -49,11 +49,10 @@ def ordered(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-# ``Graph.degrees`` keeps an ``array('i')`` of 4-byte slots while it needs
-# at most this many an edge, twice the columns' 16 bytes, and counts in a
-# list of 8-byte slots on the way.  Past that, as for ``e 1 1000000000000000``,
-# a ``Counter`` keeps the count O(m), about 70 bytes for each of at most 2m
-# endpoints, whatever the labels.
+# ``Graph.degrees`` keeps an ``array('i')``, counted in a list, while they
+# take at most this many slots an edge, 32 bytes kept and 96 at the peak.
+# Past that, as for ``e 1 1000000000000000``, a ``Counter`` keeps the count
+# O(m), about 70 bytes for each of at most 2m endpoints, whatever the labels.
 _SLOTS_PER_EDGE = 8
 
 
