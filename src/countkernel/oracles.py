@@ -5,10 +5,11 @@ over speed.  These oracles define ground truth for the kernels, the
 compositions, and the parameter transformations, so none of them may
 share a clever identity with the code they check.  Each enumerating
 oracle lists every candidate set and checks each one in full against
-its definition; only the check is fast, done on whole-graph bit masks
-(a mask per edge, or a vertex's neighbors as one integer) instead of
-a Python loop per edge.  Nothing is memoized between candidates or
-calls.  Each reads a graph's endpoint columns, never its edge set.
+its definition; only the check is fast, done on whole-graph bit masks: up
+to 40 vertices N(S), the union of a set's neighborhoods, takes one to five
+lookups in tables built per call; above that a candidate meets a mask per
+edge, or a layer's vertices in turn.  Nothing is memoized between candidates
+or calls.  Each reads a graph's endpoint columns, never its edge set.
 
 Enumerations refuse inputs whose candidate space exceeds
 ``SUBSET_LIMIT`` rather than hanging; treewidth is capped at 12
@@ -28,6 +29,7 @@ from .graphs import Graph, TerminalPair, TreeDecomposition
 
 SUBSET_LIMIT = 1 << 26
 TREEWIDTH_LIMIT = 12
+UNION_TABLE_LIMIT = 40
 
 
 def _adjacency_masks(g: Graph) -> list[int]:
@@ -59,14 +61,45 @@ def _subset_masks(n: int, sizes: range):
     return chain.from_iterable(map(sum, combinations(bits, size)) for size in sizes)
 
 
-def _is_bipartite_masked(adj: list[int], n: int, removed: int) -> bool:
+def _union_function(adj: list[int], n: int):
+    """The map S -> N(S), the union of ``adj[v]`` over the vertices v of mask S.
+
+    The layout depends on n alone.  Up to ``UNION_TABLE_LIMIT`` = 40, chunk c
+    holds vertices 8c to 8c + 7 and a table of the 256 unions of their masks,
+    indexed by S's bits in the chunk: N(S) is one inline lookup per chunk, at
+    most 5 lookups into 1,280 entries.  Above 40 the tables would hold n^2 / 8
+    entries of n bits each, so N(S) loops over the vertices of S.
+    """
+    if n > UNION_TABLE_LIMIT:
+        def union(s: int) -> int:
+            nbrs = 0
+            while s:
+                nbrs |= adj[(s & -s).bit_length() - 1]
+                s &= s - 1
+            return nbrs
+        return union
+    tables = [[0] for _ in range(5)]  # [0] stays the table of a chunk n does not reach
+    for v, mask in enumerate(adj):
+        tables[v >> 3] += [mask | x for x in tables[v >> 3]]
+    t0, t1, t2, t3, t4 = tables
+    if n <= 8:
+        return t0.__getitem__
+    if n <= 16:
+        return lambda s: t0[s & 255] | t1[s >> 8]
+    if n <= 24:
+        return lambda s: t0[s & 255] | t1[s >> 8 & 255] | t2[s >> 16]
+    return lambda s: (t0[s & 255] | t1[s >> 8 & 255] | t2[s >> 16 & 255]
+                      | t3[s >> 24 & 255] | t4[s >> 32])
+
+
+def _is_bipartite_masked(union, n: int, removed: int) -> bool:
     """Whether the graph minus ``removed`` is 2-colorable.
 
     Each component is 2-colored one BFS layer at a time on vertex
-    masks, a layer taking the color opposite to the one before.  Every
-    edge joins one layer to itself or to the next, so an edge joins two
-    vertices of one color iff some layer's neighborhood meets that
-    layer's own color class.
+    masks, a layer taking the color opposite to the one before and its
+    neighborhood being one ``union`` call.  Every edge joins one layer
+    to itself or to the next, so an edge joins two vertices of one
+    color iff some layer's neighborhood meets that layer's own color.
     """
     unseen = ((1 << n) - 1) & ~removed
     while unseen:
@@ -74,11 +107,7 @@ def _is_bipartite_masked(adj: list[int], n: int, removed: int) -> bool:
         unseen ^= layer
         same, other = layer, 0  # the layer's color class and the other one
         while layer:
-            nbrs = 0
-            while layer:
-                low = layer & -layer
-                nbrs |= adj[low.bit_length() - 1]
-                layer ^= low
+            nbrs = union(layer)
             if nbrs & same:
                 return False
             layer = nbrs & unseen
@@ -87,34 +116,39 @@ def _is_bipartite_masked(adj: list[int], n: int, removed: int) -> bool:
     return True
 
 
-def _is_connected_masked(adj: list[int], n: int, removed: int) -> bool:
-    alive = [v for v in range(n) if not removed >> v & 1]
-    if len(alive) <= 1:
-        return True
-    seen = 1 << alive[0]
-    stack = [alive[0]]
-    count = 1
-    while stack:
-        u = stack.pop()
-        nbrs = adj[u] & ~removed & ~seen
-        while nbrs:
-            v = (nbrs & -nbrs).bit_length() - 1
-            nbrs &= nbrs - 1
-            seen |= 1 << v
-            count += 1
-            stack.append(v)
-    return count == len(alive)
+def _is_connected_masked(union, alive: int) -> bool:
+    """Whether mask ``alive`` induces a connected graph (at most one vertex does)."""
+    reach = frontier = alive & -alive
+    while frontier:
+        frontier = union(frontier) & alive & ~reach
+        reach |= frontier
+    return reach == alive
 
 
 # ---------------------------------------------------------------------------
 # Vertex covers
 # ---------------------------------------------------------------------------
 
-def _count_covers(g: Graph, sizes: range) -> int:
-    """Vertex covers whose size lies in ``sizes``: candidate vertex sets
-    that meet every edge's two-bit mask."""
-    edge_masks = [(1 << u) | (1 << v) for u, v in zip(*g.columns())]
-    return sum(all(map(mask.__and__, edge_masks)) for mask in _subset_masks(g.n, sizes))
+def _count_covers(g: Graph, sizes: range, minimal: bool = False) -> int:
+    """Vertex covers, or minimal ones, whose size lies in ``sizes``.
+
+    With I = V \\ C, candidate C is a cover iff N(I) & I == 0, and a minimal
+    one iff N(I) == C: each vertex of C also has a neighbor in I.  Above
+    ``UNION_TABLE_LIMIT`` a looped N(I) would cost about n a candidate, while
+    an edge scan stops at the first uncovered edge: so C meets each edge's
+    mask and, if minimal, contains no vertex's closed neighborhood.
+    """
+    if g.n > UNION_TABLE_LIMIT:
+        edge_masks = [(1 << u) | (1 << v) for u, v in zip(*g.columns())]
+        closed = [(1 << v) | a for v, a in enumerate(_adjacency_masks(g))] if minimal else []
+        return sum(all(map(mask.__and__, edge_masks)) and all(map((~mask).__and__, closed))
+                   for mask in _subset_masks(g.n, sizes))
+    union = _union_function(_adjacency_masks(g), g.n)
+    full = (1 << g.n) - 1
+    outsides = map(full.__xor__, _subset_masks(g.n, sizes))
+    if minimal:
+        return sum(union(outside) == full ^ outside for outside in outsides)
+    return sum(not union(outside) & outside for outside in outsides)
 
 
 def count_vertex_covers(g: Graph, k: int) -> int:
@@ -134,21 +168,12 @@ def count_vertex_covers_of_size(g: Graph, size: int) -> int:
 
 
 def count_minimal_vertex_covers(g: Graph, k: int) -> int:
-    """Number of minimal vertex covers of size at most k.
-
-    A cover is minimal when no proper subset covers; equivalently every
-    chosen vertex keeps a neighbor outside the cover, that is, every
-    vertex's closed neighborhood leaves the cover.  A candidate is
-    checked against every edge's mask and then every vertex's closed
-    neighborhood mask.
-    """
+    """Number of minimal vertex covers of size at most k: covers no
+    proper subset of which covers, checked as ``_count_covers`` says."""
     if k < 0:
         return 0
     guard_subsets(g.n, k, "count_minimal_vertex_covers")
-    edge_masks = [(1 << u) | (1 << v) for u, v in zip(*g.columns())]
-    closed = [(1 << v) | nbrs for v, nbrs in enumerate(_adjacency_masks(g))]
-    return sum(all(map(mask.__and__, edge_masks)) and all(map((~mask).__and__, closed))
-               for mask in _subset_masks(g.n, range(min(k, g.n) + 1)))
+    return _count_covers(g, range(min(k, g.n) + 1), minimal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +185,9 @@ def count_odd_cycle_transversals(g: Graph, k: int) -> int:
     if k < 0:
         return 0
     guard_subsets(g.n, k, "count_odd_cycle_transversals")
-    adj = _adjacency_masks(g)
+    union = _union_function(_adjacency_masks(g), g.n)
     return sum(1 for removed in _subset_masks(g.n, range(min(k, g.n) + 1))
-               if _is_bipartite_masked(adj, g.n, removed))
+               if _is_bipartite_masked(union, g.n, removed))
 
 
 def is_nice_oct_instance(g: Graph, k: int) -> bool:
@@ -176,11 +201,11 @@ def is_nice_oct_instance(g: Graph, k: int) -> bool:
     if k < 0:
         return True
     guard_subsets(g.n, k, "is_nice_oct_instance")
-    adj = _adjacency_masks(g)
+    union = _union_function(_adjacency_masks(g), g.n)
     everything = (1 << g.n) - 1
     for removed in _subset_masks(g.n, range(min(k, g.n) + 1)):
-        if _is_bipartite_masked(adj, g.n, removed):
-            if removed == everything or not _is_connected_masked(adj, g.n, removed):
+        if _is_bipartite_masked(union, g.n, removed):
+            if removed == everything or not _is_connected_masked(union, everything ^ removed):
                 return False
     return True
 

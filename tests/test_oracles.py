@@ -14,7 +14,6 @@ from countkernel.oracles import (
     OracleSizeError,
     _adjacency_masks,
     _guard,
-    _is_connected_masked,
     _subset_masks,
     count_min_st_cuts,
     count_minimal_vertex_covers,
@@ -470,6 +469,25 @@ def reference_is_bipartite_masked(adj: list[int], n: int, removed: int) -> bool:
     return True
 
 
+def reference_is_connected_masked(adj: list[int], n: int, removed: int) -> bool:
+    alive = [v for v in range(n) if not removed >> v & 1]
+    if len(alive) <= 1:
+        return True
+    seen = 1 << alive[0]
+    stack = [alive[0]]
+    count = 1
+    while stack:
+        u = stack.pop()
+        nbrs = adj[u] & ~removed & ~seen
+        while nbrs:
+            v = (nbrs & -nbrs).bit_length() - 1
+            nbrs &= nbrs - 1
+            seen |= 1 << v
+            count += 1
+            stack.append(v)
+    return count == len(alive)
+
+
 def reference_count_vertex_covers(g: Graph, k: int) -> int:
     if k < 0:
         return 0
@@ -516,7 +534,7 @@ def reference_is_nice_oct_instance(g: Graph, k: int) -> bool:
     everything = (1 << g.n) - 1
     for removed in _subset_masks(g.n, range(min(k, g.n) + 1)):
         if reference_is_bipartite_masked(adj, g.n, removed):
-            if removed == everything or not _is_connected_masked(adj, g.n, removed):
+            if removed == everything or not reference_is_connected_masked(adj, g.n, removed):
                 return False
     return True
 
@@ -694,3 +712,82 @@ def test_subset_masks_match_an_itertools_reference_for_every_small_n_and_size_ra
                 reference = [sum(1 << v for v in subset)
                              for size in range(lo, hi) for subset in combinations(range(n), size)]
                 assert list(_subset_masks(n, range(lo, hi))) == reference, (n, lo, hi)
+
+
+def _hub_graph(n: int, hubs: int, rng: random.Random) -> Graph:
+    """A connected graph whose edges all touch ``hubs`` random vertices:
+    each other vertex joins a random hub, the hubs form a path, and a few
+    extra hub edges close odd cycles.  It has covers of size ``hubs``."""
+    centers = rng.sample(range(n), hubs)
+    edges = {tuple(sorted(pair)) for pair in zip(centers, centers[1:])}
+    for v in set(range(n)) - set(centers):
+        for h in rng.sample(centers, rng.randint(1, hubs)):
+            edges.add(tuple(sorted((v, h))))
+    return Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 24, 25, 40, 41])
+def test_union_table_checks_match_the_references_past_one_chunk(n):
+    """The tables split the vertices into 8-bit chunks up to 40 vertices,
+    so these sizes put a vertex on each side of every chunk boundary and
+    of the bound above which the checks use edge masks instead."""
+    rng = random.Random(n)
+    budgets = [k for k in range(n + 1)
+               if sum(comb(n, size) for size in range(k + 1)) <= 5_000]
+    graphs = [_hub_graph(n, hubs, rng) for hubs in range(1, max(budgets) + 1)]
+    graphs += [random_graph(n, p, rng.randrange(1 << 30)) for p in (0.02, 0.05, 0.1)]
+    for g in graphs:
+        _same_answers(g, budgets)
+
+
+def test_transversal_checks_match_the_references_on_cut_gadgets():
+    """The mincut-to-OCT gadgets of 7-vertex cut instances reach 24 to 34
+    vertices: three and more chunks of the union tables."""
+    from countkernel.compositions import mincut_to_oct_ppt
+    from countkernel.framework import CountingInstance
+    from countkernel.graphs import connected_components
+    from countkernel.verification import cut_instance_pool
+
+    pool = cut_instance_pool(300, 7, 5, probabilities=(0.3, 0.45, 0.6),
+                             keep=lambda g: 0 < g.m <= 6 and len(connected_components(g)) == 1)
+    reduce = mincut_to_oct_ppt().reduce
+    gadgets = {}
+    for g, st in pool:
+        reduced = reduce(CountingInstance(g, st, None, "min-cut-size")).reduced
+        if reduced.graph.n >= 24:
+            gadgets.setdefault((reduced.graph.n, reduced.k), reduced.graph)
+    assert min(gadgets) == (24, 1) and max(gadgets) == (34, 3)
+    for (n, k), g in gadgets.items():
+        for budget in range(k + 1):
+            assert count_odd_cycle_transversals(g, budget) == \
+                reference_count_odd_cycle_transversals(g, budget), (g, budget)
+            assert is_nice_oct_instance(g, budget) == \
+                reference_is_nice_oct_instance(g, budget), (g, budget)
+
+
+def test_cover_oracles_on_a_large_matching_stay_small():
+    """Above 40 vertices no union table is built: on a 4,000-vertex
+    perfect matching at k = 1 the edge scan stops at the first uncovered
+    edge, and the peak holds the edge and neighborhood masks alone."""
+    import tracemalloc
+
+    g = Graph._from_columns(4000, list(range(0, 4000, 2)), list(range(1, 4000, 2)))
+    for oracle in (count_vertex_covers, count_minimal_vertex_covers):
+        tracemalloc.start()
+        try:
+            assert oracle(g, 1) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, (oracle.__name__, peak)
+
+
+def test_cover_oracles_build_union_tables_up_to_forty_vertices(monkeypatch):
+    built = []
+    build = oracles._union_function
+    monkeypatch.setattr(oracles, "_union_function",
+                        lambda adj, n: built.append(n) or build(adj, n))
+    for n in (8, 9, 39, 40, 41, 48):
+        assert count_vertex_covers(Graph.empty(n), 1) == n + 1
+        assert count_minimal_vertex_covers(Graph.empty(n), 1) == 1
+    assert built == [8, 8, 9, 9, 39, 39, 40, 40]
