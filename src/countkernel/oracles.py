@@ -78,10 +78,10 @@ def _union_function(adj: list[int], n: int):
                 s &= s - 1
             return nbrs
         return union
-    tables = [[0] for _ in range(5)]  # [0] stays the table of a chunk n does not reach
+    t0, t1, t2, t3, t4 = tables = [[0], [0], [0], [0], [0]]  # [0]: a chunk past n
     for v, mask in enumerate(adj):
-        tables[v >> 3] += [mask | x for x in tables[v >> 3]]
-    t0, t1, t2, t3, t4 = tables
+        row = tables[v >> 3]
+        row += [mask | x for x in row]
     if n <= 8:
         return t0.__getitem__
     if n <= 16:
@@ -92,8 +92,8 @@ def _union_function(adj: list[int], n: int):
                       | t3[s >> 24 & 255] | t4[s >> 32])
 
 
-def _is_bipartite_masked(union, n: int, removed: int) -> bool:
-    """Whether the graph minus ``removed`` is 2-colorable.
+def _is_bipartite_masked(union, alive: int) -> bool:
+    """Whether the vertices of mask ``alive`` induce a 2-colorable graph.
 
     Each component is 2-colored one BFS layer at a time on vertex
     masks, a layer taking the color opposite to the one before and its
@@ -101,7 +101,7 @@ def _is_bipartite_masked(union, n: int, removed: int) -> bool:
     to itself or to the next, so an edge joins two vertices of one
     color iff some layer's neighborhood meets that layer's own color.
     """
-    unseen = ((1 << n) - 1) & ~removed
+    unseen = alive
     while unseen:
         layer = unseen & -unseen
         unseen ^= layer
@@ -117,12 +117,12 @@ def _is_bipartite_masked(union, n: int, removed: int) -> bool:
 
 
 def _is_connected_masked(union, alive: int) -> bool:
-    """Whether mask ``alive`` induces a connected graph (at most one vertex does)."""
+    """Whether mask ``alive`` induces a connected graph; the null graph does not."""
     reach = frontier = alive & -alive
     while frontier:
         frontier = union(frontier) & alive & ~reach
         reach |= frontier
-    return reach == alive
+    return reach == alive != 0
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +147,8 @@ def _count_covers(g: Graph, sizes: range, minimal: bool = False) -> int:
     full = (1 << g.n) - 1
     outsides = map(full.__xor__, _subset_masks(g.n, sizes))
     if minimal:
-        return sum(union(outside) == full ^ outside for outside in outsides)
-    return sum(not union(outside) & outside for outside in outsides)
+        return sum(1 for outside in outsides if union(outside) == full ^ outside)
+    return sum(1 for outside in outsides if not union(outside) & outside)
 
 
 def count_vertex_covers(g: Graph, k: int) -> int:
@@ -186,8 +186,9 @@ def count_odd_cycle_transversals(g: Graph, k: int) -> int:
         return 0
     guard_subsets(g.n, k, "count_odd_cycle_transversals")
     union = _union_function(_adjacency_masks(g), g.n)
-    return sum(1 for removed in _subset_masks(g.n, range(min(k, g.n) + 1))
-               if _is_bipartite_masked(union, g.n, removed))
+    full = (1 << g.n) - 1
+    return sum(1 for alive in map(full.__xor__, _subset_masks(g.n, range(min(k, g.n) + 1)))
+               if _is_bipartite_masked(union, alive))
 
 
 def is_nice_oct_instance(g: Graph, k: int) -> bool:
@@ -202,11 +203,10 @@ def is_nice_oct_instance(g: Graph, k: int) -> bool:
         return True
     guard_subsets(g.n, k, "is_nice_oct_instance")
     union = _union_function(_adjacency_masks(g), g.n)
-    everything = (1 << g.n) - 1
-    for removed in _subset_masks(g.n, range(min(k, g.n) + 1)):
-        if _is_bipartite_masked(union, g.n, removed):
-            if removed == everything or not _is_connected_masked(union, everything ^ removed):
-                return False
+    full = (1 << g.n) - 1
+    for alive in map(full.__xor__, _subset_masks(g.n, range(min(k, g.n) + 1))):
+        if _is_bipartite_masked(union, alive) and not _is_connected_masked(union, alive):
+            return False
     return True
 
 
