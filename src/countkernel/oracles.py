@@ -66,9 +66,9 @@ def _union_function(adj: list[int], n: int):
 
     The layout depends on n alone.  Up to ``UNION_TABLE_LIMIT`` = 40, chunk c
     holds vertices 8c to 8c + 7 and a table of the 256 unions of their masks,
-    indexed by S's bits in the chunk: N(S) is one inline lookup per chunk, at
-    most 5 lookups into 1,280 entries.  Above 40 the tables would hold n^2 / 8
-    entries of n bits each, so N(S) loops over the vertices of S.
+    indexed by S's bits in the chunk: N(S) is an inline lookup per chunk (five
+    above 24 vertices, a chunk past n reading [0]), 1,280 entries at most.
+    Above 40 the tables would hold n^2 / 8 entries of n bits, so N(S) loops over S.
     """
     if n > UNION_TABLE_LIMIT:
         def union(s: int) -> int:

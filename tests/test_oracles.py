@@ -716,8 +716,8 @@ def test_subset_masks_match_an_itertools_reference_for_every_small_n_and_size_ra
 
 def _hub_graph(n: int, hubs: int, rng: random.Random) -> Graph:
     """A connected graph whose edges all touch ``hubs`` random vertices:
-    each other vertex joins a random hub, the hubs form a path, and a few
-    extra hub edges close odd cycles.  It has covers of size ``hubs``."""
+    the hubs form a path and each other vertex joins one or more of them,
+    closing a triangle where it joins two adjacent hubs.  The hubs cover."""
     centers = rng.sample(range(n), hubs)
     edges = {tuple(sorted(pair)) for pair in zip(centers, centers[1:])}
     for v in set(range(n)) - set(centers):
